@@ -321,8 +321,9 @@ def run_dynamic_capacity(
     Events arrive with exponential inter-arrival times at ``event_rate`` per
     second.  Each event is a failure with probability ``fail_prob`` (capacity
     drops by a uniform fraction from ``drop_range``, floored at
-    ``floor_capacity``) and a full resumption otherwise.  The trace starts
-    with one point at t=0 at full capacity and gains a point per event.
+    ``floor_capacity``) and a full resumption otherwise.  The floor must lie
+    in (0, full_capacity].  The trace starts with one point at t=0 at full
+    capacity and gains a point per event.
 
     Customers whose lone demand exceeds the current capacity are excluded
     from that re-solve; they could never be part of a feasible supply set.
@@ -334,6 +335,11 @@ def run_dynamic_capacity(
         raise ValueError("drop_range must satisfy 0 < lo <= hi < 1")
     if horizon <= 0 or event_rate <= 0:
         raise ValueError("horizon and event_rate must be > 0")
+    if not 0.0 < floor_capacity <= full_capacity:
+        raise ValueError(
+            f"floor capacity must satisfy 0 < floor <= full capacity, "
+            f"got floor {floor_capacity:g} and full {full_capacity:g}"
+        )
     if algorithm not in set(VMAX_ALGORITHMS) | {"gsa"}:
         raise ValueError(f"unknown algorithm {algorithm!r}")
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .bench import (
@@ -62,6 +63,14 @@ def _emit(doc: dict, path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _rel_tol(text: str) -> float:
+    """argparse type for --tolerance-override: a finite, non-negative slack."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
 
 
 def _cmd_generate(args) -> int:
@@ -193,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--epsilon", type=float, default=0.25, help="gsa precision")
     solve.add_argument("--budget-max-n", type=int, default=20,
                        help="enumeration budget when --algorithm oracle")
-    solve.add_argument("--tolerance-override", type=float, default=CAPACITY_REL_TOL,
+    solve.add_argument("--tolerance-override", type=_rel_tol, default=CAPACITY_REL_TOL,
                        help="relative slack on the capacity feasibility test")
     solve.add_argument("--quiet", action="store_true", help="suppress warnings")
     solve.add_argument("-o", "--output", default=None)
@@ -203,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("instance", help="instance JSON path")
     orc.add_argument("--objective", choices=("vmax", "cmin"), default="vmax")
     orc.add_argument("--max-n", type=int, default=20, help="enumeration budget")
-    orc.add_argument("--tolerance-override", type=float, default=CAPACITY_REL_TOL,
+    orc.add_argument("--tolerance-override", type=_rel_tol, default=CAPACITY_REL_TOL,
                      help="relative slack on the capacity feasibility test")
     orc.add_argument("-o", "--output", default=None)
     orc.set_defaults(func=_cmd_oracle)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import time
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,28 +77,69 @@ def scan_order(
     return order.tolist()
 
 
+def _scan_items(instance: Instance, order: Sequence[int]) -> Iterator[tuple[int, float, float]]:
+    """``(storage index, p, q)`` in scan order.
+
+    The demands are gathered into scan order by one numpy take, so a long
+    scan then reads memory sequentially instead of chasing storage order.
+    """
+    cols = instance.columns
+    order_arr = np.asarray(order, dtype=np.int64)
+    return zip(order, cols.p[order_arr].tolist(), cols.q[order_arr].tolist())
+
+
 def _greedy_scan(
-    instance: Instance,
-    order: Sequence[int],
+    items: Iterable[tuple[int, float, float]],
     base_p: float,
     base_q: float,
     limit_sq: float,
 ) -> list[int]:
-    """Walk ``order`` (storage indices), keeping every customer that still fits."""
-    cols = instance.columns
-    order_arr = np.asarray(order, dtype=np.int64)
-    # gather into scan order once; the loop then touches memory sequentially
-    p_ord = cols.p[order_arr].tolist()
-    q_ord = cols.q[order_arr].tolist()
+    """Walk ``(index, p, q)`` items in order, keeping every customer that still fits."""
     acc_p, acc_q = base_p, base_q
     taken: list[int] = []
-    for i, pv, qv in zip(order, p_ord, q_ord):
+    for i, pv, qv in items:
         np_ = acc_p + pv
         nq = acc_q + qv
         if np_ * np_ + nq * nq <= limit_sq:
             acc_p, acc_q = np_, nq
             taken.append(i)
     return taken
+
+
+def _forced_scan_pair(
+    instance: Instance,
+    forced: Sequence[int],
+    efficiency_items: Iterable[tuple[int, float, float]],
+    valuation_items: Iterable[tuple[int, float, float]],
+    limit_sq: float,
+) -> tuple[list[int], float]:
+    """Retain ``forced`` and fill up with the better of two greedy scans.
+
+    ``forced`` holds storage indices; the two item streams are the pool in
+    efficiency and in valuation order (see ``_scan_items``).  Each is scanned
+    from the forced set's aggregate demand; the scan whose retained set has
+    the larger total valuation wins, the efficiency scan on ties.  Returns the
+    winning retained indices in ascending order and their total valuation.
+    Sums walk storage order, so the floats equal ``aggregate_demand`` and
+    ``retained_valuation`` on the same set.
+    """
+    cols = instance.columns
+    p_list, q_list, u_list = cols.p_list, cols.q_list, cols.valuation_list
+    forced = sorted(forced)
+    base_p = base_q = 0.0
+    for i in forced:
+        base_p += p_list[i]
+        base_q += q_list[i]
+    best: list[int] = forced
+    best_objective = -np.inf
+    for items in (efficiency_items, valuation_items):
+        retained = sorted(forced + _greedy_scan(items, base_p, base_q, limit_sq))
+        objective = 0.0
+        for i in retained:
+            objective += u_list[i]
+        if objective > best_objective:
+            best, best_objective = retained, objective
+    return best, best_objective
 
 
 def _solution_from_indices(
@@ -123,7 +164,8 @@ def _single_order_solve(
 ) -> Solution:
     start = time.perf_counter()
     order = scan_order(instance, key, tie_break_rng=tie_break_rng)
-    taken = _greedy_scan(instance, order, 0.0, 0.0, instance.capacity_limit_sq(rel_tol))
+    limit_sq = instance.capacity_limit_sq(rel_tol)
+    taken = _greedy_scan(_scan_items(instance, order), 0.0, 0.0, limit_sq)
     return _solution_from_indices(instance, taken, tag, time.perf_counter() - start)
 
 
@@ -209,25 +251,16 @@ def gda_forced(
         raise ValueError("forced set is infeasible on its own")
 
     index_of = instance.index_of
-    forced_idx = [index_of[i] for i in forced]
     pool_idx = np.fromiter(sorted(index_of[i] for i in pool), dtype=np.int64, count=len(pool))
-
-    best_taken: list[int] | None = None
-    best_objective = -np.inf
-    for key in (SortKey.EFFICIENCY_DESC, SortKey.VALUATION_DESC):
-        order = scan_order(instance, key, subset=pool_idx, tie_break_rng=tie_break_rng)
-        taken = _greedy_scan(instance, order, base.active_p, base.reactive_q, limit_sq)
-        ids = frozenset(int(instance.columns.id[i]) for i in taken) | forced
-        objective = retained_valuation(instance, ids)
-        if objective > best_objective:
-            best_objective = objective
-            best_taken = taken
-    assert best_taken is not None
-    retained = frozenset(int(instance.columns.id[i]) for i in best_taken) | forced
-    return Solution(
-        retained_ids=retained,
-        objective=retained_valuation(instance, retained),
-        aggregate_demand=aggregate_demand(instance, retained),
-        algorithm="gda",
-        elapsed=time.perf_counter() - start,
+    efficiency_order, valuation_order = (
+        scan_order(instance, key, subset=pool_idx, tie_break_rng=tie_break_rng)
+        for key in (SortKey.EFFICIENCY_DESC, SortKey.VALUATION_DESC)
     )
+    retained, _ = _forced_scan_pair(
+        instance,
+        [index_of[i] for i in forced],
+        _scan_items(instance, efficiency_order),
+        _scan_items(instance, valuation_order),
+        limit_sq,
+    )
+    return _solution_from_indices(instance, retained, "gda", time.perf_counter() - start)

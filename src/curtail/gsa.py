@@ -12,6 +12,10 @@ m = min(ceil(1/epsilon) - 2, n) and runs two phases:
 The best candidate across both phases is returned.  The objective is at
 least ``(1 - epsilon) * alignment_factor(theta)`` times the optimum, at the
 cost of examining O(n^m) subsets; small epsilon buys accuracy with runtime.
+The two greedy orders are sorted once per instance; each feasible seed then
+costs one O(n) filter of both orders to its pool and one scan of each, all
+in storage indices, so a seed's work is O(n) and the whole search
+O(n log n + n^(m+1)).
 
 With epsilon >= 1/2 the derived m is 0 and the enumeration degenerates; the
 solver then falls back to a single unforced greedy-pair run, whose 1/2
@@ -32,7 +36,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .greedy import gda, gda_forced
+from .greedy import SortKey, _forced_scan_pair, _scan_items, gda, scan_order
 from .model import CAPACITY_REL_TOL, Instance, Solution, aggregate_demand
 
 
@@ -110,24 +114,30 @@ def _search(
                 best_ids = frozenset(int(cols.id[i]) for i in idxs)
 
     # Phase 2: force each feasible size-m subset, fill up with the greedy
-    # pair over the customers it dominates by valuation.
+    # pair over the customers it dominates by valuation.  Each seed's pool
+    # is a filter of the two instance-wide orders: ids are unique, so the
+    # (key, id) order restricted to the pool is the pool's own scan order.
+    efficiency_items = list(_scan_items(instance, scan_order(instance, SortKey.EFFICIENCY_DESC)))
+    valuation_items = list(_scan_items(instance, scan_order(instance, SortKey.VALUATION_DESC)))
     for combo in combinations(by_id, m) if m > 0 else ():
         idxs = sorted(combo)
         if not _subset_fits(p_list, q_list, idxs, limit_sq):
             continue
-        forced = frozenset(int(cols.id[i]) for i in idxs)
         floor = min(u_list[i] for i in idxs)
-        pool = frozenset(
-            int(cols.id[j]) for j in range(n) if u_list[j] <= floor
-        ) - forced
-        candidate = gda_forced(instance, forced, pool, rel_tol)
-        better = candidate.objective > best_objective or (
-            candidate.objective == best_objective and best_seed is None
+        retained, objective = _forced_scan_pair(
+            instance,
+            idxs,
+            [t for t in efficiency_items if u_list[t[0]] <= floor and t[0] not in combo],
+            [t for t in valuation_items if u_list[t[0]] <= floor and t[0] not in combo],
+            limit_sq,
+        )
+        better = objective > best_objective or (
+            objective == best_objective and best_seed is None
         )
         if better:
-            best_objective = candidate.objective
-            best_ids = candidate.retained_ids
-            best_seed = tuple(sorted(forced))
+            best_objective = objective
+            best_ids = frozenset(int(cols.id[i]) for i in retained)
+            best_seed = tuple(sorted(int(cols.id[i]) for i in idxs))
 
     return best_ids, best_objective, best_seed
 

@@ -179,7 +179,13 @@ class Instance:
         return {c.id: i for i, c in enumerate(self.customers)}
 
     def capacity_limit_sq(self, rel_tol: float = CAPACITY_REL_TOL) -> float:
-        """Squared feasibility threshold: (C * (1 + rel_tol))^2."""
+        """Squared feasibility threshold: (C * (1 + rel_tol))^2.
+
+        ``rel_tol`` must be finite and >= 0: a negative slack would be squared
+        away, and nan or inf would make every selection infeasible or feasible.
+        """
+        if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
+            raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
         limit = self.capacity * (1.0 + rel_tol)
         return limit * limit
 

@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from curtail import ComplexDemand, Customer, Instance
+from curtail import ComplexDemand, Customer, GsaConfig, Instance, gda_forced
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -117,3 +117,55 @@ def random_instance(
         for k in range(n)
     ]
     return Instance(customers, capacity)
+
+
+def reference_gsa_search(instance: Instance, config: GsaConfig, rel_tol: float = 1e-9):
+    """Per-seed ``gda_forced`` enumeration; the reference for ``gsa._search``.
+
+    Every feasible size-m seed is passed to the public ``gda_forced`` as id
+    sets, so each seed re-sorts its own pool.  Returns (retained ids,
+    objective, winning Phase 2 seed as sorted ids or None).
+    """
+    cols = instance.columns
+    n = len(instance)
+    m = config.max_subset_size(n)
+    limit_sq = instance.capacity_limit_sq(rel_tol)
+    p_list, q_list, u_list = cols.p_list, cols.q_list, cols.valuation_list
+
+    def fits(idxs):
+        p = q = 0.0
+        for i in idxs:
+            p += p_list[i]
+            q += q_list[i]
+        return p * p + q * q <= limit_sq
+
+    by_id = np.lexsort((cols.id,)).tolist()
+    best_ids: frozenset[int] = frozenset()
+    best_objective = 0.0
+    best_seed = None
+    for size in range(m):
+        for combo in combinations(by_id, size):
+            idxs = sorted(combo)
+            if not fits(idxs):
+                continue
+            value = 0.0
+            for i in idxs:
+                value += u_list[i]
+            if value > best_objective:
+                best_objective = value
+                best_ids = frozenset(int(cols.id[i]) for i in idxs)
+    for combo in combinations(by_id, m) if m > 0 else ():
+        idxs = sorted(combo)
+        if not fits(idxs):
+            continue
+        forced = frozenset(int(cols.id[i]) for i in idxs)
+        floor = min(u_list[i] for i in idxs)
+        pool = frozenset(int(cols.id[j]) for j in range(n) if u_list[j] <= floor) - forced
+        candidate = gda_forced(instance, forced, pool, rel_tol)
+        if candidate.objective > best_objective or (
+            candidate.objective == best_objective and best_seed is None
+        ):
+            best_objective = candidate.objective
+            best_ids = candidate.retained_ids
+            best_seed = tuple(sorted(forced))
+    return best_ids, best_objective, best_seed

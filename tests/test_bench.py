@@ -239,6 +239,17 @@ class TestDynamicCapacity:
         with pytest.raises(ValueError):
             run_dynamic_capacity(spec, algorithm="nope")
 
+    @pytest.mark.parametrize("floor", [5e6, 0.0, -1.0, float("nan")])
+    def test_floor_outside_zero_to_full_rejected(self, floor):
+        spec = spec_from_acronym("ACR", 5, 2e6, seed=1)
+        with pytest.raises(ValueError, match="floor"):
+            run_dynamic_capacity(spec, full_capacity=2e6, floor_capacity=floor)
+
+    def test_floor_equal_to_full_capacity_is_flat(self):
+        spec = spec_from_acronym("ACR", 5, 2e6, seed=1)
+        trace = run_dynamic_capacity(spec, horizon=1000.0, floor_capacity=2e6)
+        assert {point.capacity for point in trace} == {2e6}
+
 
 class TestRuntimeScaling:
     def test_gda_is_roughly_linearithmic(self):

@@ -153,6 +153,18 @@ class TestSolve:
         assert strict["retained"] == [0]
         assert loose["retained"] == [0, 1]
 
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    @pytest.mark.parametrize("value", ["-2", "nan", "inf"])
+    def test_meaningless_tolerance_override_rejected(self, trap_file, capsys, command, value):
+        # -2 would be squared into a slack of 0; nan retains nobody, inf everybody
+        argv = [command, trap_file, f"--tolerance-override={value}"]
+        if command == "solve":
+            argv += ["--algorithm", "gva"]
+        assert dispatch(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance-override" in captured.err
+
     def test_oracle_via_solve(self, trap_file, capsys):
         code = dispatch(["solve", "--algorithm", "oracle", trap_file])
         assert code == EXIT_OK
@@ -252,6 +264,18 @@ class TestSimulateCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t_seconds,capacity_va,objective,retained_count"
         assert len(lines) >= 2
+
+    def test_floor_above_capacity_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        code = dispatch(
+            ["simulate", "--dynamic", "--scenario", "ACR", "--n", "12",
+             "--floor", "5e6", "-o", str(out)]
+        )
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "floor" in captured.err
+        assert not out.exists()
 
     def test_requires_dynamic_flag(self, tmp_path):
         code = dispatch(

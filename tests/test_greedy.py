@@ -126,6 +126,16 @@ class TestGdaForced:
         assert forced.retained_ids == plain.retained_ids
         assert forced.objective == plain.objective
 
+    def test_equal_branches_resolve_to_the_efficiency_scan(self):
+        # equal valuations: the valuation scan takes {0, 1} by id, the
+        # efficiency scan {1, 2}; both are worth 6, and like gda the
+        # efficiency branch must win the tie
+        rows = [(0, 6.0, 0.0, 3.0), (1, 4.0, 0.0, 3.0), (2, 5.0, 0.0, 3.0)]
+        inst = build_instance(rows, 10.0)
+        assert gva(inst).retained_ids == {0, 1}
+        assert gda(inst).retained_ids == {1, 2}
+        assert gda_forced(inst, (), inst.ids).retained_ids == {1, 2}
+
     def test_forced_set_saturating_capacity(self):
         rows = [(0, 10.0, 0.0, 1.0), (1, 3.0, 0.0, 5.0), (2, 2.0, 0.0, 5.0)]
         inst = build_instance(rows, 10.0)

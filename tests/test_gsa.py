@@ -10,6 +10,7 @@ from curtail import (
     Customer,
     GsaConfig,
     Instance,
+    SortKey,
     alignment_factor,
     brute_force_vmax,
     gda,
@@ -19,8 +20,20 @@ from curtail import (
     max_phase_spread,
     retained_valuation,
 )
+from curtail.greedy import scan_order
 from curtail.gsa import _search
-from conftest import random_instance
+from conftest import build_instance, random_instance, reference_gsa_search
+
+
+def tied_instance(rng: np.random.Generator, n: int) -> Instance:
+    """Random instance with integer demands and valuations, so keys tie often."""
+    p = rng.integers(0, 5, n).astype(float)
+    q = rng.integers(0, 3, n).astype(float)
+    u = rng.integers(0, 4, n).astype(float)
+    ids = rng.permutation(3 * n)[:n].tolist()  # unordered, non-contiguous ids
+    rows = [(ids[k], p[k], q[k], u[k]) for k in range(n)]
+    capacity = max(5.0, float(rng.uniform(0.2, 0.7)) * float(np.hypot(p, q).sum()))
+    return build_instance(rows, capacity)
 
 
 class TestConfig:
@@ -150,3 +163,34 @@ class TestGsa:
         assert objective == 2.0
         assert seed == (0, 1)
         assert set(ids) == {0, 1}
+
+
+class TestAgainstPerSeedReference:
+    """``_search`` sorts once per instance; the reference re-sorts every seed's
+    pool through ``gda_forced``.  Both must agree exactly, seed included."""
+
+    @pytest.mark.parametrize("epsilon", [1 / 3, 1 / 4, 1 / 5])
+    def test_identical_ids_objective_and_seed(self, epsilon):
+        rng = np.random.default_rng(211)
+        seeded = 0
+        for n in range(1, 13):
+            for make in (random_instance, tied_instance):
+                inst = make(rng, n)
+                expected = reference_gsa_search(inst, GsaConfig(epsilon))
+                got = _search(inst, GsaConfig(epsilon), 1e-9)
+                assert got[0] == expected[0]
+                assert got[1] == expected[1]  # float-exact, not approximate
+                assert got[2] == expected[2]
+                seeded += got[2] is not None
+        assert seeded >= 12
+
+    def test_filtered_global_order_is_the_pool_order(self):
+        rng = np.random.default_rng(223)
+        for _ in range(60):
+            n = int(rng.integers(1, 16))
+            inst = tied_instance(rng, n) if rng.random() < 0.5 else random_instance(rng, n)
+            pool = np.flatnonzero(rng.random(n) < 0.6)
+            members = set(pool.tolist())
+            for key in SortKey:
+                filtered = [j for j in scan_order(inst, key) if j in members]
+                assert filtered == scan_order(inst, key, subset=pool)

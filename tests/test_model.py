@@ -98,6 +98,14 @@ class TestFeasibility:
         with pytest.raises(UnknownCustomerError):
             is_feasible(magnitude_trap, {1, 99})
 
+    @pytest.mark.parametrize("rel_tol", [-2.0, -1e-12, math.nan, math.inf])
+    def test_meaningless_rel_tol_rejected(self, magnitude_trap, rel_tol):
+        with pytest.raises(ValueError, match="rel_tol"):
+            is_feasible(magnitude_trap, {2}, rel_tol=rel_tol)
+
+    def test_zero_rel_tol_is_the_exact_capacity(self, magnitude_trap):
+        assert magnitude_trap.capacity_limit_sq(0.0) == 100.0 * 100.0
+
     def test_monotone_under_removal(self):
         # first-quadrant demands: dropping customers shrinks both components
         rng = np.random.default_rng(11)
