@@ -28,11 +28,11 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .cmin import cmin_gda, cmin_gma, cmin_gra, cmin_gva
-from .greedy import gda, gma, gra, gva
+from .greedy import SCAN_ORDERS, _best_of_scans, gda, gma, gra, gva, scan_order
 from .gsa import GsaConfig, gsa
-from .model import FormatError, Instance, Solution
+from .model import FormatError, Instance, Solution, capacity_limit_sq
 from .oracle import OracleBudget, brute_force_cmin, brute_force_vmax, lp_upper_bound
-from .scenario import ScenarioSpec, generate, spec_from_acronym
+from .scenario import ScenarioSpec, generate, restrict_to_capacity, spec_from_acronym
 
 VMAX_ALGORITHMS: Mapping[str, Callable[[Instance], Solution]] = {
     "gva": gva,
@@ -304,6 +304,41 @@ class TracePoint:
     retained_count: int
 
 
+def _presorted_greedy(base: Instance, algorithm: str) -> Callable[[float], tuple[float, int]]:
+    """Re-solve ``base`` with a greedy algorithm at any capacity, sorting once.
+
+    Each of the algorithm's scan orders is sorted once over all customers and
+    kept as storage index, p, q and magnitude arrays in that order.  A
+    re-solve masks every order to the customers whose lone demand fits the
+    capacity and scans the survivors.  Sorting the restricted instance would
+    give the same order, since the keys are per customer and ids are unique,
+    and its storage order is ``base``'s, so the objective sums the same
+    floats.  The mask compares ``ComplexDemand.magnitude``, the value that
+    ``restrict_to_capacity`` and ``Instance`` construction compare, so it
+    drops exactly the customers they drop.
+
+    Returns ``capacity -> (objective, retained count)``.
+    """
+    cols = base.columns
+    mag = np.fromiter(
+        (c.demand.magnitude() for c in base.customers), dtype=np.float64, count=len(base)
+    )
+    orders = []
+    for key in SCAN_ORDERS[algorithm]:
+        order = np.asarray(scan_order(base, key), dtype=np.int64)
+        orders.append((order, cols.p[order], cols.q[order], mag[order]))
+
+    def solve_at(capacity: float) -> tuple[float, int]:
+        streams = []
+        for order, p, q, m in orders:
+            fits = m <= capacity
+            streams.append(zip(order[fits].tolist(), p[fits].tolist(), q[fits].tolist()))
+        retained, objective = _best_of_scans(base, (), streams, capacity_limit_sq(capacity))
+        return objective, len(retained)
+
+    return solve_at
+
+
 def run_dynamic_capacity(
     scenario: ScenarioSpec,
     horizon: float = 10_000.0,
@@ -319,22 +354,30 @@ def run_dynamic_capacity(
     """Re-solve a fixed customer set while generation capacity jumps around.
 
     Events arrive with exponential inter-arrival times at ``event_rate`` per
-    second.  Each event is a failure with probability ``fail_prob`` (capacity
-    drops by a uniform fraction from ``drop_range``, floored at
-    ``floor_capacity``) and a full resumption otherwise.  The floor must lie
-    in (0, full_capacity].  The trace starts with one point at t=0 at full
-    capacity and gains a point per event.
+    second until ``horizon`` seconds; both must be finite and > 0.  Each
+    event is a failure with probability ``fail_prob`` (capacity drops by a
+    uniform fraction from ``drop_range``, floored at ``floor_capacity``) and
+    a full resumption otherwise.  The floor must lie in (0, full_capacity].
+    The trace starts with one point at t=0 at full capacity and gains a point
+    per event.
 
     Customers whose lone demand exceeds the current capacity are excluded
     from that re-solve; they could never be part of a feasible supply set.
+    Every point equals solving ``restrict_to_capacity(base, capacity)`` with
+    the public solver.  The greedy algorithms sort their scan orders once per
+    simulation, so an event costs one mask and one scan per order; ``gsa``
+    solves each restricted instance afresh.
     """
     if not 0.0 <= fail_prob <= 1.0:
         raise ValueError("fail_prob must be within [0, 1]")
     lo, hi = drop_range
     if not 0.0 < lo <= hi < 1.0:
         raise ValueError("drop_range must satisfy 0 < lo <= hi < 1")
-    if horizon <= 0 or event_rate <= 0:
-        raise ValueError("horizon and event_rate must be > 0")
+    if not (0.0 < horizon < math.inf and 0.0 < event_rate < math.inf):
+        raise ValueError(
+            f"horizon and event_rate must be finite and > 0, "
+            f"got horizon {horizon:g} and event_rate {event_rate:g}"
+        )
     if not 0.0 < floor_capacity <= full_capacity:
         raise ValueError(
             f"floor capacity must satisfy 0 < floor <= full capacity, "
@@ -342,20 +385,19 @@ def run_dynamic_capacity(
         )
     if algorithm not in set(VMAX_ALGORITHMS) | {"gsa"}:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    config = GsaConfig(gsa_epsilon)
 
     base = generate(replace(scenario, capacity=full_capacity))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD1)))
 
-    def solve_at(capacity: float) -> tuple[float, int]:
-        # construction guarantees every remaining demand fits the capacity
-        reduced = Instance(
-            [c for c in base.customers if c.demand.magnitude() <= capacity], capacity
-        )
-        if algorithm == "gsa":
-            sol = gsa(reduced, GsaConfig(gsa_epsilon))
-        else:
-            sol = VMAX_ALGORITHMS[algorithm](reduced)
-        return sol.objective, len(sol.retained_ids)
+    if algorithm == "gsa":
+
+        def solve_at(capacity: float) -> tuple[float, int]:
+            sol = gsa(restrict_to_capacity(base, capacity), config)
+            return sol.objective, len(sol.retained_ids)
+
+    else:
+        solve_at = _presorted_greedy(base, algorithm)
 
     capacity = full_capacity
     objective, retained = solve_at(capacity)

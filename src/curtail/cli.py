@@ -73,6 +73,22 @@ def _rel_tol(text: str) -> float:
     return value
 
 
+def _positive_finite(text: str) -> float:
+    """argparse type for --horizon and --event-rate: finite and > 0."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
+def _epsilon(text: str) -> float:
+    """argparse type for --epsilon: the gsa precision, strictly inside (0, 1)."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
+    return value
+
+
 def _cmd_generate(args) -> int:
     spec = spec_from_acronym(
         args.scenario,
@@ -199,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--algorithm", required=True,
                        choices=sorted(VMAX_ALGORITHMS) + ["gsa", "oracle"])
     solve.add_argument("--objective", choices=("vmax", "cmin"), default="vmax")
-    solve.add_argument("--epsilon", type=float, default=0.25, help="gsa precision")
+    solve.add_argument("--epsilon", type=_epsilon, default=0.25,
+                       help="gsa precision, in (0, 1)")
     solve.add_argument("--budget-max-n", type=int, default=20,
                        help="enumeration budget when --algorithm oracle")
     solve.add_argument("--tolerance-override", type=_rel_tol, default=CAPACITY_REL_TOL,
@@ -229,14 +246,16 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--capacity", type=float, default=2_000_000.0, help="full capacity VA")
     sim.add_argument("--floor", type=float, default=100_000.0, help="capacity floor VA")
-    sim.add_argument("--horizon", type=float, default=10_000.0, help="seconds")
-    sim.add_argument("--event-rate", type=float, default=0.005, help="events per second")
+    sim.add_argument("--horizon", type=_positive_finite, default=10_000.0, help="seconds")
+    sim.add_argument("--event-rate", type=_positive_finite, default=0.005,
+                     help="events per second")
     sim.add_argument("--fail-prob", type=float, default=0.65)
     sim.add_argument("--drop-lo", type=float, default=0.05)
     sim.add_argument("--drop-hi", type=float, default=0.35)
     sim.add_argument("--algorithm", default="gda",
                      choices=sorted(VMAX_ALGORITHMS) + ["gsa"])
-    sim.add_argument("--epsilon", type=float, default=0.25)
+    sim.add_argument("--epsilon", type=_epsilon, default=0.25,
+                     help="gsa precision, in (0, 1)")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("-o", "--output", required=True, help="trace CSV path")
     sim.set_defaults(func=_cmd_simulate)

@@ -42,6 +42,16 @@ class SortKey(enum.Enum):
     EFFICIENCY_DESC = "efficiency_desc"
 
 
+# The scan orders behind each greedy algorithm, in the order it tries them;
+# with two, the larger retained valuation wins and the first order wins ties.
+SCAN_ORDERS: dict[str, tuple[SortKey, ...]] = {
+    "gva": (SortKey.VALUATION_DESC,),
+    "gma": (SortKey.MAGNITUDE_ASC,),
+    "gra": (SortKey.EFFICIENCY_DESC,),
+    "gda": (SortKey.EFFICIENCY_DESC, SortKey.VALUATION_DESC),
+}
+
+
 def _primary_key(instance: Instance, key: SortKey, subset: np.ndarray | None) -> np.ndarray:
     cols = instance.columns
     if subset is None:
@@ -106,22 +116,21 @@ def _greedy_scan(
     return taken
 
 
-def _forced_scan_pair(
+def _best_of_scans(
     instance: Instance,
     forced: Sequence[int],
-    efficiency_items: Iterable[tuple[int, float, float]],
-    valuation_items: Iterable[tuple[int, float, float]],
+    item_streams: Iterable[Iterable[tuple[int, float, float]]],
     limit_sq: float,
 ) -> tuple[list[int], float]:
-    """Retain ``forced`` and fill up with the better of two greedy scans.
+    """Retain ``forced`` and fill up with the best of one or more greedy scans.
 
-    ``forced`` holds storage indices; the two item streams are the pool in
-    efficiency and in valuation order (see ``_scan_items``).  Each is scanned
+    ``forced`` holds storage indices (it may be empty); each item stream is
+    the pool in one scan order (see ``_scan_items``).  Each stream is scanned
     from the forced set's aggregate demand; the scan whose retained set has
-    the larger total valuation wins, the efficiency scan on ties.  Returns the
-    winning retained indices in ascending order and their total valuation.
-    Sums walk storage order, so the floats equal ``aggregate_demand`` and
-    ``retained_valuation`` on the same set.
+    the largest total valuation wins, the earliest stream on ties.  Returns
+    the winning retained indices in ascending order and their total
+    valuation.  Sums walk storage order, so the floats equal
+    ``aggregate_demand`` and ``retained_valuation`` on the same set.
     """
     cols = instance.columns
     p_list, q_list, u_list = cols.p_list, cols.q_list, cols.valuation_list
@@ -132,7 +141,7 @@ def _forced_scan_pair(
         base_q += q_list[i]
     best: list[int] = forced
     best_objective = -np.inf
-    for items in (efficiency_items, valuation_items):
+    for items in item_streams:
         retained = sorted(forced + _greedy_scan(items, base_p, base_q, limit_sq))
         objective = 0.0
         for i in retained:
@@ -157,12 +166,12 @@ def _solution_from_indices(
 
 def _single_order_solve(
     instance: Instance,
-    key: SortKey,
     tag: str,
     rel_tol: float,
     tie_break_rng: np.random.Generator | None,
 ) -> Solution:
     start = time.perf_counter()
+    (key,) = SCAN_ORDERS[tag]
     order = scan_order(instance, key, tie_break_rng=tie_break_rng)
     limit_sq = instance.capacity_limit_sq(rel_tol)
     taken = _greedy_scan(_scan_items(instance, order), 0.0, 0.0, limit_sq)
@@ -175,7 +184,7 @@ def gva(
     tie_break_rng: np.random.Generator | None = None,
 ) -> Solution:
     """Greedy by descending valuation."""
-    return _single_order_solve(instance, SortKey.VALUATION_DESC, "gva", rel_tol, tie_break_rng)
+    return _single_order_solve(instance, "gva", rel_tol, tie_break_rng)
 
 
 def gma(
@@ -184,7 +193,7 @@ def gma(
     tie_break_rng: np.random.Generator | None = None,
 ) -> Solution:
     """Greedy by ascending demand magnitude."""
-    return _single_order_solve(instance, SortKey.MAGNITUDE_ASC, "gma", rel_tol, tie_break_rng)
+    return _single_order_solve(instance, "gma", rel_tol, tie_break_rng)
 
 
 def gra(
@@ -193,7 +202,7 @@ def gra(
     tie_break_rng: np.random.Generator | None = None,
 ) -> Solution:
     """Greedy by descending efficiency (valuation per VA of demand)."""
-    return _single_order_solve(instance, SortKey.EFFICIENCY_DESC, "gra", rel_tol, tie_break_rng)
+    return _single_order_solve(instance, "gra", rel_tol, tie_break_rng)
 
 
 def gda(
@@ -252,15 +261,11 @@ def gda_forced(
 
     index_of = instance.index_of
     pool_idx = np.fromiter(sorted(index_of[i] for i in pool), dtype=np.int64, count=len(pool))
-    efficiency_order, valuation_order = (
-        scan_order(instance, key, subset=pool_idx, tie_break_rng=tie_break_rng)
-        for key in (SortKey.EFFICIENCY_DESC, SortKey.VALUATION_DESC)
-    )
-    retained, _ = _forced_scan_pair(
-        instance,
-        [index_of[i] for i in forced],
-        _scan_items(instance, efficiency_order),
-        _scan_items(instance, valuation_order),
-        limit_sq,
-    )
+    streams = [
+        _scan_items(
+            instance, scan_order(instance, key, subset=pool_idx, tie_break_rng=tie_break_rng)
+        )
+        for key in SCAN_ORDERS["gda"]
+    ]
+    retained, _ = _best_of_scans(instance, [index_of[i] for i in forced], streams, limit_sq)
     return _solution_from_indices(instance, retained, "gda", time.perf_counter() - start)

@@ -36,7 +36,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .greedy import SortKey, _forced_scan_pair, _scan_items, gda, scan_order
+from .greedy import SCAN_ORDERS, _best_of_scans, _scan_items, gda, scan_order
 from .model import CAPACITY_REL_TOL, Instance, Solution, aggregate_demand
 
 
@@ -117,18 +117,16 @@ def _search(
     # pair over the customers it dominates by valuation.  Each seed's pool
     # is a filter of the two instance-wide orders: ids are unique, so the
     # (key, id) order restricted to the pool is the pool's own scan order.
-    efficiency_items = list(_scan_items(instance, scan_order(instance, SortKey.EFFICIENCY_DESC)))
-    valuation_items = list(_scan_items(instance, scan_order(instance, SortKey.VALUATION_DESC)))
+    orders = [list(_scan_items(instance, scan_order(instance, key))) for key in SCAN_ORDERS["gda"]]
     for combo in combinations(by_id, m) if m > 0 else ():
         idxs = sorted(combo)
         if not _subset_fits(p_list, q_list, idxs, limit_sq):
             continue
         floor = min(u_list[i] for i in idxs)
-        retained, objective = _forced_scan_pair(
+        retained, objective = _best_of_scans(
             instance,
             idxs,
-            [t for t in efficiency_items if u_list[t[0]] <= floor and t[0] not in combo],
-            [t for t in valuation_items if u_list[t[0]] <= floor and t[0] not in combo],
+            [[t for t in items if u_list[t[0]] <= floor and t[0] not in combo] for items in orders],
             limit_sq,
         )
         better = objective > best_objective or (

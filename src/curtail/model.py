@@ -31,6 +31,9 @@ import numpy as np
 # room so that solver and oracle rankings agree near the boundary.
 CAPACITY_REL_TOL = 1e-9
 
+# Customer ids are stored in int64 columns.
+MAX_CUSTOMER_ID = 2**63 - 1
+
 
 class CurtailError(Exception):
     """Base class for errors raised by this package."""
@@ -109,8 +112,10 @@ class Customer:
     compensation: float
 
     def __post_init__(self):
-        if self.id < 0 or self.id != int(self.id):
-            raise InstanceError(f"customer id must be a non-negative integer, got {self.id}")
+        if not 0 <= self.id <= MAX_CUSTOMER_ID or self.id != int(self.id):
+            raise InstanceError(
+                f"customer id must be an integer in [0, 2**63 - 1], got {self.id}"
+            )
         for name in ("valuation", "compensation"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
@@ -179,15 +184,20 @@ class Instance:
         return {c.id: i for i, c in enumerate(self.customers)}
 
     def capacity_limit_sq(self, rel_tol: float = CAPACITY_REL_TOL) -> float:
-        """Squared feasibility threshold: (C * (1 + rel_tol))^2.
+        """Squared feasibility threshold of this instance; see ``capacity_limit_sq``."""
+        return capacity_limit_sq(self.capacity, rel_tol)
 
-        ``rel_tol`` must be finite and >= 0: a negative slack would be squared
-        away, and nan or inf would make every selection infeasible or feasible.
-        """
-        if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
-            raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
-        limit = self.capacity * (1.0 + rel_tol)
-        return limit * limit
+
+def capacity_limit_sq(capacity: float, rel_tol: float = CAPACITY_REL_TOL) -> float:
+    """Squared feasibility threshold: (C * (1 + rel_tol))^2.
+
+    ``rel_tol`` must be finite and >= 0: a negative slack would be squared
+    away, and nan or inf would make every selection infeasible or feasible.
+    """
+    if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
+        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
+    limit = capacity * (1.0 + rel_tol)
+    return limit * limit
 
 
 @dataclass(frozen=True)

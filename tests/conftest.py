@@ -9,12 +9,27 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from curtail import ComplexDemand, Customer, GsaConfig, Instance, gda_forced
+from curtail import (
+    ComplexDemand,
+    Customer,
+    GsaConfig,
+    Instance,
+    TracePoint,
+    gda,
+    gda_forced,
+    generate,
+    gma,
+    gra,
+    gsa,
+    gva,
+    restrict_to_capacity,
+)
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -169,3 +184,51 @@ def reference_gsa_search(instance: Instance, config: GsaConfig, rel_tol: float =
             best_ids = candidate.retained_ids
             best_seed = tuple(sorted(forced))
     return best_ids, best_objective, best_seed
+
+
+def reference_dynamic_capacity(
+    scenario,
+    horizon: float = 10_000.0,
+    event_rate: float = 0.005,
+    fail_prob: float = 0.65,
+    drop_range=(0.05, 0.35),
+    algorithm: str = "gda",
+    seed: int = 0,
+    full_capacity: float = 2_000_000.0,
+    floor_capacity: float = 100_000.0,
+    gsa_epsilon: float = 0.25,
+) -> list[TracePoint]:
+    """Per-event rebuild and re-solve; the reference for ``run_dynamic_capacity``.
+
+    Draws the same event stream, then at every event restricts the base
+    instance with ``restrict_to_capacity`` and solves the result with the
+    public solver, sorting afresh each time.  Arguments are not validated.
+    """
+    solvers = {
+        "gva": gva,
+        "gma": gma,
+        "gra": gra,
+        "gda": gda,
+        "gsa": lambda instance: gsa(instance, GsaConfig(gsa_epsilon)),
+    }
+    base = generate(replace(scenario, capacity=full_capacity))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD1)))
+    lo, hi = drop_range
+
+    def point(t, capacity):
+        sol = solvers[algorithm](restrict_to_capacity(base, capacity))
+        return TracePoint(t, capacity, sol.objective, len(sol.retained_ids))
+
+    capacity = full_capacity
+    trace = [point(0.0, capacity)]
+    t = 0.0
+    while True:
+        t += float(rng.exponential(1.0 / event_rate))
+        if t > horizon:
+            break
+        if rng.random() < fail_prob:
+            capacity = max(floor_capacity, capacity * (1.0 - rng.uniform(lo, hi)))
+        else:
+            capacity = full_capacity
+        trace.append(point(t, capacity))
+    return trace

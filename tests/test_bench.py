@@ -1,16 +1,25 @@
 """Benchmark harness: determinism, ratio orientation, CSV, dynamic capacity."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from conftest import reference_dynamic_capacity
+from curtail.bench import VMAX_ALGORITHMS
 from curtail import (
+    ComplexDemand,
+    Customer,
+    Instance,
     OracleBudget,
     TrialPlan,
     emit_csv,
+    generate,
     instance_for_trial,
     instance_to_dict,
     plan_from_dict,
+    restrict_to_capacity,
     run_benchmark,
     run_dynamic_capacity,
     spec_from_acronym,
@@ -249,6 +258,101 @@ class TestDynamicCapacity:
         spec = spec_from_acronym("ACR", 5, 2e6, seed=1)
         trace = run_dynamic_capacity(spec, horizon=1000.0, floor_capacity=2e6)
         assert {point.capacity for point in trace} == {2e6}
+
+    @pytest.mark.parametrize("name", ["horizon", "event_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_horizon_and_event_rate_must_be_finite_and_positive(self, name, value):
+        # nan passed a plain "<= 0" check, and nan or inf never ended the event loop
+        spec = spec_from_acronym("ACR", 5, 2e6, seed=1)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            run_dynamic_capacity(spec, **{name: value})
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, 5.0, -3.0, math.nan])
+    def test_epsilon_outside_unit_interval_rejected(self, epsilon):
+        spec = spec_from_acronym("ACR", 5, 2e6, seed=1)
+        with pytest.raises(ValueError, match="epsilon"):
+            run_dynamic_capacity(spec, gsa_epsilon=epsilon)
+
+
+# Scenario, size and event parameters for the differential test; each set
+# lets some events fall below the largest lone demand, so the mask matters.
+DIFFERENTIAL_CASES = {
+    # residential loads only: a deep floor drops the largest of them
+    "FCR": dict(n=300, full_capacity=4e5, floor_capacity=7e3, fail_prob=0.8,
+                drop_range=(0.3, 0.6)),
+    "FCM": dict(n=200),
+    "AUM": dict(n=200),
+    # industrial loads only: every customer is dropped below 5e5 VA
+    "ACI": dict(n=12),
+}
+
+
+def _hypot_disagreement(math_below: bool) -> tuple[float, float]:
+    """A demand whose ``math.hypot`` and ``np.hypot`` magnitudes differ.
+
+    ``math_below`` picks the direction of the last-bit disagreement.
+    """
+    rng = np.random.default_rng(0)
+    p = rng.uniform(100.0, 8000.0, 4096)
+    q = rng.uniform(100.0, 8000.0, 4096)
+    vectorised = np.hypot(p, q)
+    for k in range(len(p)):
+        scalar = math.hypot(p[k], q[k])
+        if scalar != vectorised[k] and (scalar < vectorised[k]) == math_below:
+            return float(p[k]), float(q[k])
+    pytest.skip("math.hypot and np.hypot agree on every sample here")
+
+
+class TestDynamicCapacityReference:
+    @pytest.mark.parametrize("algorithm", ["gva", "gma", "gra", "gda", "gsa"])
+    @pytest.mark.parametrize("acronym", sorted(DIFFERENTIAL_CASES))
+    def test_matches_per_event_rebuild(self, acronym, algorithm):
+        kwargs = dict(DIFFERENTIAL_CASES[acronym])
+        n = kwargs.pop("n")
+        if algorithm == "gsa":
+            n = min(n, 24)  # about n^3 forced scans per event at epsilon 1/4
+        full = kwargs.get("full_capacity", 2e6)
+        masked = 0
+        for seed in (0, 1, 2):
+            spec = spec_from_acronym(acronym, n, full, seed=seed)
+            args = dict(horizon=4000.0, algorithm=algorithm, seed=seed, **kwargs)
+            trace = run_dynamic_capacity(spec, **args)
+            assert trace == reference_dynamic_capacity(spec, **args)
+            largest = max(c.demand.magnitude() for c in generate(spec).customers)
+            masked += sum(point.capacity < largest for point in trace)
+        assert masked > 0
+
+    @pytest.mark.parametrize("math_below", [True, False], ids=["math_below", "math_above"])
+    @pytest.mark.parametrize("algorithm", ["gva", "gma", "gra", "gda"])
+    def test_mask_uses_construction_magnitude(self, monkeypatch, math_below, algorithm):
+        # The floor lies between the two magnitudes of customer 0, so only
+        # math.hypot (what restrict_to_capacity compares) gives the right set.
+        p, q = _hypot_disagreement(math_below)
+        floor = min(math.hypot(p, q), float(np.hypot(p, q)))
+        customers = [Customer(0, ComplexDemand(p, q), 100.0, 100.0)] + [
+            Customer(k, ComplexDemand(1e-9, 1e-9), 1.0, 1.0) for k in (1, 2, 3)
+        ]
+        monkeypatch.setattr(
+            "curtail.bench.generate", lambda spec: Instance(customers, spec.capacity)
+        )
+        trace = run_dynamic_capacity(
+            spec_from_acronym("FCR", len(customers), 4 * floor, seed=0),
+            horizon=10.0,
+            event_rate=1.0,
+            fail_prob=1.0,
+            drop_range=(0.8, 0.9),
+            algorithm=algorithm,
+            full_capacity=4 * floor,
+            floor_capacity=floor,
+        )
+        at_floor = trace[1:]
+        assert at_floor and all(point.capacity == floor for point in at_floor)
+        reduced = restrict_to_capacity(Instance(customers, 4 * floor), floor)
+        assert (0 in reduced.ids) == math_below
+        expected = VMAX_ALGORITHMS[algorithm](reduced)
+        for point in at_floor:
+            assert point.retained_count == len(expected.retained_ids) == 3 + math_below
+            assert point.objective == expected.objective
 
 
 class TestRuntimeScaling:

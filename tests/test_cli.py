@@ -165,6 +165,27 @@ class TestSolve:
         assert captured.out == ""
         assert "tolerance-override" in captured.err
 
+    @pytest.mark.parametrize("value", ["-3", "0", "1", "5", "nan"])
+    def test_epsilon_outside_unit_interval_rejected(self, trap_file, capsys, value):
+        # gda ignores the precision, but a value with no meaning is still refused
+        code = dispatch(["solve", "--algorithm", "gda", f"--epsilon={value}", trap_file])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "epsilon" in captured.err
+
+    def test_id_beyond_int64_is_usage_error(self, tmp_path, capsys):
+        path = write_instance(tmp_path / "big_id.json", 10.0, [(2**63, 1.0, 0.0, 1.0, 1.0)])
+        assert dispatch(["solve", "--algorithm", "gda", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "customers[0]" in captured.err
+
+    def test_largest_int64_id_is_solved(self, tmp_path, capsys):
+        path = write_instance(tmp_path / "max_id.json", 10.0, [(2**63 - 1, 1.0, 0.0, 1.0, 1.0)])
+        assert dispatch(["solve", "--algorithm", "gda", path]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["retained"] == [2**63 - 1]
+
     def test_oracle_via_solve(self, trap_file, capsys):
         code = dispatch(["solve", "--algorithm", "oracle", trap_file])
         assert code == EXIT_OK
@@ -275,6 +296,36 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "floor" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--horizon", "--event-rate"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_non_finite_or_non_positive_timing_is_usage_error(
+        self, tmp_path, capsys, flag, value
+    ):
+        # nan and inf used to grow the trace without bound
+        out = tmp_path / "trace.csv"
+        code = dispatch(
+            ["simulate", "--dynamic", "--scenario", "ACR", "--n", "12",
+             f"{flag}={value}", "-o", str(out)]
+        )
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["5", "0", "-0.5", "nan"])
+    def test_epsilon_outside_unit_interval_is_usage_error(self, tmp_path, capsys, value):
+        out = tmp_path / "trace.csv"
+        code = dispatch(
+            ["simulate", "--dynamic", "--scenario", "ACR", "--n", "12",
+             f"--epsilon={value}", "-o", str(out)]
+        )
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "epsilon" in captured.err
         assert not out.exists()
 
     def test_requires_dynamic_flag(self, tmp_path):

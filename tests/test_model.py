@@ -82,6 +82,13 @@ class TestInstance:
         inst = build_instance([(1, 10, 0, 1)], 10)
         assert len(inst) == 1
 
+    def test_ids_must_fit_int64_columns(self):
+        inst = build_instance([(2**63 - 1, 1, 0, 1)], 10)
+        assert inst.columns.id_list == [2**63 - 1]
+        for bad in (2**63, -1, math.inf, math.nan):
+            with pytest.raises(InstanceError, match="customer id"):
+                build_instance([(bad, 1, 0, 1)], 10)
+
 
 class TestFeasibility:
     def test_empty_set_always_feasible(self, magnitude_trap):
@@ -276,6 +283,16 @@ class TestSerde:
             ],
         }
         with pytest.raises(FormatError, match="expected a number"):
+            instance_from_dict(doc)
+
+    def test_id_beyond_int64_is_format_error(self):
+        doc = {
+            "capacity": 10.0,
+            "customers": [
+                {"id": 2**63, "p": 1.0, "q": 0.0, "valuation": 1, "compensation": 1}
+            ],
+        }
+        with pytest.raises(FormatError, match=r"customers\[0\].*customer id"):
             instance_from_dict(doc)
 
     def test_oversized_demand_keeps_its_error_type(self):
