@@ -30,7 +30,7 @@ import numpy as np
 from .cmin import cmin_gda, cmin_gma, cmin_gra, cmin_gva
 from .greedy import SCAN_ORDERS, _best_of_scans, gda, gma, gra, gva, scan_order
 from .gsa import GsaConfig, gsa
-from .model import FormatError, Instance, Solution, capacity_limit_sq
+from .model import FormatError, Instance, Solution, capacity_limit_sq, hypot_magnitudes
 from .oracle import OracleBudget, brute_force_cmin, brute_force_vmax, lp_upper_bound
 from .scenario import ScenarioSpec, generate, restrict_to_capacity, spec_from_acronym
 
@@ -289,7 +289,7 @@ def plan_from_dict(doc: Mapping) -> TrialPlan:
         )
     except FormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed benchmark plan: {exc}") from exc
 
 
@@ -313,16 +313,14 @@ def _presorted_greedy(base: Instance, algorithm: str) -> Callable[[float], tuple
     capacity and scans the survivors.  Sorting the restricted instance would
     give the same order, since the keys are per customer and ids are unique,
     and its storage order is ``base``'s, so the objective sums the same
-    floats.  The mask compares ``ComplexDemand.magnitude``, the value that
+    floats.  The mask compares ``hypot_magnitudes``, the values that
     ``restrict_to_capacity`` and ``Instance`` construction compare, so it
     drops exactly the customers they drop.
 
     Returns ``capacity -> (objective, retained count)``.
     """
     cols = base.columns
-    mag = np.fromiter(
-        (c.demand.magnitude() for c in base.customers), dtype=np.float64, count=len(base)
-    )
+    mag = hypot_magnitudes(cols.p_list, cols.q_list)
     orders = []
     for key in SCAN_ORDERS[algorithm]:
         order = np.asarray(scan_order(base, key), dtype=np.int64)

@@ -154,7 +154,8 @@ def _best_of_scans(
 def _solution_from_indices(
     instance: Instance, indices: Iterable[int], tag: str, elapsed: float
 ) -> Solution:
-    ids = frozenset(int(instance.columns.id[i]) for i in indices)
+    id_list = instance.columns.id_list
+    ids = frozenset(id_list[i] for i in indices)
     return Solution(
         retained_ids=ids,
         objective=retained_valuation(instance, ids),
@@ -218,16 +219,13 @@ def gda(
     efficiency branch's set is returned.
     """
     start = time.perf_counter()
-    ratio = gra(instance, rel_tol, tie_break_rng)
-    value = gva(instance, rel_tol, tie_break_rng)
-    best = ratio if ratio.objective >= value.objective else value
-    return Solution(
-        retained_ids=best.retained_ids,
-        objective=best.objective,
-        aggregate_demand=best.aggregate_demand,
-        algorithm="gda",
-        elapsed=time.perf_counter() - start,
-    )
+    limit_sq = instance.capacity_limit_sq(rel_tol)
+    streams = [
+        _scan_items(instance, scan_order(instance, key, tie_break_rng=tie_break_rng))
+        for key in SCAN_ORDERS["gda"]
+    ]
+    retained, _ = _best_of_scans(instance, (), streams, limit_sq)
+    return _solution_from_indices(instance, retained, "gda", time.perf_counter() - start)
 
 
 def gda_forced(

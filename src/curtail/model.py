@@ -6,6 +6,11 @@ them costs).  An instance bundles a customer set with an apparent-power
 capacity; a selection of customers is feasible when the magnitude of the
 vector sum of their demands stays within that capacity.
 
+An instance stores its customers as columns: read-only numpy arrays of id,
+active and reactive demand, valuation and compensation, in storage order.
+The loader and the scenario generator build those arrays directly; the
+``Customer`` objects of ``Instance.customers`` are built on first read.
+
 All types are immutable after construction and all operations are pure,
 so everything in this module is safe to share across threads.
 
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -122,54 +127,132 @@ class Customer:
                 raise InstanceError(f"customer {self.id}: {name} must be finite and >= 0")
 
 
-@dataclass(frozen=True)
 class Instance:
     """A customer set plus an apparent-power capacity; the unit of solving.
+
+    The customers are stored as five read-only columns in storage order: id
+    (int64), active and reactive demand, valuation and compensation.
+    ``columns`` adds the magnitudes and list mirrors of those arrays, and
+    ``customers`` builds ``Customer`` objects from them on first read, which
+    is slow for large instances.  Instances are immutable: attribute
+    assignment raises ``AttributeError``.  Two instances are equal when they
+    hold the same customers in the same order and the same capacity.
 
     Construction rejects customers whose individual demand magnitude exceeds
     the capacity (they can never be part of a feasible supply set), listing
     the offending ids so callers can audit rather than silently drop.
     """
 
-    customers: tuple[Customer, ...]
     capacity: float
 
     def __init__(self, customers: Iterable[Customer], capacity: float):
-        object.__setattr__(self, "customers", tuple(customers))
-        object.__setattr__(self, "capacity", float(capacity))
+        customers = tuple(customers)
+        n = len(customers)
+        self._init(
+            np.fromiter((c.id for c in customers), dtype=np.int64, count=n),
+            np.fromiter((c.demand.active_p for c in customers), dtype=np.float64, count=n),
+            np.fromiter((c.demand.reactive_q for c in customers), dtype=np.float64, count=n),
+            np.fromiter((c.valuation for c in customers), dtype=np.float64, count=n),
+            np.fromiter((c.compensation for c in customers), dtype=np.float64, count=n),
+            capacity,
+        )
+        self.__dict__["customers"] = customers
+
+    @classmethod
+    def _from_columns(
+        cls,
+        ids: np.ndarray,
+        p: np.ndarray,
+        q: np.ndarray,
+        valuation: np.ndarray,
+        compensation: np.ndarray,
+        capacity: float,
+    ) -> "Instance":
+        """Build an instance straight from columns whose customers are already valid.
+
+        Every row must pass the ``Customer`` checks; the arrays become the
+        instance's read-only storage, so callers hand over arrays they own.
+        """
+        instance = cls.__new__(cls)
+        instance._init(ids, p, q, valuation, compensation, capacity)
+        return instance
+
+    def _init(self, ids, p, q, valuation, compensation, capacity) -> None:
+        """Store the columns, then run the instance checks in order.
+
+        The checks: capacity finite and > 0, no duplicate ids, no lone demand
+        above the capacity.  Magnitudes here are ``math.hypot``, the value
+        ``ComplexDemand.magnitude`` gives.
+        """
+        columns = {
+            "_id": np.asarray(ids, dtype=np.int64),
+            "_p": np.asarray(p, dtype=np.float64),
+            "_q": np.asarray(q, dtype=np.float64),
+            "_valuation": np.asarray(valuation, dtype=np.float64),
+            "_compensation": np.asarray(compensation, dtype=np.float64),
+        }
+        for array in columns.values():
+            array.flags.writeable = False
+        self.__dict__.update(columns, capacity=float(capacity))
         if not math.isfinite(self.capacity) or self.capacity <= 0:
             raise InstanceError(f"capacity must be finite and > 0, got {capacity}")
-        seen: set[int] = set()
-        dupes: set[int] = set()
-        oversized: list[int] = []
-        for c in self.customers:
-            if c.id in seen:
-                dupes.add(c.id)
-            seen.add(c.id)
-            if c.demand.magnitude() > self.capacity:
-                oversized.append(c.id)
-        if dupes:
-            raise InstanceError(f"duplicate customer ids: {sorted(dupes)}")
-        if oversized:
-            raise DemandExceedsCapacityError(oversized, self.capacity)
+        ids = self._id
+        if ids.size > 1:
+            ordered = np.sort(ids)
+            repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+            if repeated.size:
+                raise InstanceError(f"duplicate customer ids: {np.unique(repeated).tolist()}")
+        mag = hypot_magnitudes(self._p.tolist(), self._q.tolist())
+        oversized = np.flatnonzero(mag > self.capacity)
+        if oversized.size:
+            raise DemandExceedsCapacityError(ids[oversized].tolist(), self.capacity)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: Instance is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: Instance is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.capacity == other.capacity and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("_id", "_p", "_q", "_valuation", "_compensation")
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.capacity, self._id.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Instance(n={len(self)}, capacity={self.capacity!r})"
 
     def __len__(self) -> int:
-        return len(self.customers)
+        return len(self._id)
+
+    @cached_property
+    def customers(self) -> tuple[Customer, ...]:
+        """The customers as objects, in storage order; built on first read."""
+        cols = self.columns
+        return tuple(
+            Customer(id=cid, demand=ComplexDemand(p, q), valuation=u, compensation=comp)
+            for cid, p, q, u, comp in zip(
+                cols.id_list, cols.p_list, cols.q_list,
+                cols.valuation_list, cols.compensation_list,
+            )
+        )
 
     @cached_property
     def ids(self) -> frozenset[int]:
-        return frozenset(c.id for c in self.customers)
+        return frozenset(self.columns.id_list)
 
     @cached_property
     def columns(self) -> "InstanceColumns":
         """Column-oriented view of the customers, built once per instance."""
-        n = len(self.customers)
-        id_arr = np.fromiter((c.id for c in self.customers), dtype=np.int64, count=n)
-        p = np.fromiter((c.demand.active_p for c in self.customers), dtype=np.float64, count=n)
-        q = np.fromiter((c.demand.reactive_q for c in self.customers), dtype=np.float64, count=n)
-        u = np.fromiter((c.valuation for c in self.customers), dtype=np.float64, count=n)
-        comp = np.fromiter((c.compensation for c in self.customers), dtype=np.float64, count=n)
+        id_arr, p, q = self._id, self._p, self._q
+        u, comp = self._valuation, self._compensation
         mag = np.hypot(p, q)
+        mag.flags.writeable = False
         return InstanceColumns(
             id=id_arr, p=p, q=q, valuation=u, compensation=comp, mag=mag,
             id_list=id_arr.tolist(),
@@ -181,11 +264,21 @@ class Instance:
     @cached_property
     def index_of(self) -> dict[int, int]:
         """Customer id -> storage position."""
-        return {c.id: i for i, c in enumerate(self.customers)}
+        return {cid: i for i, cid in enumerate(self.columns.id_list)}
 
     def capacity_limit_sq(self, rel_tol: float = CAPACITY_REL_TOL) -> float:
         """Squared feasibility threshold of this instance; see ``capacity_limit_sq``."""
         return capacity_limit_sq(self.capacity, rel_tol)
+
+
+def hypot_magnitudes(p_list: Sequence[float], q_list: Sequence[float]) -> np.ndarray:
+    """Demand magnitudes by ``math.hypot``, as ``ComplexDemand.magnitude`` gives them.
+
+    Capacity checks compare these.  ``np.hypot`` (``InstanceColumns.mag``)
+    differs from them in the last bit on about 0.6% of pairs, which could
+    flip a customer's exclusion at the boundary.
+    """
+    return np.fromiter(map(math.hypot, p_list, q_list), dtype=np.float64, count=len(p_list))
 
 
 def capacity_limit_sq(capacity: float, rel_tol: float = CAPACITY_REL_TOL) -> float:
@@ -198,6 +291,30 @@ def capacity_limit_sq(capacity: float, rel_tol: float = CAPACITY_REL_TOL) -> flo
         raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
     limit = capacity * (1.0 + rel_tol)
     return limit * limit
+
+
+def _nonnegative_finite(*columns: np.ndarray) -> bool:
+    """Whether every entry of every column is finite and >= 0."""
+    return all(np.isfinite(c).all() and (c >= 0).all() for c in columns)
+
+
+def check_customer_columns(
+    ids: np.ndarray,
+    p: np.ndarray,
+    q: np.ndarray,
+    valuation: np.ndarray,
+    compensation: np.ndarray,
+) -> None:
+    """Raise the InstanceError that building the first invalid row's Customer raises.
+
+    Valid columns pass a column-wise test and build nothing.
+    """
+    if (ids >= 0).all() and _nonnegative_finite(p, q, valuation, compensation):
+        return
+    for cid, pv, qv, u, comp in zip(
+        ids.tolist(), p.tolist(), q.tolist(), valuation.tolist(), compensation.tolist()
+    ):
+        Customer(id=cid, demand=ComplexDemand(pv, qv), valuation=u, compensation=comp)
 
 
 @dataclass(frozen=True)
@@ -314,18 +431,13 @@ def max_phase_spread(instance: Instance) -> float:
     Zero-magnitude demands carry no direction and are excluded.  Raises
     ValueError when every demand is zero (the spread is undefined then).
     """
-    lo = math.inf
-    hi = -math.inf
-    for c in instance.customers:
-        d = c.demand
-        if d.active_p == 0.0 and d.reactive_q == 0.0:
-            continue
-        phi = d.phase()
-        lo = min(lo, phi)
-        hi = max(hi, phi)
-    if hi < lo:
+    cols = instance.columns
+    phases = [
+        math.atan2(q, p) for p, q in zip(cols.p_list, cols.q_list) if p != 0.0 or q != 0.0
+    ]
+    if not phases:
         raise CurtailError("phase spread is undefined: all demands have zero magnitude")
-    return hi - lo
+    return max(phases) - min(phases)
 
 
 def magnitude_sum_ratio(demands: Sequence[ComplexDemand]) -> float:
@@ -384,7 +496,7 @@ class QuadraticValue:
         if self.b < 0 or self.c < 0:
             raise InstanceError("quadratic coefficients b and c must be >= 0")
 
-    def value_of(self, mag: float) -> float:
+    def value_of(self, mag: float | np.ndarray) -> float | np.ndarray:
         return self.a * mag * mag + self.b * mag + self.c
 
 
@@ -399,7 +511,7 @@ class LinearValue:
         if not self.slope > 0 or not self.intercept > 0:
             raise InstanceError("linear model needs slope > 0 and intercept > 0")
 
-    def value_of(self, mag: float) -> float:
+    def value_of(self, mag: float | np.ndarray) -> float | np.ndarray:
         return self.slope * mag + self.intercept
 
 
@@ -453,19 +565,20 @@ def evaluate_valuation(
 
 
 def instance_to_dict(instance: Instance) -> dict:
+    cols = instance.columns
     return {
         "capacity": instance.capacity,
         "customers": [
-            {
-                "id": c.id,
-                "p": c.demand.active_p,
-                "q": c.demand.reactive_q,
-                "valuation": c.valuation,
-                "compensation": c.compensation,
-            }
-            for c in instance.customers
+            {"id": cid, "p": p, "q": q, "valuation": u, "compensation": comp}
+            for cid, p, q, u, comp in zip(
+                cols.id_list, cols.p_list, cols.q_list,
+                cols.valuation_list, cols.compensation_list,
+            )
         ],
     }
+
+
+_NUMBER_FIELDS = ("p", "q", "valuation", "compensation")
 
 
 def _require_number(obj: Mapping, key: str, where: str) -> float:
@@ -474,18 +587,48 @@ def _require_number(obj: Mapping, key: str, where: str) -> float:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"{where}.{key}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise FormatError(f"{where}.{key}: integer too large for a float") from exc
 
 
-def instance_from_dict(doc: Mapping) -> Instance:
-    """Build an Instance from parsed JSON, validating the schema field by field."""
-    if not isinstance(doc, Mapping):
-        raise FormatError("instance document must be a JSON object")
-    capacity = _require_number(doc, "capacity", "instance")
-    raw = doc.get("customers")
-    if not isinstance(raw, list):
-        raise FormatError("instance.customers: expected a list")
-    customers = []
+def _only(values: list, allowed: type | tuple[type, ...]) -> bool:
+    """Whether every value is an instance of ``allowed`` and none is a bool."""
+    return all(issubclass(t, allowed) and t is not bool for t in set(map(type, values)))
+
+
+def _customer_columns(raw: list[dict]) -> tuple[np.ndarray, ...] | None:
+    """The id, p, q, valuation and compensation columns of ``raw``.
+
+    Returns None when any customer fails a check; ``_raise_customer_error``
+    then says which one and why.
+    """
+    try:
+        ids = [item["id"] for item in raw]
+        numbers = [[item[key] for item in raw] for key in _NUMBER_FIELDS]
+    except KeyError:
+        return None
+    if not (_only(ids, int) and all(_only(column, (int, float)) for column in numbers)):
+        return None
+    if ids and not (0 <= min(ids) and max(ids) <= MAX_CUSTOMER_ID):
+        return None
+    try:
+        arrays = [np.array(column, dtype=np.float64) for column in numbers]
+    except OverflowError:
+        return None
+    if not _nonnegative_finite(*arrays):
+        return None
+    return (np.array(ids, dtype=np.int64), *arrays)
+
+
+def _raise_customer_error(raw: list) -> None:
+    """Raise the FormatError of the first customer in ``raw`` that fails a check.
+
+    The checks run one customer at a time, in the order that words each
+    error: object and id type, then the numbers and the ``ComplexDemand``
+    and ``Customer`` invariants.  The objects built here are thrown away.
+    """
     for i, item in enumerate(raw):
         where = f"customers[{i}]"
         if not isinstance(item, Mapping):
@@ -496,22 +639,40 @@ def instance_from_dict(doc: Mapping) -> Instance:
         if isinstance(cid, bool) or not isinstance(cid, int):
             raise FormatError(f"{where}.id: expected an integer, got {cid!r}")
         try:
-            customers.append(
-                Customer(
-                    id=cid,
-                    demand=ComplexDemand(
-                        _require_number(item, "p", where),
-                        _require_number(item, "q", where),
-                    ),
-                    valuation=_require_number(item, "valuation", where),
-                    compensation=_require_number(item, "compensation", where),
-                )
+            Customer(
+                id=cid,
+                demand=ComplexDemand(
+                    _require_number(item, "p", where),
+                    _require_number(item, "q", where),
+                ),
+                valuation=_require_number(item, "valuation", where),
+                compensation=_require_number(item, "compensation", where),
             )
-        except DemandExceedsCapacityError:
-            raise
         except InstanceError as exc:
             raise FormatError(f"{where}: {exc}") from exc
-    return Instance(customers, capacity)
+    raise AssertionError("the column-wise customer checks rejected valid customers")
+
+
+def instance_from_dict(doc: Mapping) -> Instance:
+    """Build an Instance from parsed JSON, validating the schema field by field.
+
+    The customers are checked and converted a column at a time; when a check
+    fails, the error names the first customer that fails it.
+    """
+    if not isinstance(doc, Mapping):
+        raise FormatError("instance document must be a JSON object")
+    capacity = _require_number(doc, "capacity", "instance")
+    raw = doc.get("customers")
+    if not isinstance(raw, list):
+        raise FormatError("instance.customers: expected a list")
+    if not set(map(type, raw)) <= {dict}:
+        raw = [dict(item) if isinstance(item, Mapping) else item for item in raw]
+        if not all(isinstance(item, dict) for item in raw):
+            _raise_customer_error(raw)
+    columns = _customer_columns(raw)
+    if columns is None:
+        _raise_customer_error(raw)
+    return Instance._from_columns(*columns, capacity)
 
 
 def load_instance(path: str) -> Instance:

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    ComplexDemand,
-    Customer,
     FormatError,
     Instance,
     LinearValue,
     QuadraticValue,
+    check_customer_columns,
+    hypot_magnitudes,
 )
 
 MAX_THETA_DEFAULT = math.radians(36.0)  # keeps every power factor >= cos 36 deg = 0.81
@@ -173,25 +173,29 @@ def generate(spec: ScenarioSpec) -> Instance:
         while zero.size:
             compensations[zero] = comp_cap[zero] * rng.random(zero.size)
             zero = zero[compensations[zero] == 0.0]
-
-    customers = []
-    for k in range(n):
-        demand = ComplexDemand(float(p[k]), float(q[k]))
+    else:
+        demand_mags = hypot_magnitudes(p.tolist(), q.tolist())
         if spec.correlation is ValueCorrelation.CORRELATED:
-            v = spec.quadratic.value_of(demand.magnitude())
-            val, comp = v, v
-        elif spec.correlation is ValueCorrelation.LINEAR:
-            v = _linear_model(spec, bool(industrial[k])).value_of(demand.magnitude())
-            val, comp = v, v
+            valuations = spec.quadratic.value_of(demand_mags)
         else:
-            val, comp = float(valuations[k]), float(compensations[k])
-        customers.append(Customer(id=k, demand=demand, valuation=val, compensation=comp))
-    return Instance(customers, spec.capacity)
+            valuations = np.where(
+                industrial,
+                _linear_model(spec, True).value_of(demand_mags),
+                _linear_model(spec, False).value_of(demand_mags),
+            )
+        compensations = valuations
+
+    ids = np.arange(n, dtype=np.int64)
+    check_customer_columns(ids, p, q, valuations, compensations)
+    return Instance._from_columns(ids, p, q, valuations, compensations, spec.capacity)
 
 
 def with_capacity(instance: Instance, capacity: float) -> Instance:
     """Same customers, different capacity. Fails if a customer no longer fits."""
-    return Instance(instance.customers, capacity)
+    cols = instance.columns
+    return Instance._from_columns(
+        cols.id, cols.p, cols.q, cols.valuation, cols.compensation, capacity
+    )
 
 
 def restrict_to_capacity(instance: Instance, capacity: float) -> Instance:
@@ -201,5 +205,9 @@ def restrict_to_capacity(instance: Instance, capacity: float) -> Instance:
     dropped customers could never appear in a feasible supply set; they must
     simply be curtailed when capacity dips below their demand.
     """
-    kept = [c for c in instance.customers if c.demand.magnitude() <= capacity]
-    return Instance(kept, capacity)
+    cols = instance.columns
+    kept = np.flatnonzero(hypot_magnitudes(cols.p_list, cols.q_list) <= capacity)
+    return Instance._from_columns(
+        cols.id[kept], cols.p[kept], cols.q[kept],
+        cols.valuation[kept], cols.compensation[kept], capacity,
+    )

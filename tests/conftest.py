@@ -11,6 +11,7 @@ import math
 import sys
 from dataclasses import replace
 from itertools import combinations
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ import pytest
 from curtail import (
     ComplexDemand,
     Customer,
+    FormatError,
     GsaConfig,
     Instance,
+    InstanceError,
     TracePoint,
     gda,
     gda_forced,
@@ -52,6 +55,57 @@ def build_instance(rows, capacity) -> Instance:
         else:
             cid, p, q, u, c = row
         customers.append(Customer(cid, ComplexDemand(p, q), u, c))
+    return Instance(customers, capacity)
+
+
+def _reference_number(obj: Mapping, key: str, where: str) -> float:
+    if key not in obj:
+        raise FormatError(f"{where}: missing field '{key}'")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FormatError(f"{where}.{key}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise FormatError(f"{where}.{key}: integer too large for a float") from exc
+
+
+def reference_instance_from_dict(doc) -> Instance:
+    """Per-customer loader; the reference for ``instance_from_dict``.
+
+    Checks one customer at a time, builds its ``Customer``, then builds the
+    instance from the customer list with the public constructor.
+    """
+    if not isinstance(doc, Mapping):
+        raise FormatError("instance document must be a JSON object")
+    capacity = _reference_number(doc, "capacity", "instance")
+    raw = doc.get("customers")
+    if not isinstance(raw, list):
+        raise FormatError("instance.customers: expected a list")
+    customers = []
+    for i, item in enumerate(raw):
+        where = f"customers[{i}]"
+        if not isinstance(item, Mapping):
+            raise FormatError(f"{where}: expected an object")
+        if "id" not in item:
+            raise FormatError(f"{where}: missing field 'id'")
+        cid = item["id"]
+        if isinstance(cid, bool) or not isinstance(cid, int):
+            raise FormatError(f"{where}.id: expected an integer, got {cid!r}")
+        try:
+            customers.append(
+                Customer(
+                    id=cid,
+                    demand=ComplexDemand(
+                        _reference_number(item, "p", where),
+                        _reference_number(item, "q", where),
+                    ),
+                    valuation=_reference_number(item, "valuation", where),
+                    compensation=_reference_number(item, "compensation", where),
+                )
+            )
+        except InstanceError as exc:
+            raise FormatError(f"{where}: {exc}") from exc
     return Instance(customers, capacity)
 
 

@@ -186,6 +186,23 @@ class TestSolve:
         assert dispatch(["solve", "--algorithm", "gda", path]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["retained"] == [2**63 - 1]
 
+    @pytest.mark.parametrize("field", ("p", "valuation", "capacity"))
+    def test_integer_too_large_for_a_float_is_usage_error(self, tmp_path, capsys, field):
+        doc = {
+            "capacity": 10.0,
+            "customers": [{"id": 0, "p": 1.0, "q": 0.0, "valuation": 1.0, "compensation": 1.0}],
+        }
+        if field == "capacity":
+            doc["capacity"] = 10**400
+        else:
+            doc["customers"][0][field] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert dispatch(["solve", "--algorithm", "gda", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f".{field}: integer too large for a float" in captured.err
+
     def test_oracle_via_solve(self, trap_file, capsys):
         code = dispatch(["solve", "--algorithm", "oracle", trap_file])
         assert code == EXIT_OK
@@ -272,6 +289,18 @@ class TestBenchCommand:
         plan_path.write_text(json.dumps({"n_values": [4]}))
         out = tmp_path / "r.csv"
         assert dispatch(["bench", "--plan", str(plan_path), "-o", str(out)]) == EXIT_USAGE
+
+    def test_integer_too_large_for_a_float_is_usage_error(self, tmp_path, capsys):
+        plan = {
+            "scenario": {"acronym": "ACR", "capacity": 10**400, "seed": 5},
+            "n_values": [8],
+        }
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        out = tmp_path / "r.csv"
+        assert dispatch(["bench", "--plan", str(plan_path), "-o", str(out)]) == EXIT_USAGE
+        assert "malformed benchmark plan" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulateCommand:

@@ -111,6 +111,26 @@ class TestGda:
         assert sol.objective == 2.0
         assert sol.retained_ids == gra(build_instance(rows, 2.0)).retained_ids
 
+    def test_random_tie_break_draws_efficiency_order_first(self):
+        # gda draws the efficiency order's permutation, then the valuation
+        # order's, and keeps the efficiency set on equal objectives
+        rng = np.random.default_rng(8)
+        for seed in range(40):
+            n = int(rng.integers(1, 12))
+            rows = [
+                (k, float(rng.integers(1, 4)), float(rng.integers(0, 2)), float(rng.integers(1, 4)))
+                for k in range(n)
+            ]
+            inst = build_instance(rows, max(4.0, float(rng.integers(2, 12))))
+            draws = np.random.default_rng(seed)
+            ratio = gra(inst, tie_break_rng=draws)
+            value = gva(inst, tie_break_rng=draws)
+            want = ratio if ratio.objective >= value.objective else value
+            got = gda(inst, tie_break_rng=np.random.default_rng(seed))
+            assert got.retained_ids == want.retained_ids
+            assert got.objective == want.objective
+            assert got.aggregate_demand == want.aggregate_demand
+
     def test_objective_at_least_max_single_valuation(self):
         rng = np.random.default_rng(5)
         for _ in range(60):

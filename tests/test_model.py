@@ -2,6 +2,7 @@
 
 import json
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from hypothesis import strategies as st
 
 from curtail import (
     ComplexDemand,
+    Customer,
     DemandExceedsCapacityError,
     FormatError,
+    GsaConfig,
+    Instance,
     InstanceError,
     LinearValue,
     QuadraticValue,
@@ -20,7 +24,11 @@ from curtail import (
     UnknownCustomerError,
     aggregate_demand,
     alignment_factor,
+    brute_force_vmax,
+    cmin_gda,
     evaluate_valuation,
+    gda,
+    gsa,
     instance_from_dict,
     instance_to_dict,
     is_feasible,
@@ -28,9 +36,12 @@ from curtail import (
     magnitude_sum_ratio,
     magnitude_sum_ratio_bound,
     max_phase_spread,
+    restrict_to_capacity,
     retained_valuation,
+    with_capacity,
 )
-from conftest import build_instance
+from curtail.model import MAX_CUSTOMER_ID
+from conftest import build_instance, reference_instance_from_dict
 
 
 class TestComplexDemand:
@@ -335,3 +346,198 @@ class TestSerde:
             "aggregate": {"p": 100.0, "q": 0.0},
             "elapsed_us": 500000,
         }
+
+
+COLUMN_NAMES = ("id", "p", "q", "valuation", "compensation", "mag")
+
+
+class TestColumnStorage:
+    def test_columns_match_the_customers(self, valuation_trap):
+        cols = valuation_trap.columns
+        for k, c in enumerate(valuation_trap.customers):
+            assert cols.id_list[k] == c.id
+            assert cols.p_list[k] == c.demand.active_p
+            assert cols.q_list[k] == c.demand.reactive_q
+            assert cols.valuation_list[k] == c.valuation
+            assert cols.compensation_list[k] == c.compensation
+
+    def test_column_arrays_are_read_only(self, valuation_trap):
+        cols = valuation_trap.columns
+        for name in COLUMN_NAMES:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(cols, name)[0] = 1.0
+
+    def test_attribute_assignment_raises(self, valuation_trap):
+        with pytest.raises(AttributeError):
+            valuation_trap.capacity = 5.0
+        with pytest.raises(AttributeError):
+            valuation_trap.customers = ()
+        with pytest.raises(AttributeError):
+            del valuation_trap.capacity
+        assert valuation_trap.capacity == 10.0
+
+    def test_equality_means_same_customers_and_capacity(self, valuation_trap):
+        same = Instance(list(valuation_trap.customers), 10)
+        assert same == valuation_trap
+        assert hash(same) == hash(valuation_trap)
+        assert with_capacity(valuation_trap, 11.0) != valuation_trap
+        reordered = Instance(reversed(valuation_trap.customers), 10.0)
+        assert reordered != valuation_trap
+        first = valuation_trap.customers[0]
+        changed = (
+            Customer(first.id, first.demand, first.valuation, first.compensation + 1.0),
+            *valuation_trap.customers[1:],
+        )
+        assert Instance(changed, 10.0) != valuation_trap
+
+    def test_customers_built_on_first_read(self, valuation_trap):
+        doc = instance_to_dict(valuation_trap)
+        inst = instance_from_dict(doc)
+        assert "customers" not in inst.__dict__
+        assert inst.customers == valuation_trap.customers
+        assert inst.customers is inst.customers
+
+    def test_library_paths_never_build_customers(self):
+        rng = np.random.default_rng(3)
+        doc = {
+            "capacity": 30.0,
+            "customers": [
+                {"id": k, "p": float(p), "q": float(q), "valuation": float(u),
+                 "compensation": float(u)}
+                for k, (p, q, u) in enumerate(rng.uniform(0.5, 8.0, (12, 3)))
+            ],
+        }
+        inst = instance_from_dict(doc)
+        gda(inst)
+        gsa(inst, GsaConfig(0.34))
+        cmin_gda(inst)
+        brute_force_vmax(inst)
+        max_phase_spread(inst)
+        instance_to_dict(inst)
+        restrict_to_capacity(with_capacity(inst, 40.0), 6.0)
+        assert "customers" not in inst.__dict__
+
+    def test_columns_stay_a_class_level_cached_property(self):
+        # tracing wraps the computing access of Instance.__dict__["columns"]
+        assert isinstance(Instance.__dict__["columns"], cached_property)
+
+
+NUMBER_FIELDS = ("p", "q", "valuation", "compensation")
+TINY = st.one_of(st.just(-0.0), st.floats(0.0, 1e-300))
+DEMANDS = st.one_of(st.integers(0, 700), st.floats(0.0, 700.0), TINY)
+VALUES = st.one_of(st.integers(0, 10**6), st.floats(0.0, 1e6), TINY, st.integers(2**53, 2**70))
+
+
+def _mutate(draw, doc: dict) -> None:
+    """Break ``doc`` in one of the ways an instance file can be wrong."""
+    kind = draw(st.sampled_from((
+        "drop_key", "bad_value", "negative", "bad_id", "duplicate_id", "oversized",
+        "non_object", "empty", "bad_capacity", "huge_literal", "bad_customers",
+    )))
+    customers = doc["customers"]
+    if kind == "empty":
+        doc["customers"] = []
+    elif kind == "bad_customers":
+        doc["customers"] = draw(st.sampled_from(({"id": 0}, None, "[]")))
+    elif kind == "bad_capacity":
+        bad = draw(st.sampled_from((0, -1.0, math.nan, math.inf, "10", True, None, 10**400, "drop")))
+        if bad == "drop":
+            doc.pop("capacity", None)
+        else:
+            doc["capacity"] = bad
+    elif not isinstance(customers, list) or not customers:
+        return
+    else:
+        k = draw(st.integers(0, len(customers) - 1))
+        item = customers[k]
+        if kind == "non_object":
+            customers[k] = draw(st.sampled_from(([], "x", 3, None, [1, 2])))
+        elif not isinstance(item, dict):
+            return
+        elif kind == "drop_key":
+            item.pop(draw(st.sampled_from(("id",) + NUMBER_FIELDS)), None)
+        elif kind == "bad_value":
+            field = draw(st.sampled_from(("id",) + NUMBER_FIELDS))
+            item[field] = draw(st.sampled_from(
+                (True, False, "1", None, math.nan, math.inf, -math.inf)
+            ))
+        elif kind == "negative":
+            field = draw(st.sampled_from(NUMBER_FIELDS))
+            item[field] = -draw(st.one_of(st.integers(1, 10), st.floats(1e-300, 1e3)))
+        elif kind == "bad_id":
+            item["id"] = draw(st.sampled_from((1.0, 2.5, -1, -(2**70), 2**63, 2**64, 10**400)))
+        elif kind == "duplicate_id":
+            other = customers[draw(st.integers(0, len(customers) - 1))]
+            if isinstance(other, dict) and "id" in other:
+                item["id"] = other["id"]
+        elif kind == "oversized":
+            item[draw(st.sampled_from(("p", "q")))] = 1e9
+        else:
+            item[draw(st.sampled_from(("id",) + NUMBER_FIELDS))] = 10**400
+
+
+@st.composite
+def instance_documents(draw):
+    ids = draw(st.lists(st.integers(0, MAX_CUSTOMER_ID), max_size=6, unique=True))
+    capacity = draw(st.one_of(st.integers(1000, 10**4), st.floats(1000.0, 1e4)))
+    customers = [
+        {
+            "id": cid, "p": draw(DEMANDS), "q": draw(DEMANDS),
+            "valuation": draw(VALUES), "compensation": draw(VALUES),
+        }
+        for cid in ids
+    ]
+    doc = {"capacity": capacity, "customers": customers}
+    for _ in range(draw(st.integers(0, 3))):
+        _mutate(draw, doc)
+    return doc
+
+
+def _load(loader, doc):
+    try:
+        return loader(doc), None
+    except Exception as exc:  # compared below: class and message must agree
+        return None, exc
+
+
+class TestLoaderMatchesPerCustomerReference:
+    @settings(max_examples=600, deadline=None)
+    @given(instance_documents())
+    def test_same_error_or_same_instance(self, doc):
+        got, got_exc = _load(instance_from_dict, doc)
+        want, want_exc = _load(reference_instance_from_dict, doc)
+        if want_exc is not None or got_exc is not None:
+            assert type(got_exc) is type(want_exc)
+            assert str(got_exc) == str(want_exc)
+            return
+        assert got.capacity == want.capacity
+        for name in COLUMN_NAMES:
+            a, b = getattr(got.columns, name), getattr(want.columns, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got.customers == want.customers
+
+    @pytest.mark.parametrize("field", ("p", "valuation", "compensation"))
+    def test_integer_too_large_for_a_float_is_format_error(self, field):
+        doc = {
+            "capacity": 10.0,
+            "customers": [{"id": 0, "p": 1.0, "q": 0.0, "valuation": 1, "compensation": 1}],
+        }
+        doc["customers"][0][field] = 10**400
+        with pytest.raises(FormatError, match=rf"customers\[0\]\.{field}: integer too large"):
+            instance_from_dict(doc)
+
+    def test_first_failing_customer_is_named(self):
+        good = {"id": 0, "p": 1.0, "q": 0.0, "valuation": 1, "compensation": 1}
+        doc = {
+            "capacity": 10.0,
+            "customers": [good, {**good, "id": 1, "q": -1.0}, {**good, "id": 2, "p": "x"}],
+        }
+        with pytest.raises(FormatError, match=r"customers\[1\]: demand must lie"):
+            instance_from_dict(doc)
+
+    def test_non_dict_mappings_accepted(self, valuation_trap):
+        from types import MappingProxyType
+
+        doc = instance_to_dict(valuation_trap)
+        doc["customers"] = [MappingProxyType(item) for item in doc["customers"]]
+        assert instance_from_dict(doc) == valuation_trap

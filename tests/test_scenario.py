@@ -23,6 +23,8 @@ from curtail import (
     spec_from_acronym,
     with_capacity,
 )
+from curtail.model import InstanceError
+from curtail.scenario import LINEAR_DEFAULTS, LoadRanges
 
 
 class TestAcronyms:
@@ -128,6 +130,16 @@ class TestGenerate:
             assert c.valuation == v
             assert c.compensation == comp
 
+    def test_linear_values_recompute_exactly(self):
+        inst = generate(spec_from_acronym("FLM", 300, 5e6, seed=11))
+        industrial = LINEAR_DEFAULTS[LoadType.INDUSTRIAL]
+        residential = LINEAR_DEFAULTS[LoadType.RESIDENTIAL]
+        lo_i = WIDE_LOAD_RANGES.industrial[0]
+        for c in inst.customers:
+            mag = c.demand.magnitude()
+            model = industrial if mag >= lo_i else residential
+            assert c.valuation == c.compensation == model.value_of(mag)
+
     def test_linear_values_positive_and_equal(self):
         inst = generate(spec_from_acronym("ALR", 100, 1e5, seed=10))
         for c in inst.customers:
@@ -139,6 +151,14 @@ class TestGenerate:
         for c in inst.customers:
             assert 0.0 < c.valuation <= hi
             assert 0.0 < c.compensation < hi
+
+    def test_invalid_customers_keep_their_error(self):
+        # negative magnitude ranges give demands outside the first quadrant
+        spec = spec_from_acronym(
+            "ACR", 5, 1e5, seed=1, load_ranges=LoadRanges(residential=(-5.0, -1.0))
+        )
+        with pytest.raises(InstanceError, match="first quadrant"):
+            generate(spec)
 
     def test_capacity_too_small_for_industrial_rejects(self):
         from curtail import DemandExceedsCapacityError
