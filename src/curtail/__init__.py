@@ -13,12 +13,10 @@ from .model import (
     LinearValue,
     QuadraticValue,
     Solution,
-    UncorrelatedValue,
     UnknownCustomerError,
     aggregate_demand,
     alignment_factor,
     curtailed_compensation,
-    evaluate_valuation,
     instance_from_dict,
     instance_to_dict,
     is_feasible,
@@ -29,6 +27,8 @@ from .model import (
     magnitude_sum_ratio_bound,
     max_phase_spread,
     retained_valuation,
+    solution_from_indices,
+    storage_sum,
 )
 from .greedy import SortKey, gda, gda_forced, gma, gra, gva
 from .gsa import GsaConfig, gsa, gsa_subset_count

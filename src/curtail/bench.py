@@ -30,7 +30,14 @@ import numpy as np
 from .cmin import cmin_gda, cmin_gma, cmin_gra, cmin_gva
 from .greedy import SCAN_ORDERS, _best_of_scans, gda, gma, gra, gva, scan_order
 from .gsa import GsaConfig, gsa
-from .model import FormatError, Instance, Solution, capacity_limit_sq, hypot_magnitudes
+from .model import (
+    FormatError,
+    Instance,
+    Solution,
+    capacity_limit_sq,
+    hypot_magnitudes,
+    storage_sum,
+)
 from .oracle import OracleBudget, brute_force_cmin, brute_force_vmax, lp_upper_bound
 from .scenario import ScenarioSpec, generate, restrict_to_capacity, spec_from_acronym
 
@@ -75,6 +82,8 @@ class TrialPlan:
     budget: OracleBudget = OracleBudget()
 
     def __post_init__(self):
+        if not 0.0 < self.gsa_epsilon < 1.0:
+            raise ValueError(f"gsa_epsilon must be in (0, 1), got {self.gsa_epsilon}")
         if self.trials_per_n < 30:
             raise ValueError("trials_per_n must be >= 30 for stable confidence intervals")
         if self.objective not in ("vmax", "cmin"):
@@ -169,11 +178,13 @@ def _run_trial(plan: TrialPlan, n: int, trial: int) -> dict[str, tuple[float, fl
 
 
 def _mean_ci(values: Sequence[float]) -> tuple[float, float]:
-    mean = sum(values) / len(values)
-    if len(values) < 2:
+    """Mean and 95% CI half-width; ``storage_sum`` keeps both the same on every Python."""
+    t = len(values)
+    mean = storage_sum(values, range(t)) / t
+    if t < 2:
         return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-    return mean, 1.96 * math.sqrt(var) / math.sqrt(len(values))
+    var = storage_sum([(v - mean) ** 2 for v in values], range(t)) / (t - 1)
+    return mean, 1.96 * math.sqrt(var) / math.sqrt(t)
 
 
 def run_benchmark(plan: TrialPlan, threads: int = 1) -> BenchmarkReport:
@@ -252,44 +263,76 @@ _PLAN_SCENARIO_KEYS = {
 }
 
 
+_REQUIRED = object()
+_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+          list: "a list", Mapping: "an object"}
+
+
+def _check(value, kind: type, where: str):
+    """``value`` if it has the JSON type ``kind``; ``float`` admits integers, and
+    a bool passes only as ``bool``."""
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+        raise FormatError(f"{where}: expected {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _field(doc: Mapping, key: str, kind: type, where: str, default=_REQUIRED):
+    """``doc[key]`` checked by ``_check``, or ``default`` when absent."""
+    if key not in doc:
+        if default is _REQUIRED:
+            raise FormatError(f"{where}: missing field '{key}'")
+        return default
+    return _check(doc[key], kind, f"{where}.{key}")
+
+
+def _list_field(doc: Mapping, key: str, kind: type, default=_REQUIRED) -> tuple:
+    values = _field(doc, key, list, "plan", default)
+    return tuple(_check(v, kind, f"plan.{key}[{i}]") for i, v in enumerate(values))
+
+
 def plan_from_dict(doc: Mapping) -> TrialPlan:
-    """Build a TrialPlan from parsed plan JSON. Unknown keys are errors."""
+    """Build a TrialPlan from parsed plan JSON.
+
+    Unknown keys are errors, and every field must have its JSON type: no
+    value is coerced, so ``6.7`` is not a customer count and ``"no"`` is
+    not a flag.
+    """
     if not isinstance(doc, Mapping):
         raise FormatError("plan document must be a JSON object")
     unknown = set(doc) - _PLAN_KEYS
     if unknown:
         raise FormatError(f"unknown plan fields: {sorted(unknown)}")
+    sc = _field(doc, "scenario", Mapping, "plan")
+    unknown = set(sc) - _PLAN_SCENARIO_KEYS
+    if unknown:
+        raise FormatError(f"unknown scenario fields: {sorted(unknown)}")
     try:
-        sc = doc["scenario"]
-        unknown = set(sc) - _PLAN_SCENARIO_KEYS
-        if unknown:
-            raise FormatError(f"unknown scenario fields: {sorted(unknown)}")
         scenario = spec_from_acronym(
-            sc["acronym"],
+            _field(sc, "acronym", str, "plan.scenario"),
             n=0,
-            capacity=float(sc["capacity"]),
-            seed=int(sc["seed"]),
+            capacity=float(_field(sc, "capacity", float, "plan.scenario")),
+            seed=_field(sc, "seed", int, "plan.scenario"),
             **{
-                key: sc[key]
+                key: _field(sc, key, float, "plan.scenario")
                 for key in ("max_theta", "phase_anchor", "industrial_fraction")
                 if key in sc
             },
         )
-        budget = OracleBudget(max_n=int(doc.get("oracle_max_n", 20)))
         return TrialPlan(
             scenario=scenario,
-            n_values=tuple(int(n) for n in doc["n_values"]),
-            trials_per_n=int(doc.get("trials_per_n", 30)),
-            algorithms=tuple(doc.get("algorithms", ["gda"])),
-            objective=doc.get("objective", "vmax"),
-            oracle=doc.get("oracle", "brute_force"),
-            gsa_epsilon=float(doc.get("gsa_epsilon", 0.25)),
-            measure_time=bool(doc.get("measure_time", False)),
-            budget=budget,
+            n_values=_list_field(doc, "n_values", int),
+            trials_per_n=_field(doc, "trials_per_n", int, "plan", 30),
+            algorithms=_list_field(doc, "algorithms", str, ["gda"]),
+            objective=_field(doc, "objective", str, "plan", "vmax"),
+            oracle=_field(doc, "oracle", str, "plan", "brute_force"),
+            gsa_epsilon=float(_field(doc, "gsa_epsilon", float, "plan", 0.25)),
+            measure_time=_field(doc, "measure_time", bool, "plan", False),
+            budget=OracleBudget(max_n=_field(doc, "oracle_max_n", int, "plan", 20)),
         )
     except FormatError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed benchmark plan: {exc}") from exc
 
 

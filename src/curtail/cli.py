@@ -136,17 +136,6 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
-    instance = load_instance(args.instance)
-    budget = OracleBudget(max_n=args.max_n, max_subsets=1 << args.max_n)
-    if args.objective == "cmin":
-        solution = brute_force_cmin(instance, budget, args.tolerance_override)
-    else:
-        solution = brute_force_vmax(instance, budget, args.tolerance_override)
-    _emit(solution.to_dict(), args.output)
-    return EXIT_OK
-
-
 def _cmd_bench(args) -> int:
     with open(args.plan, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -228,11 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
     orc = sub.add_parser("oracle", help="exhaustive optimum of an instance file")
     orc.add_argument("instance", help="instance JSON path")
     orc.add_argument("--objective", choices=("vmax", "cmin"), default="vmax")
-    orc.add_argument("--max-n", type=int, default=20, help="enumeration budget")
+    orc.add_argument("--max-n", dest="budget_max_n", type=int, default=20,
+                     help="enumeration budget")
     orc.add_argument("--tolerance-override", type=_rel_tol, default=CAPACITY_REL_TOL,
                      help="relative slack on the capacity feasibility test")
     orc.add_argument("-o", "--output", default=None)
-    orc.set_defaults(func=_cmd_oracle)
+    orc.set_defaults(func=_cmd_solve, algorithm="oracle")
 
     bench = sub.add_parser("bench", help="run a benchmark plan, emit a CSV report")
     bench.add_argument("--plan", required=True, help="plan JSON path")

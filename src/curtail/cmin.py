@@ -22,6 +22,7 @@ their gap to the exhaustive optimum instead.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,8 +30,9 @@ from .model import (
     CAPACITY_REL_TOL,
     Instance,
     Solution,
-    aggregate_demand,
-    curtailed_compensation,
+    indices_fit,
+    solution_from_indices,
+    storage_sum,
 )
 
 
@@ -38,36 +40,38 @@ def _removal_solve(instance: Instance, order: list[int], tag: str, rel_tol: floa
     """Shed customers in ``order`` (storage indices) until the rest fit."""
     start = time.perf_counter()
     cols = instance.columns
+    p_list, q_list = cols.p_list, cols.q_list
     limit_sq = instance.capacity_limit_sq(rel_tol)
+    n = len(order)
 
-    agg = aggregate_demand(instance, instance.ids)
-    p, q = agg.active_p, agg.reactive_q
+    def kept(removed: int) -> list[int]:
+        keep = np.ones(n, dtype=bool)
+        keep[order[:removed]] = False
+        return np.flatnonzero(keep).tolist()
+
+    p = storage_sum(p_list, range(n))
+    q = storage_sum(q_list, range(n))
     removed = 0
-    while p * p + q * q > limit_sq:
+    while p * p + q * q > limit_sq and removed < n:
         i = order[removed]
-        p -= cols.p_list[i]
-        q -= cols.q_list[i]
+        p -= p_list[i]
+        q -= q_list[i]
         removed += 1
-        if removed == len(order):
-            break
-    retained = instance.ids - frozenset(int(cols.id[i]) for i in order[:removed])
 
-    # Running subtraction can drift near the boundary; re-check canonically
-    # and keep shedding in the rare case the drift flipped the verdict.
-    agg = aggregate_demand(instance, retained)
-    while agg.active_p ** 2 + agg.reactive_q ** 2 > limit_sq and removed < len(order):
-        i = order[removed]
+    # The running subtraction can drift either way near the boundary.
+    # Canonical feasibility is monotone in the number shed (the retained sets
+    # are nested and the demands non-negative), so walk to the first count
+    # whose canonical sum fits.
+    retained = kept(removed)
+    while removed < n and not indices_fit(instance, retained, limit_sq):
         removed += 1
-        retained = retained - {int(cols.id[i])}
-        agg = aggregate_demand(instance, retained)
+        retained = kept(removed)
+    while removed > 0 and indices_fit(instance, fewer := kept(removed - 1), limit_sq):
+        removed -= 1
+        retained = fewer
 
-    return Solution(
-        retained_ids=retained,
-        objective=curtailed_compensation(instance, retained),
-        aggregate_demand=agg,
-        algorithm=tag,
-        elapsed=time.perf_counter() - start,
-    )
+    objective = storage_sum(cols.compensation_list, sorted(order[:removed]))
+    return solution_from_indices(instance, retained, objective, tag, time.perf_counter() - start)
 
 
 def _order(instance: Instance, primary: np.ndarray) -> list[int]:
@@ -89,7 +93,7 @@ def cmin_gma(instance: Instance, rel_tol: float = CAPACITY_REL_TOL) -> Solution:
 def cmin_gra(instance: Instance, rel_tol: float = CAPACITY_REL_TOL) -> Solution:
     """Shed customers in ascending order of compensation per VA of demand."""
     cols = instance.columns
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         eff = np.where(cols.mag == 0.0, np.inf, cols.compensation / cols.mag)
     return _removal_solve(instance, _order(instance, eff), "cmin_gra", rel_tol)
 
@@ -103,10 +107,4 @@ def cmin_gda(instance: Instance, rel_tol: float = CAPACITY_REL_TOL) -> Solution:
     ratio = cmin_gra(instance, rel_tol)
     value = cmin_gva(instance, rel_tol)
     best = ratio if ratio.objective <= value.objective else value
-    return Solution(
-        retained_ids=best.retained_ids,
-        objective=best.objective,
-        aggregate_demand=best.aggregate_demand,
-        algorithm="cmin_gda",
-        elapsed=time.perf_counter() - start,
-    )
+    return replace(best, algorithm="cmin_gda", elapsed=time.perf_counter() - start)

@@ -27,9 +27,10 @@ from .model import (
     CAPACITY_REL_TOL,
     Instance,
     Solution,
-    UnknownCustomerError,
-    aggregate_demand,
-    retained_valuation,
+    _storage_indices,
+    indices_fit,
+    solution_from_indices,
+    storage_sum,
 )
 
 
@@ -129,54 +130,37 @@ def _best_of_scans(
     from the forced set's aggregate demand; the scan whose retained set has
     the largest total valuation wins, the earliest stream on ties.  Returns
     the winning retained indices in ascending order and their total
-    valuation.  Sums walk storage order, so the floats equal
-    ``aggregate_demand`` and ``retained_valuation`` on the same set.
+    valuation, a ``storage_sum``.
     """
     cols = instance.columns
-    p_list, q_list, u_list = cols.p_list, cols.q_list, cols.valuation_list
     forced = sorted(forced)
-    base_p = base_q = 0.0
-    for i in forced:
-        base_p += p_list[i]
-        base_q += q_list[i]
+    base_p = storage_sum(cols.p_list, forced)
+    base_q = storage_sum(cols.q_list, forced)
     best: list[int] = forced
     best_objective = -np.inf
     for items in item_streams:
         retained = sorted(forced + _greedy_scan(items, base_p, base_q, limit_sq))
-        objective = 0.0
-        for i in retained:
-            objective += u_list[i]
+        objective = storage_sum(cols.valuation_list, retained)
         if objective > best_objective:
             best, best_objective = retained, objective
     return best, best_objective
 
 
-def _solution_from_indices(
-    instance: Instance, indices: Iterable[int], tag: str, elapsed: float
-) -> Solution:
-    id_list = instance.columns.id_list
-    ids = frozenset(id_list[i] for i in indices)
-    return Solution(
-        retained_ids=ids,
-        objective=retained_valuation(instance, ids),
-        aggregate_demand=aggregate_demand(instance, ids),
-        algorithm=tag,
-        elapsed=elapsed,
-    )
-
-
-def _single_order_solve(
+def _greedy_solve(
     instance: Instance,
     tag: str,
     rel_tol: float,
     tie_break_rng: np.random.Generator | None,
 ) -> Solution:
+    """Best of the scans in ``SCAN_ORDERS[tag]`` over the whole instance."""
     start = time.perf_counter()
-    (key,) = SCAN_ORDERS[tag]
-    order = scan_order(instance, key, tie_break_rng=tie_break_rng)
     limit_sq = instance.capacity_limit_sq(rel_tol)
-    taken = _greedy_scan(_scan_items(instance, order), 0.0, 0.0, limit_sq)
-    return _solution_from_indices(instance, taken, tag, time.perf_counter() - start)
+    streams = [
+        _scan_items(instance, scan_order(instance, key, tie_break_rng=tie_break_rng))
+        for key in SCAN_ORDERS[tag]
+    ]
+    retained, objective = _best_of_scans(instance, (), streams, limit_sq)
+    return solution_from_indices(instance, retained, objective, tag, time.perf_counter() - start)
 
 
 def gva(
@@ -185,7 +169,7 @@ def gva(
     tie_break_rng: np.random.Generator | None = None,
 ) -> Solution:
     """Greedy by descending valuation."""
-    return _single_order_solve(instance, "gva", rel_tol, tie_break_rng)
+    return _greedy_solve(instance, "gva", rel_tol, tie_break_rng)
 
 
 def gma(
@@ -194,7 +178,7 @@ def gma(
     tie_break_rng: np.random.Generator | None = None,
 ) -> Solution:
     """Greedy by ascending demand magnitude."""
-    return _single_order_solve(instance, "gma", rel_tol, tie_break_rng)
+    return _greedy_solve(instance, "gma", rel_tol, tie_break_rng)
 
 
 def gra(
@@ -203,7 +187,7 @@ def gra(
     tie_break_rng: np.random.Generator | None = None,
 ) -> Solution:
     """Greedy by descending efficiency (valuation per VA of demand)."""
-    return _single_order_solve(instance, "gra", rel_tol, tie_break_rng)
+    return _greedy_solve(instance, "gra", rel_tol, tie_break_rng)
 
 
 def gda(
@@ -218,14 +202,7 @@ def gda(
     never below the largest single valuation.  On equal objectives the
     efficiency branch's set is returned.
     """
-    start = time.perf_counter()
-    limit_sq = instance.capacity_limit_sq(rel_tol)
-    streams = [
-        _scan_items(instance, scan_order(instance, key, tie_break_rng=tie_break_rng))
-        for key in SCAN_ORDERS["gda"]
-    ]
-    retained, _ = _best_of_scans(instance, (), streams, limit_sq)
-    return _solution_from_indices(instance, retained, "gda", time.perf_counter() - start)
+    return _greedy_solve(instance, "gda", rel_tol, tie_break_rng)
 
 
 def gda_forced(
@@ -244,26 +221,19 @@ def gda_forced(
     its own.
     """
     start = time.perf_counter()
-    forced = frozenset(forced)
-    pool = frozenset(pool)
-    unknown = (forced | pool) - instance.ids
-    if unknown:
-        raise UnknownCustomerError(f"unknown customer ids: {sorted(unknown)}")
+    forced, pool = frozenset(forced), frozenset(pool)
+    forced_idx = _storage_indices(instance, forced)
+    pool_idx = np.asarray(_storage_indices(instance, pool), dtype=np.int64)
     if forced & pool:
         raise ValueError(f"forced and pool overlap: {sorted(forced & pool)}")
-
     limit_sq = instance.capacity_limit_sq(rel_tol)
-    base = aggregate_demand(instance, forced)
-    if base.active_p ** 2 + base.reactive_q ** 2 > limit_sq:
+    if not indices_fit(instance, forced_idx, limit_sq):
         raise ValueError("forced set is infeasible on its own")
-
-    index_of = instance.index_of
-    pool_idx = np.fromiter(sorted(index_of[i] for i in pool), dtype=np.int64, count=len(pool))
     streams = [
         _scan_items(
             instance, scan_order(instance, key, subset=pool_idx, tie_break_rng=tie_break_rng)
         )
         for key in SCAN_ORDERS["gda"]
     ]
-    retained, _ = _best_of_scans(instance, [index_of[i] for i in forced], streams, limit_sq)
-    return _solution_from_indices(instance, retained, "gda", time.perf_counter() - start)
+    retained, objective = _best_of_scans(instance, forced_idx, streams, limit_sq)
+    return solution_from_indices(instance, retained, objective, "gda", time.perf_counter() - start)

@@ -31,13 +31,20 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
 
 from .greedy import SCAN_ORDERS, _best_of_scans, _scan_items, gda, scan_order
-from .model import CAPACITY_REL_TOL, Instance, Solution, aggregate_demand
+from .model import (
+    CAPACITY_REL_TOL,
+    Instance,
+    Solution,
+    indices_fit,
+    solution_from_indices,
+    storage_sum,
+)
 
 
 @dataclass(frozen=True)
@@ -72,46 +79,36 @@ def gsa_subset_count(n: int, epsilon: float) -> int:
     return sum(math.comb(n, s) for s in range(m + 1))
 
 
-def _subset_fits(p_list, q_list, idxs, limit_sq: float) -> bool:
-    p = 0.0
-    q = 0.0
-    for i in idxs:
-        p += p_list[i]
-        q += q_list[i]
-    return p * p + q * q <= limit_sq
-
-
 def _search(
     instance: Instance,
     config: GsaConfig,
     rel_tol: float,
-) -> tuple[frozenset[int], float, tuple[int, ...] | None]:
-    """Best retained set, its objective, and the winning Phase 2 seed (if any)."""
+) -> tuple[list[int], float, list[int] | None]:
+    """Best retained set, its objective, and the winning Phase 2 seed (if any).
+
+    The retained set and the seed are ascending storage indices.
+    """
     cols = instance.columns
-    n = len(instance)
-    m = config.max_subset_size(n)
+    m = config.max_subset_size(len(instance))
     limit_sq = instance.capacity_limit_sq(rel_tol)
-    p_list, q_list, u_list = cols.p_list, cols.q_list, cols.valuation_list
+    u_list = cols.valuation_list
 
     # positions in ascending id order, so combinations() is id-lexicographic
     by_id = np.lexsort((cols.id,)).tolist()
 
-    best_ids: frozenset[int] = frozenset()
+    best: list[int] = []
     best_objective = 0.0
-    best_seed: tuple[int, ...] | None = None
+    best_seed: list[int] | None = None
 
     # Phase 1: plain best valuation over feasible subsets smaller than m.
     for size in range(m):
         for combo in combinations(by_id, size):
             idxs = sorted(combo)
-            if not _subset_fits(p_list, q_list, idxs, limit_sq):
+            if not indices_fit(instance, idxs, limit_sq):
                 continue
-            value = 0.0
-            for i in idxs:
-                value += u_list[i]
+            value = storage_sum(u_list, idxs)
             if value > best_objective:
-                best_objective = value
-                best_ids = frozenset(int(cols.id[i]) for i in idxs)
+                best, best_objective = idxs, value
 
     # Phase 2: force each feasible size-m subset, fill up with the greedy
     # pair over the customers it dominates by valuation.  Each seed's pool
@@ -120,7 +117,7 @@ def _search(
     orders = [list(_scan_items(instance, scan_order(instance, key))) for key in SCAN_ORDERS["gda"]]
     for combo in combinations(by_id, m) if m > 0 else ():
         idxs = sorted(combo)
-        if not _subset_fits(p_list, q_list, idxs, limit_sq):
+        if not indices_fit(instance, idxs, limit_sq):
             continue
         floor = min(u_list[i] for i in idxs)
         retained, objective = _best_of_scans(
@@ -129,15 +126,10 @@ def _search(
             [[t for t in items if u_list[t[0]] <= floor and t[0] not in combo] for items in orders],
             limit_sq,
         )
-        better = objective > best_objective or (
-            objective == best_objective and best_seed is None
-        )
-        if better:
-            best_objective = objective
-            best_ids = frozenset(int(cols.id[i]) for i in retained)
-            best_seed = tuple(sorted(int(cols.id[i]) for i in idxs))
+        if objective > best_objective or (objective == best_objective and best_seed is None):
+            best, best_objective, best_seed = retained, objective, idxs
 
-    return best_ids, best_objective, best_seed
+    return best, best_objective, best_seed
 
 
 def gsa(
@@ -149,18 +141,6 @@ def gsa(
     start = time.perf_counter()
     if config.max_subset_size(len(instance)) == 0:
         base = gda(instance, rel_tol)
-        return Solution(
-            retained_ids=base.retained_ids,
-            objective=base.objective,
-            aggregate_demand=base.aggregate_demand,
-            algorithm="gsa",
-            elapsed=time.perf_counter() - start,
-        )
-    ids, objective, _seed = _search(instance, config, rel_tol)
-    return Solution(
-        retained_ids=ids,
-        objective=objective,
-        aggregate_demand=aggregate_demand(instance, ids),
-        algorithm="gsa",
-        elapsed=time.perf_counter() - start,
-    )
+        return replace(base, algorithm="gsa", elapsed=time.perf_counter() - start)
+    retained, objective, _seed = _search(instance, config, rel_tol)
+    return solution_from_indices(instance, retained, objective, "gsa", time.perf_counter() - start)

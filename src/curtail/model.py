@@ -14,11 +14,13 @@ The loader and the scenario generator build those arrays directly; the
 All types are immutable after construction and all operations are pure,
 so everything in this module is safe to share across threads.
 
-Float discipline: objectives and aggregate demands are always accumulated
-in customer storage order with plain left-to-right addition (see
-``retained_valuation`` and friends).  Every solver and the exhaustive oracle
-use these same helpers, so equal selections produce bit-identical objective
-values no matter which code path built them.
+Float discipline: every objective and aggregate demand is a ``storage_sum``,
+plain left-to-right addition from 0.0 over ascending storage indices.  The
+solvers and the exhaustive oracle keep selections as storage indices and
+build their answers with ``solution_from_indices``; ``retained_valuation``
+and friends map id sets onto the same sum.  So equal selections produce
+bit-identical objectives and aggregates no matter which code path built
+them, on every supported Python version.
 """
 
 from __future__ import annotations
@@ -97,9 +99,6 @@ class ComplexDemand:
         if self.active_p == 0.0 and self.reactive_q == 0.0:
             return 0.0
         return math.atan2(self.reactive_q, self.active_p)
-
-    def __add__(self, other: "ComplexDemand") -> "ComplexDemand":
-        return ComplexDemand(self.active_p + other.active_p, self.reactive_q + other.reactive_q)
 
 
 def magnitude(demand: ComplexDemand) -> float:
@@ -261,11 +260,6 @@ class Instance:
             mag_list=mag.tolist(),
         )
 
-    @cached_property
-    def index_of(self) -> dict[int, int]:
-        """Customer id -> storage position."""
-        return {cid: i for i, cid in enumerate(self.columns.id_list)}
-
     def capacity_limit_sq(self, rel_tol: float = CAPACITY_REL_TOL) -> float:
         """Squared feasibility threshold of this instance; see ``capacity_limit_sq``."""
         return capacity_limit_sq(self.capacity, rel_tol)
@@ -365,51 +359,92 @@ class Solution:
 
 # --- canonical accumulation -------------------------------------------------
 #
-# Selections are sets of customer ids; sums over them always walk the
-# instance's storage order so every component computes identical floats.
+# Every objective and aggregate demand is a ``storage_sum``: selections are
+# lists of ascending storage indices, and the public helpers below map id
+# sets onto them.
 
 
-def _check_ids(instance: Instance, ids: Iterable[int]) -> frozenset[int]:
+def storage_sum(values: Sequence[float], indices: Iterable[int]) -> float:
+    """``values[i]`` added left to right from 0.0 over ascending storage ``indices``.
+
+    This is the package's one canonical accumulation.  It is a plain loop on
+    purpose: builtin ``sum`` is compensated from Python 3.12 on, ``np.sum``
+    adds pairwise, and a numpy call per sum costs more than the loop on the
+    small selections the solvers sum most.  Starting from 0.0 makes an empty
+    or all ``-0.0`` selection sum to ``0.0``.
+    """
+    total = 0.0
+    for i in indices:
+        total += values[i]
+    return total
+
+
+def solution_from_indices(
+    instance: Instance,
+    retained: Sequence[int],
+    objective: float,
+    algorithm: str,
+    elapsed: float,
+) -> Solution:
+    """The ``Solution`` that retains the customers at ascending storage indices.
+
+    The ids and the aggregate demand are derived from ``retained``; the
+    objective must already be a ``storage_sum`` over the same instance.
+    """
+    cols = instance.columns
+    id_list = cols.id_list
+    return Solution(
+        retained_ids=frozenset([id_list[i] for i in retained]),
+        objective=objective,
+        aggregate_demand=ComplexDemand(
+            storage_sum(cols.p_list, retained), storage_sum(cols.q_list, retained)
+        ),
+        algorithm=algorithm,
+        elapsed=elapsed,
+    )
+
+
+def _storage_indices(instance: Instance, ids: Iterable[int], inside: bool = True) -> list[int]:
+    """Ascending storage indices of the customers in ``ids``, or of the rest.
+
+    Raises UnknownCustomerError for ids not in the instance.
+    """
     ids = frozenset(ids)
-    unknown = ids - instance.ids
-    if unknown:
-        raise UnknownCustomerError(f"unknown customer ids: {sorted(unknown)}")
-    return ids
+    id_list = instance.columns.id_list
+    picked = [i for i, cid in enumerate(id_list) if (cid in ids) == inside]
+    if len(picked) != (len(ids) if inside else len(id_list) - len(ids)):
+        raise UnknownCustomerError(f"unknown customer ids: {sorted(ids - instance.ids)}")
+    return picked
+
+
+def indices_fit(instance: Instance, indices: Sequence[int], limit_sq: float) -> bool:
+    """Whether the customers at ascending storage ``indices`` fit together.
+
+    True iff the squared magnitude of their ``storage_sum`` aggregate is at
+    most ``limit_sq`` (see ``capacity_limit_sq``).
+    """
+    cols = instance.columns
+    p = storage_sum(cols.p_list, indices)
+    q = storage_sum(cols.q_list, indices)
+    return p * p + q * q <= limit_sq
 
 
 def aggregate_demand(instance: Instance, ids: Iterable[int]) -> ComplexDemand:
     """Component-wise sum of the selected customers' demands."""
-    ids = _check_ids(instance, ids)
+    indices = _storage_indices(instance, ids)
     cols = instance.columns
-    p = 0.0
-    q = 0.0
-    for cid, pv, qv in zip(cols.id_list, cols.p_list, cols.q_list):
-        if cid in ids:
-            p += pv
-            q += qv
-    return ComplexDemand(p, q)
+    return ComplexDemand(storage_sum(cols.p_list, indices), storage_sum(cols.q_list, indices))
 
 
 def retained_valuation(instance: Instance, ids: Iterable[int]) -> float:
     """Total valuation of the selected customers."""
-    ids = _check_ids(instance, ids)
-    cols = instance.columns
-    total = 0.0
-    for cid, u in zip(cols.id_list, cols.valuation_list):
-        if cid in ids:
-            total += u
-    return total
+    return storage_sum(instance.columns.valuation_list, _storage_indices(instance, ids))
 
 
 def curtailed_compensation(instance: Instance, retained: Iterable[int]) -> float:
     """Total compensation owed to customers outside the retained set."""
-    retained = _check_ids(instance, retained)
-    cols = instance.columns
-    total = 0.0
-    for cid, comp in zip(cols.id_list, cols.compensation_list):
-        if cid not in retained:
-            total += comp
-    return total
+    shed = _storage_indices(instance, retained, inside=False)
+    return storage_sum(instance.columns.compensation_list, shed)
 
 
 def is_feasible(
@@ -420,9 +455,8 @@ def is_feasible(
     True iff |sum of selected demands| <= capacity * (1 + rel_tol).
     Raises UnknownCustomerError for ids not in the instance.
     """
-    agg = aggregate_demand(instance, ids)
-    p, q = agg.active_p, agg.reactive_q
-    return p * p + q * q <= instance.capacity_limit_sq(rel_tol)
+    limit_sq = instance.capacity_limit_sq(rel_tol)
+    return indices_fit(instance, _storage_indices(instance, ids), limit_sq)
 
 
 def max_phase_spread(instance: Instance) -> float:
@@ -452,13 +486,10 @@ def magnitude_sum_ratio(demands: Sequence[ComplexDemand]) -> float:
     """
     if not demands:
         raise ValueError("need at least one demand")
-    p = 0.0
-    q = 0.0
-    scalar = 0.0
-    for d in demands:
-        p += d.active_p
-        q += d.reactive_q
-        scalar += d.magnitude()
+    order = range(len(demands))
+    p = storage_sum([d.active_p for d in demands], order)
+    q = storage_sum([d.reactive_q for d in demands], order)
+    scalar = storage_sum([d.magnitude() for d in demands], order)
     vector = math.hypot(p, q)
     if vector == 0.0:
         raise ValueError("vector sum is zero; ratio undefined")
@@ -513,48 +544,6 @@ class LinearValue:
 
     def value_of(self, mag: float | np.ndarray) -> float | np.ndarray:
         return self.slope * mag + self.intercept
-
-
-@dataclass(frozen=True)
-class UncorrelatedValue:
-    """Valuation and compensation drawn independently of the demand.
-
-    Valuation is uniform on (0, valuation_cap]; compensation is uniform on
-    (0, compensation_cap), exact zeros rejected.
-    """
-
-    valuation_cap: float
-    compensation_cap: float
-
-    def __post_init__(self):
-        if not self.valuation_cap > 0 or not self.compensation_cap > 0:
-            raise InstanceError("uncorrelated caps must be > 0")
-
-
-ValuationModel = QuadraticValue | LinearValue | UncorrelatedValue
-
-
-def evaluate_valuation(
-    model: ValuationModel,
-    demand: ComplexDemand,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, float]:
-    """Valuation and compensation for one customer under the given model.
-
-    Quadratic and Linear models are deterministic functions of the demand
-    magnitude (valuation equals compensation).  The Uncorrelated model draws
-    both from ``rng`` independently of the demand.
-    """
-    if isinstance(model, (QuadraticValue, LinearValue)):
-        v = model.value_of(demand.magnitude())
-        return v, v
-    if rng is None:
-        raise ValueError("the uncorrelated model needs a random generator")
-    valuation = model.valuation_cap * (1.0 - rng.random())
-    compensation = model.compensation_cap * rng.random()
-    while compensation == 0.0:
-        compensation = model.compensation_cap * rng.random()
-    return valuation, compensation
 
 
 # --- JSON interchange ---------------------------------------------------------

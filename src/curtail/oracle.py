@@ -23,9 +23,8 @@ from .model import (
     CurtailError,
     Instance,
     Solution,
-    aggregate_demand,
-    curtailed_compensation,
-    retained_valuation,
+    solution_from_indices,
+    storage_sum,
 )
 
 MAX_ORACLE_N = 30  # 2^30 subsets; hard ceiling, not a suggestion
@@ -74,15 +73,9 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mask_ids(instance: Instance, mask: int) -> list[int]:
-    ids = []
-    j = 0
-    while mask:
-        if mask & 1:
-            ids.append(int(instance.columns.id[j]))
-        mask >>= 1
-        j += 1
-    return ids
+def _mask_indices(mask: int) -> list[int]:
+    """Storage indices of the set bits of ``mask``, ascending."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
 def _best_feasible_mask(
@@ -106,9 +99,33 @@ def _best_feasible_mask(
     candidates = np.flatnonzero(wsum == best_value)
     if len(candidates) == 1:
         return int(candidates[0])
+    id_list = instance.columns.id_list
     return min(
         (int(m) for m in candidates),
-        key=lambda m: tuple(sorted(_mask_ids(instance, m))),
+        key=lambda m: tuple(sorted(id_list[j] for j in _mask_indices(m))),
+    )
+
+
+def _brute_force(
+    instance: Instance, budget: OracleBudget, rel_tol: float, objective: str
+) -> Solution:
+    """The feasible selection with the largest retained valuation or compensation.
+
+    ``objective`` is "vmax" (the objective is that retained valuation) or
+    "cmin" (the objective is the compensation of everyone else).
+    """
+    budget.check(len(instance))
+    start = time.perf_counter()
+    cols = instance.columns
+    if objective == "cmin":
+        weights, values, algorithm = cols.compensation, cols.compensation_list, "cmin_oracle"
+    else:
+        weights, values, algorithm = cols.valuation, cols.valuation_list, "oracle"
+    mask = _best_feasible_mask(instance, weights, rel_tol)
+    retained = _mask_indices(mask)
+    counted = _mask_indices(mask ^ ((1 << len(instance)) - 1)) if objective == "cmin" else retained
+    return solution_from_indices(
+        instance, retained, storage_sum(values, counted), algorithm, time.perf_counter() - start
     )
 
 
@@ -118,17 +135,7 @@ def brute_force_vmax(
     rel_tol: float = CAPACITY_REL_TOL,
 ) -> Solution:
     """Exact valuation-maximising selection via exhaustive enumeration."""
-    budget.check(len(instance))
-    start = time.perf_counter()
-    mask = _best_feasible_mask(instance, instance.columns.valuation, rel_tol)
-    ids = frozenset(_mask_ids(instance, mask))
-    return Solution(
-        retained_ids=ids,
-        objective=retained_valuation(instance, ids),
-        aggregate_demand=aggregate_demand(instance, ids),
-        algorithm="oracle",
-        elapsed=time.perf_counter() - start,
-    )
+    return _brute_force(instance, budget, rel_tol, "vmax")
 
 
 def brute_force_cmin(
@@ -142,17 +149,7 @@ def brute_force_cmin(
     maximising the compensation kept in the retained set; the empty retained
     set is always feasible, so an optimum always exists.
     """
-    budget.check(len(instance))
-    start = time.perf_counter()
-    mask = _best_feasible_mask(instance, instance.columns.compensation, rel_tol)
-    ids = frozenset(_mask_ids(instance, mask))
-    return Solution(
-        retained_ids=ids,
-        objective=curtailed_compensation(instance, ids),
-        aggregate_demand=aggregate_demand(instance, ids),
-        algorithm="cmin_oracle",
-        elapsed=time.perf_counter() - start,
-    )
+    return _brute_force(instance, budget, rel_tol, "cmin")
 
 
 def lp_upper_bound(instance: Instance) -> float:

@@ -127,10 +127,6 @@ def spec_from_acronym(acronym: str, n: int, capacity: float, seed: int, **kwargs
     )
 
 
-def _linear_model(spec: ScenarioSpec, industrial: bool) -> LinearValue:
-    return spec.linear_industrial if industrial else spec.linear_residential
-
-
 def generate(spec: ScenarioSpec) -> Instance:
     """Draw one instance from the scenario.
 
@@ -180,8 +176,8 @@ def generate(spec: ScenarioSpec) -> Instance:
         else:
             valuations = np.where(
                 industrial,
-                _linear_model(spec, True).value_of(demand_mags),
-                _linear_model(spec, False).value_of(demand_mags),
+                spec.linear_industrial.value_of(demand_mags),
+                spec.linear_residential.value_of(demand_mags),
             )
         compensations = valuations
 

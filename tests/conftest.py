@@ -151,6 +151,81 @@ def reference_best_vmax(instance: Instance, rel_tol: float = 1e-9):
     return best, winners
 
 
+def reference_cmin(instance: Instance, algorithm: str, rel_tol: float = 1e-9):
+    """Per-customer shedding; the reference for ``cmin_*``.
+
+    Sorts ``Customer`` objects by the heuristic's key (ties by id), then
+    sheds them one at a time, re-summing the retained demands from scratch
+    in storage order before each removal.  Returns (retained ids,
+    compensation of the shed customers summed in storage order).
+    """
+    if algorithm == "gda":
+        ratio = reference_cmin(instance, "gra", rel_tol)
+        value = reference_cmin(instance, "gva", rel_tol)
+        return ratio if ratio[1] <= value[1] else value
+
+    def mag(c):
+        return float(np.hypot(c.demand.active_p, c.demand.reactive_q))
+
+    keys = {
+        "gva": lambda c: c.compensation,
+        "gma": lambda c: -mag(c),
+        "gra": lambda c: math.inf if mag(c) == 0.0 else c.compensation / mag(c),
+    }
+    customers = instance.customers
+    limit = instance.capacity * (1.0 + rel_tol)
+    retained = {c.id for c in customers}
+    for c in sorted(customers, key=lambda c: (keys[algorithm](c), c.id)):
+        p = q = 0.0
+        for kept in customers:
+            if kept.id in retained:
+                p += kept.demand.active_p
+                q += kept.demand.reactive_q
+        if p * p + q * q <= limit * limit:
+            break
+        retained.discard(c.id)
+    compensation = 0.0
+    for c in customers:
+        if c.id not in retained:
+            compensation += c.compensation
+    return frozenset(retained), compensation
+
+
+_PLAN_DOC = {
+    "scenario": {"acronym": "ACR", "capacity": 25000.0, "seed": 1},
+    "n_values": [8],
+}
+
+
+def plan_doc(field, value):
+    """``_PLAN_DOC`` with ``field`` (``scenario.<key>`` for a scenario key) set to ``value``."""
+    doc = {**_PLAN_DOC, "scenario": dict(_PLAN_DOC["scenario"])}
+    if field.startswith("scenario."):
+        doc["scenario"][field.removeprefix("scenario.")] = value
+    else:
+        doc[field] = value
+    return doc
+
+
+# Values that a coercing loader would have turned into something else.
+COERCIBLE_PLAN_FIELDS = [
+    ("measure_time", "no"),
+    ("measure_time", 1),
+    ("n_values", [6.7]),
+    ("n_values", [True]),
+    ("n_values", 8),
+    ("scenario.seed", 1.5),
+    ("scenario.capacity", "25000"),
+    ("scenario.max_theta", True),
+    ("gsa_epsilon", True),
+    ("trials_per_n", 30.9),
+    ("oracle_max_n", 20.5),
+    ("algorithms", "gda"),
+    ("objective", ["vmax"]),
+    ("scenario", ["ACR"]),
+]
+
+
 def knapsack_dp(weights: list[int], values: list[float], capacity: int) -> float:
     """Classic 0-1 knapsack over integer weights; independent DP oracle."""
     dp = [0.0] * (capacity + 1)

@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import reference_dynamic_capacity
-from curtail.bench import VMAX_ALGORITHMS
+from conftest import COERCIBLE_PLAN_FIELDS, plan_doc, reference_dynamic_capacity
+from curtail.bench import VMAX_ALGORITHMS, _mean_ci
 from curtail import (
     ComplexDemand,
     Customer,
+    FormatError,
     Instance,
     OracleBudget,
     TrialPlan,
@@ -97,6 +98,34 @@ class TestPlanValidation:
         }
         with pytest.raises(FormatError, match="max_teta"):
             plan_from_dict(doc)
+
+
+class TestPlanFieldTypes:
+    def test_valid_plan_loads(self):
+        plan = plan_from_dict(plan_doc("measure_time", True))
+        assert plan.measure_time is True
+        assert plan.n_values == (8,)
+
+    @pytest.mark.parametrize("field, value", COERCIBLE_PLAN_FIELDS)
+    def test_wrong_json_type_rejected(self, field, value):
+        with pytest.raises(FormatError, match=field.split(".")[-1]):
+            plan_from_dict(plan_doc(field, value))
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, 1.5, -0.25])
+    def test_gsa_epsilon_outside_unit_interval_rejected(self, epsilon):
+        with pytest.raises(FormatError, match="gsa_epsilon"):
+            plan_from_dict(plan_doc("gsa_epsilon", epsilon))
+        with pytest.raises(ValueError, match="gsa_epsilon"):
+            small_plan(gsa_epsilon=epsilon)
+
+
+class TestMeanCi:
+    def test_mean_adds_left_to_right(self):
+        # a compensated sum (builtin sum from Python 3.12) keeps the 1e-16s
+        assert _mean_ci([1.0] + [1e-16] * 10)[0] == 1.0 / 11
+
+    def test_single_value_has_zero_width(self):
+        assert _mean_ci([2.5]) == (2.5, 0.0)
 
 
 class TestSeedDerivation:

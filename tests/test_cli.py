@@ -1,10 +1,12 @@
 """CLI dispatch: exit codes, JSON/CSV round trips, diagnostics."""
 
 import json
+import re
 
 import pytest
 
 from curtail import instance_to_dict, load_instance
+from conftest import COERCIBLE_PLAN_FIELDS, plan_doc
 from curtail.cli import (
     EXIT_CODES,
     EXIT_INFEASIBLE_INSTANCE,
@@ -265,6 +267,49 @@ class TestOracleCommand:
         assert dispatch(["oracle", trap_file, "--objective", "cmin"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["objective"] == 1.0
 
+    @pytest.mark.parametrize("objective", ["vmax", "cmin"])
+    def test_same_bytes_as_solve_oracle(self, tmp_path, objective):
+        rows = [(k, 1.0 + 0.1 * k, 0.3 * (k % 3), 1.0 + k, 2.0 - 0.1 * k) for k in range(12)]
+        path = write_instance(tmp_path / "n12.json", 6.5, rows)
+        texts = []
+        for argv in (
+            ["oracle", path, "--objective", objective, "--max-n", "12"],
+            ["solve", path, "--algorithm", "oracle", "--objective", objective,
+             "--budget-max-n", "12"],
+        ):
+            out = tmp_path / "out.json"
+            assert dispatch(argv + ["-o", str(out)]) == EXIT_OK
+            texts.append(re.sub(r'"elapsed_us": \d+', "", out.read_text()))
+        assert texts[0] == texts[1]
+
+    def test_same_budget_refusal_as_solve_oracle(self, tmp_path, capsys):
+        path = write_instance(tmp_path / "n13.json", 30.0, [(k, 1.0, 0.0, 1.0, 1.0) for k in range(13)])
+        results = []
+        for argv in (["oracle", path, "--max-n", "12"],
+                     ["solve", path, "--algorithm", "oracle", "--budget-max-n", "12"]):
+            results.append((dispatch(argv), capsys.readouterr()))
+        assert [code for code, _ in results] == [EXIT_ORACLE_BUDGET] * 2
+        assert results[0][1] == results[1][1]
+        assert results[0][1].out == ""
+
+
+class TestNegativeZeroDemands:
+    """An empty sum and a sum of -0.0 demands both start from 0.0."""
+
+    @pytest.mark.parametrize("objective, algorithm", [
+        *[("vmax", a) for a in ("gva", "gma", "gra", "gda", "gsa", "oracle")],
+        *[("cmin", a) for a in ("gva", "gma", "gra", "gda", "oracle")],
+    ])
+    def test_aggregate_is_positive_zero(self, tmp_path, capsys, objective, algorithm):
+        rows = [(k, -0.0, -0.0, 1.0 + k, 2.0) for k in range(4)]
+        path = write_instance(tmp_path / "zeros.json", 1.0, rows)
+        argv = ["solve", path, "--algorithm", algorithm, "--objective", objective]
+        assert dispatch(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert json.loads(out)["aggregate"] == {"p": 0.0, "q": 0.0}
+        assert '"p": 0.0' in out and '"q": 0.0' in out
+        assert "-0.0" not in out
+
 
 class TestBenchCommand:
     def test_end_to_end(self, tmp_path):
@@ -300,6 +345,16 @@ class TestBenchCommand:
         out = tmp_path / "r.csv"
         assert dispatch(["bench", "--plan", str(plan_path), "-o", str(out)]) == EXIT_USAGE
         assert "malformed benchmark plan" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("field, value", COERCIBLE_PLAN_FIELDS + [("gsa_epsilon", 1.0)])
+    def test_wrong_plan_field_exits_2_without_csv(self, tmp_path, capsys, field, value):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan_doc(field, value)))
+        out = tmp_path / "r.csv"
+        assert dispatch(["bench", "--plan", str(plan_path), "-o", str(out)]) == EXIT_USAGE
+        assert field.split(".")[-1] in capsys.readouterr().err
         assert not out.exists()
 
 

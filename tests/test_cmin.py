@@ -1,6 +1,11 @@
 """Reverse-greedy compensation minimisers."""
 
+import math
+
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curtail import (
     brute_force_cmin,
@@ -12,7 +17,7 @@ from curtail import (
     is_feasible,
     retained_valuation,
 )
-from conftest import build_instance, random_instance
+from conftest import build_instance, random_instance, reference_cmin
 
 
 class TestCminGva:
@@ -157,3 +162,50 @@ class TestRemovalInvariants:
             if heur > 0:
                 gaps.append(opt / heur)
         assert all(0.0 <= g <= 1.0 + 1e-12 for g in gaps)
+
+
+# demands and compensations that tie often and whose sums round (tenths)
+_amounts = st.one_of(
+    st.integers(0, 6).map(float),
+    st.integers(0, 40).map(lambda k: k / 10),
+    st.floats(0.0, 10.0),
+)
+
+
+@st.composite
+def _cmin_cases(draw):
+    n = draw(st.integers(0, 9))
+    rows = [(k, draw(_amounts), draw(_amounts), 1.0, draw(_amounts)) for k in range(n)]
+    # a capacity on the boundary of some subset, where the running
+    # subtraction and the canonical sum can disagree
+    subset = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    p = q = 0.0
+    for (_, pv, qv, _, _), inside in zip(rows, subset):
+        if inside:
+            p += pv
+            q += qv
+    capacity = max([1e-3, math.hypot(p, q)] + [math.hypot(pv, qv) for _, pv, qv, _, _ in rows])
+    return build_instance(rows, capacity), draw(st.sampled_from([1e-9, 0.0]))
+
+
+class TestAgainstPerCustomerReference:
+    @pytest.mark.parametrize("algorithm", ["gva", "gma", "gra", "gda"])
+    @given(case=_cmin_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_same_retained_set_and_objective(self, algorithm, case):
+        inst, rel_tol = case
+        solver = {"gva": cmin_gva, "gma": cmin_gma, "gra": cmin_gra, "gda": cmin_gda}[algorithm]
+        sol = solver(inst, rel_tol)
+        retained, objective = reference_cmin(inst, algorithm, rel_tol)
+        assert sol.retained_ids == retained
+        assert sol.objective == objective  # float-exact, not approximate
+
+    def test_running_subtraction_drift_does_not_shed_more(self):
+        # shedding ids 2 then 1 leaves a running reactive sum of
+        # 3.3 + 1.1 - 1.1 = 3.3000000000000003, which does not fit
+        # hypot(11, 3.3) exactly; the canonical sum for {0} does
+        rows = [(0, 11.0, 3.3, 1.0, 0.53), (1, 0.33, 1.1, 1.0, 0.3), (2, 0.33, 0.0, 1.0, 0.25)]
+        inst = build_instance(rows, math.hypot(11.0, 3.3))
+        sol = cmin_gva(inst, 0.0)
+        assert sol.retained_ids == {0}
+        assert sol.objective == 0.3 + 0.25  # shed ids 1 and 2, in storage order

@@ -25,6 +25,14 @@ from curtail.gsa import _search
 from conftest import build_instance, random_instance, reference_gsa_search
 
 
+def search_ids(inst: Instance, config: GsaConfig):
+    """``_search`` with its storage indices mapped to ids, as the reference returns them."""
+    retained, objective, seed = _search(inst, config, 1e-9)
+    id_list = inst.columns.id_list
+    ids = frozenset(id_list[i] for i in retained)
+    return ids, objective, None if seed is None else tuple(sorted(id_list[i] for i in seed))
+
+
 def tied_instance(rng: np.random.Generator, n: int) -> Instance:
     """Random instance with integer demands and valuations, so keys tie often."""
     p = rng.integers(0, 5, n).astype(float)
@@ -124,7 +132,7 @@ class TestGsa:
         seeded = 0
         for _ in range(60):
             inst = random_instance(rng, int(rng.integers(3, 11)))
-            ids, objective, seed = _search(inst, GsaConfig(0.25), 1e-9)
+            ids, objective, seed = search_ids(inst, GsaConfig(0.25))
             if seed is None:
                 continue
             assert set(seed) <= set(ids)
@@ -159,7 +167,7 @@ class TestGsa:
         inst = Instance(
             [Customer(i, ComplexDemand(p, q), u, u) for i, p, q, u in rows], 2.0
         )
-        ids, objective, seed = _search(inst, GsaConfig(0.25), 1e-9)
+        ids, objective, seed = search_ids(inst, GsaConfig(0.25))
         assert objective == 2.0
         assert seed == (0, 1)
         assert set(ids) == {0, 1}
@@ -177,7 +185,7 @@ class TestAgainstPerSeedReference:
             for make in (random_instance, tied_instance):
                 inst = make(rng, n)
                 expected = reference_gsa_search(inst, GsaConfig(epsilon))
-                got = _search(inst, GsaConfig(epsilon), 1e-9)
+                got = search_ids(inst, GsaConfig(epsilon))
                 assert got[0] == expected[0]
                 assert got[1] == expected[1]  # float-exact, not approximate
                 assert got[2] == expected[2]

@@ -20,13 +20,11 @@ from curtail import (
     LinearValue,
     QuadraticValue,
     Solution,
-    UncorrelatedValue,
     UnknownCustomerError,
     aggregate_demand,
     alignment_factor,
     brute_force_vmax,
     cmin_gda,
-    evaluate_valuation,
     gda,
     gsa,
     instance_from_dict,
@@ -230,36 +228,19 @@ class TestMagnitudeSumRatio:
 
 class TestValuationModels:
     def test_quadratic_zero_demand_zero_value(self):
-        got = evaluate_valuation(QuadraticValue(1.0), ComplexDemand(0, 0))
-        assert got == (0.0, 0.0)
+        assert QuadraticValue(1.0).value_of(ComplexDemand(0, 0).magnitude()) == 0.0
 
     def test_quadratic_square_of_magnitude(self):
-        got = evaluate_valuation(QuadraticValue(1.0), ComplexDemand(3, 4))
-        assert got == (25.0, 25.0)
+        assert QuadraticValue(1.0).value_of(ComplexDemand(3, 4).magnitude()) == 25.0
 
     def test_linear(self):
-        got = evaluate_valuation(LinearValue(2.0, 1.0), ComplexDemand(3, 4))
-        assert got == (11.0, 11.0)
-
-    def test_uncorrelated_draws_in_open_intervals(self):
-        rng = np.random.default_rng(3)
-        model = UncorrelatedValue(10.0, 5.0)
-        for _ in range(500):
-            v, c = evaluate_valuation(model, ComplexDemand(1, 0), rng)
-            assert 0.0 < v <= 10.0
-            assert 0.0 < c < 5.0
-
-    def test_uncorrelated_requires_rng(self):
-        with pytest.raises(ValueError):
-            evaluate_valuation(UncorrelatedValue(1.0, 1.0), ComplexDemand(1, 0))
+        assert LinearValue(2.0, 1.0).value_of(ComplexDemand(3, 4).magnitude()) == 11.0
 
     def test_model_validation(self):
         with pytest.raises(InstanceError):
             QuadraticValue(0.0)
         with pytest.raises(InstanceError):
             LinearValue(0.0, 1.0)
-        with pytest.raises(InstanceError):
-            UncorrelatedValue(0.0, 1.0)
 
     @given(
         st.floats(min_value=0.0, max_value=100.0),

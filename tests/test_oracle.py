@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curtail import (
     Instance,
@@ -12,6 +14,7 @@ from curtail import (
     alignment_factor,
     brute_force_cmin,
     brute_force_vmax,
+    curtailed_compensation,
     gda,
     gma,
     gra,
@@ -80,6 +83,44 @@ class TestBruteForceVmax:
             rows = [(k, float(weights[k]), 0.0, values[k]) for k in range(n)]
             inst = build_instance(rows, float(capacity))
             assert brute_force_vmax(inst).objective == knapsack_dp(weights, values, capacity)
+
+
+@st.composite
+def _oracle_cases(draw):
+    """Rows (id, p, q, valuation, compensation) and a capacity that binds."""
+    n = draw(st.integers(0, 10))
+    amount = st.one_of(st.integers(0, 5).map(float), st.floats(0.0, 10.0))
+    ids = draw(st.permutations(range(2 * n)))[:n]  # unordered, non-contiguous ids
+    rows = [(ids[k], draw(amount), draw(amount), draw(amount), draw(amount)) for k in range(n)]
+    mags = [math.hypot(p, q) for _, p, q, _, _ in rows]
+    fraction = draw(st.floats(0.1, 0.9))
+    return rows, max([1e-3, fraction * sum(mags), *mags])
+
+
+class TestAgainstItertoolsReference:
+    @given(case=_oracle_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_vmax_is_a_reference_optimum(self, case):
+        rows, capacity = case
+        inst = build_instance(rows, capacity)
+        sol = brute_force_vmax(inst)
+        best, winners = reference_best_vmax(inst)
+        # the reference counts values within 1e-12 * max(1, best) as ties
+        assert abs(sol.objective - best) <= 1e-12 * max(1.0, best)
+        assert tuple(sorted(sol.retained_ids)) in [tuple(sorted(w)) for w in winners]
+        assert sol.objective == retained_valuation(inst, sol.retained_ids)
+
+    @given(case=_oracle_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_cmin_keeps_a_reference_optimum_of_compensation(self, case):
+        # the reference maximises retained "valuation"; give it the compensations
+        rows, capacity = case
+        inst = build_instance(rows, capacity)
+        mirror = build_instance([(i, p, q, c, c) for i, p, q, _, c in rows], capacity)
+        sol = brute_force_cmin(inst)
+        _, winners = reference_best_vmax(mirror)
+        assert tuple(sorted(sol.retained_ids)) in [tuple(sorted(w)) for w in winners]
+        assert sol.objective == curtailed_compensation(inst, sol.retained_ids)
 
 
 class TestBruteForceCmin:

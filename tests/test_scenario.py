@@ -14,7 +14,6 @@ from curtail import (
     ScenarioSpec,
     ValueCorrelation,
     WIDE_LOAD_RANGES,
-    evaluate_valuation,
     generate,
     instance_to_dict,
     max_phase_spread,
@@ -126,9 +125,9 @@ class TestGenerate:
         spec = spec_from_acronym("FCR", 200, 1e5, seed=9, quadratic=QuadraticValue(1.0))
         inst = generate(spec)
         for c in inst.customers:
-            v, comp = evaluate_valuation(QuadraticValue(1.0), c.demand)
+            v = QuadraticValue(1.0).value_of(c.demand.magnitude())
             assert c.valuation == v
-            assert c.compensation == comp
+            assert c.compensation == v
 
     def test_linear_values_recompute_exactly(self):
         inst = generate(spec_from_acronym("FLM", 300, 5e6, seed=11))
