@@ -28,14 +28,13 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .cmin import cmin_gda, cmin_gma, cmin_gra, cmin_gva
-from .greedy import SCAN_ORDERS, _best_of_scans, gda, gma, gra, gva, scan_order
+from .greedy import SCAN_ORDERS, _best_of_scans, _item_streams, _sorted_orders, gda, gma, gra, gva
 from .gsa import GsaConfig, gsa
 from .model import (
     FormatError,
     Instance,
     Solution,
     capacity_limit_sq,
-    hypot_magnitudes,
     storage_sum,
 )
 from .oracle import OracleBudget, brute_force_cmin, brute_force_vmax, lp_upper_bound
@@ -347,39 +346,6 @@ class TracePoint:
     retained_count: int
 
 
-def _presorted_greedy(base: Instance, algorithm: str) -> Callable[[float], tuple[float, int]]:
-    """Re-solve ``base`` with a greedy algorithm at any capacity, sorting once.
-
-    Each of the algorithm's scan orders is sorted once over all customers and
-    kept as storage index, p, q and magnitude arrays in that order.  A
-    re-solve masks every order to the customers whose lone demand fits the
-    capacity and scans the survivors.  Sorting the restricted instance would
-    give the same order, since the keys are per customer and ids are unique,
-    and its storage order is ``base``'s, so the objective sums the same
-    floats.  The mask compares ``hypot_magnitudes``, the values that
-    ``restrict_to_capacity`` and ``Instance`` construction compare, so it
-    drops exactly the customers they drop.
-
-    Returns ``capacity -> (objective, retained count)``.
-    """
-    cols = base.columns
-    mag = hypot_magnitudes(cols.p_list, cols.q_list)
-    orders = []
-    for key in SCAN_ORDERS[algorithm]:
-        order = np.asarray(scan_order(base, key), dtype=np.int64)
-        orders.append((order, cols.p[order], cols.q[order], mag[order]))
-
-    def solve_at(capacity: float) -> tuple[float, int]:
-        streams = []
-        for order, p, q, m in orders:
-            fits = m <= capacity
-            streams.append(zip(order[fits].tolist(), p[fits].tolist(), q[fits].tolist()))
-        retained, objective = _best_of_scans(base, (), streams, capacity_limit_sq(capacity))
-        return objective, len(retained)
-
-    return solve_at
-
-
 def run_dynamic_capacity(
     scenario: ScenarioSpec,
     horizon: float = 10_000.0,
@@ -406,8 +372,9 @@ def run_dynamic_capacity(
     from that re-solve; they could never be part of a feasible supply set.
     Every point equals solving ``restrict_to_capacity(base, capacity)`` with
     the public solver.  The greedy algorithms sort their scan orders once per
-    simulation, so an event costs one mask and one scan per order; ``gsa``
-    solves each restricted instance afresh.
+    simulation; an event masks them with ``mag <= capacity``, the comparison
+    ``restrict_to_capacity`` makes, and scans each once.  ``gsa`` solves each
+    restricted instance afresh.
     """
     if not 0.0 <= fail_prob <= 1.0:
         raise ValueError("fail_prob must be within [0, 1]")
@@ -438,7 +405,13 @@ def run_dynamic_capacity(
             return sol.objective, len(sol.retained_ids)
 
     else:
-        solve_at = _presorted_greedy(base, algorithm)
+        orders = _sorted_orders(base, SCAN_ORDERS[algorithm])
+        mag = base.columns.mag
+
+        def solve_at(capacity: float) -> tuple[float, int]:
+            streams = _item_streams(orders, mag <= capacity)
+            retained, objective = _best_of_scans(base, (), streams, capacity_limit_sq(capacity))
+            return objective, len(retained)
 
     capacity = full_capacity
     objective, retained = solve_at(capacity)

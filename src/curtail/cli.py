@@ -35,8 +35,11 @@ from .model import (
     dump_instance,
     instance_to_dict,
     load_instance,
+    read_json,
 )
-from .oracle import OracleBudget, OracleBudgetError, brute_force_cmin, brute_force_vmax
+from .oracle import (
+    MAX_ORACLE_N, OracleBudget, OracleBudgetError, brute_force_cmin, brute_force_vmax,
+)
 from .scenario import spec_from_acronym, generate
 
 EXIT_OK = 0
@@ -112,7 +115,7 @@ def _cmd_solve(args) -> int:
     tag = args.algorithm
     rel_tol = args.tolerance_override
     if tag == "oracle":
-        budget = OracleBudget(max_n=args.budget_max_n, max_subsets=1 << args.budget_max_n)
+        budget = OracleBudget(max_n=args.budget_max_n, max_subsets=1 << MAX_ORACLE_N)
         if args.objective == "cmin":
             solution = brute_force_cmin(instance, budget, rel_tol)
         else:
@@ -137,12 +140,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    with open(args.plan, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{args.plan}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    doc = read_json(args.plan)
     try:
         plan = plan_from_dict(doc)
     except ValueError as exc:

@@ -7,7 +7,8 @@ customers.  Since demands sit in the first quadrant, every removal shrinks
 both components of the aggregate, so the first feasible state is well
 defined and the loop always terminates (the empty set is feasible).
 
-Removal orders mirror the valuation-maximising greedy family:
+Removal orders mirror the valuation-maximising greedy family (their keys
+are ``curtail.greedy.SHED_ORDERS``, sorted by ``scan_order``):
 
 * ``cmin_gva`` - compensation ascending (shed the cheapest-to-pay first)
 * ``cmin_gma`` - demand magnitude descending (shed the largest loads first)
@@ -22,10 +23,10 @@ their gap to the exhaustive optimum instead.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
 import numpy as np
 
+from .greedy import SHED_ORDERS, scan_order
 from .model import (
     CAPACITY_REL_TOL,
     Instance,
@@ -36,12 +37,10 @@ from .model import (
 )
 
 
-def _removal_solve(instance: Instance, order: list[int], tag: str, rel_tol: float) -> Solution:
-    """Shed customers in ``order`` (storage indices) until the rest fit."""
-    start = time.perf_counter()
+def _shed(instance: Instance, order: list[int], limit_sq: float) -> tuple[list[int], float]:
+    """Shed in ``order`` until the rest fit: (retained indices, shed compensation)."""
     cols = instance.columns
     p_list, q_list = cols.p_list, cols.q_list
-    limit_sq = instance.capacity_limit_sq(rel_tol)
     n = len(order)
 
     def kept(removed: int) -> list[int]:
@@ -70,32 +69,31 @@ def _removal_solve(instance: Instance, order: list[int], tag: str, rel_tol: floa
         removed -= 1
         retained = fewer
 
-    objective = storage_sum(cols.compensation_list, sorted(order[:removed]))
+    return retained, storage_sum(cols.compensation_list, sorted(order[:removed]))
+
+
+def _shed_solve(instance: Instance, tag: str, rel_tol: float) -> Solution:
+    """Cheapest of the sheddings in ``SHED_ORDERS[tag]``; the first order wins ties."""
+    start = time.perf_counter()
+    limit_sq = instance.capacity_limit_sq(rel_tol)
+    sheddings = [_shed(instance, scan_order(instance, key), limit_sq) for key in SHED_ORDERS[tag]]
+    retained, objective = min(sheddings, key=lambda shed: shed[1])  # min keeps the first of ties
     return solution_from_indices(instance, retained, objective, tag, time.perf_counter() - start)
-
-
-def _order(instance: Instance, primary: np.ndarray) -> list[int]:
-    return np.lexsort((instance.columns.id, primary)).tolist()
 
 
 def cmin_gva(instance: Instance, rel_tol: float = CAPACITY_REL_TOL) -> Solution:
     """Shed customers in ascending order of compensation."""
-    return _removal_solve(
-        instance, _order(instance, instance.columns.compensation), "cmin_gva", rel_tol
-    )
+    return _shed_solve(instance, "cmin_gva", rel_tol)
 
 
 def cmin_gma(instance: Instance, rel_tol: float = CAPACITY_REL_TOL) -> Solution:
     """Shed customers in descending order of demand magnitude."""
-    return _removal_solve(instance, _order(instance, -instance.columns.mag), "cmin_gma", rel_tol)
+    return _shed_solve(instance, "cmin_gma", rel_tol)
 
 
 def cmin_gra(instance: Instance, rel_tol: float = CAPACITY_REL_TOL) -> Solution:
     """Shed customers in ascending order of compensation per VA of demand."""
-    cols = instance.columns
-    with np.errstate(all="ignore"):
-        eff = np.where(cols.mag == 0.0, np.inf, cols.compensation / cols.mag)
-    return _removal_solve(instance, _order(instance, eff), "cmin_gra", rel_tol)
+    return _shed_solve(instance, "cmin_gra", rel_tol)
 
 
 def cmin_gda(instance: Instance, rel_tol: float = CAPACITY_REL_TOL) -> Solution:
@@ -103,8 +101,4 @@ def cmin_gda(instance: Instance, rel_tol: float = CAPACITY_REL_TOL) -> Solution:
 
     On equal objectives the efficiency variant's retained set is returned.
     """
-    start = time.perf_counter()
-    ratio = cmin_gra(instance, rel_tol)
-    value = cmin_gva(instance, rel_tol)
-    best = ratio if ratio.objective <= value.objective else value
-    return replace(best, algorithm="cmin_gda", elapsed=time.perf_counter() - start)
+    return _shed_solve(instance, "cmin_gda", rel_tol)

@@ -13,6 +13,11 @@ remaining apparent-power capacity.
 
 Ties are broken by ascending customer id so runs are reproducible; pass a
 seeded generator as ``tie_break_rng`` to randomise tie order instead.
+
+``scan_order`` orders customers for every heuristic in the package, the
+``curtail.cmin`` shedding ones too (``SHED_ORDERS``).  A solve over part of
+an instance (``gda_forced``, ``gsa`` seeds, simulation events) masks orders
+sorted once over all of it.
 """
 
 from __future__ import annotations
@@ -35,12 +40,16 @@ from .model import (
 
 
 class SortKey(enum.Enum):
-    """Greedy scan orders. Zero-magnitude demands rank first under EFFICIENCY_DESC
-    (they consume no capacity, so taking them can only help)."""
+    """Scan orders: three to fill, then three to shed.  Zero-magnitude demands
+    lead EFFICIENCY_DESC (taking them can only help) and trail
+    COMPENSATION_PER_VA_ASC (shedding them frees no capacity)."""
 
     VALUATION_DESC = "valuation_desc"
     MAGNITUDE_ASC = "magnitude_asc"
     EFFICIENCY_DESC = "efficiency_desc"
+    COMPENSATION_ASC = "compensation_asc"
+    MAGNITUDE_DESC = "magnitude_desc"
+    COMPENSATION_PER_VA_ASC = "compensation_per_va_asc"
 
 
 # The scan orders behind each greedy algorithm, in the order it tries them;
@@ -52,51 +61,69 @@ SCAN_ORDERS: dict[str, tuple[SortKey, ...]] = {
     "gda": (SortKey.EFFICIENCY_DESC, SortKey.VALUATION_DESC),
 }
 
+# The shedding orders behind each reverse greedy (``curtail.cmin``); with
+# two, the smaller compensation wins and the first order wins ties.
+SHED_ORDERS: dict[str, tuple[SortKey, ...]] = {
+    "cmin_gva": (SortKey.COMPENSATION_ASC,),
+    "cmin_gma": (SortKey.MAGNITUDE_DESC,),
+    "cmin_gra": (SortKey.COMPENSATION_PER_VA_ASC,),
+    "cmin_gda": (SortKey.COMPENSATION_PER_VA_ASC, SortKey.COMPENSATION_ASC),
+}
 
-def _primary_key(instance: Instance, key: SortKey, subset: np.ndarray | None) -> np.ndarray:
-    cols = instance.columns
-    if subset is None:
-        u, mag = cols.valuation, cols.mag
-    else:
-        u, mag = cols.valuation[subset], cols.mag[subset]
-    if key is SortKey.VALUATION_DESC:
-        return -u
-    if key is SortKey.MAGNITUDE_ASC:
-        return mag
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eff = np.where(mag == 0.0, np.inf, u / mag)
-    return -eff  # -inf first: zero-magnitude customers lead the order
+
+def _per_va(values: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """``values / mag``, inf where mag is 0; overflow (subnormal mag) gives inf silently."""
+    with np.errstate(all="ignore"):
+        return np.where(mag == 0.0, np.inf, values / mag)
+
+
+# Ascending primary sort key of each order, over an instance's columns.
+_PRIMARY_KEYS = {
+    SortKey.VALUATION_DESC: lambda c: -c.valuation,
+    SortKey.MAGNITUDE_ASC: lambda c: c.mag,
+    SortKey.EFFICIENCY_DESC: lambda c: -_per_va(c.valuation, c.mag),
+    SortKey.COMPENSATION_ASC: lambda c: c.compensation,
+    SortKey.MAGNITUDE_DESC: lambda c: -c.mag,
+    SortKey.COMPENSATION_PER_VA_ASC: lambda c: _per_va(c.compensation, c.mag),
+}
 
 
 def scan_order(
     instance: Instance,
     key: SortKey,
-    subset: np.ndarray | None = None,
     tie_break_rng: np.random.Generator | None = None,
 ) -> list[int]:
-    """Storage indices in greedy order; ties by id, or randomised via rng."""
+    """Storage indices in ``key`` order; ties by id, or randomised via rng."""
     cols = instance.columns
-    primary = _primary_key(instance, key, subset)
-    ids = cols.id if subset is None else cols.id[subset]
-    if tie_break_rng is not None:
-        secondary = tie_break_rng.permutation(len(ids))
-    else:
-        secondary = ids
-    order = np.lexsort((secondary, primary))
-    if subset is not None:
-        order = subset[order]
-    return order.tolist()
+    secondary = cols.id if tie_break_rng is None else tie_break_rng.permutation(len(instance))
+    return np.lexsort((secondary, _PRIMARY_KEYS[key](cols))).tolist()
 
 
-def _scan_items(instance: Instance, order: Sequence[int]) -> Iterator[tuple[int, float, float]]:
-    """``(storage index, p, q)`` in scan order.
-
-    The demands are gathered into scan order by one numpy take, so a long
-    scan then reads memory sequentially instead of chasing storage order.
-    """
+def _sorted_orders(
+    instance: Instance, keys: Sequence[SortKey], tie_break_rng: np.random.Generator | None = None
+) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
+    """Each key's ``scan_order`` as a list and as storage index, p and q arrays, so
+    that a scan reads memory sequentially instead of chasing storage order."""
     cols = instance.columns
-    order_arr = np.asarray(order, dtype=np.int64)
-    return zip(order, cols.p[order_arr].tolist(), cols.q[order_arr].tolist())
+    listed = [scan_order(instance, key, tie_break_rng) for key in keys]
+    arrays = [np.asarray(order, dtype=np.int64) for order in listed]
+    return [(lst, arr, cols.p[arr], cols.q[arr]) for lst, arr in zip(listed, arrays)]
+
+
+def _item_streams(
+    orders: Sequence[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]],
+    keep: np.ndarray | None = None,
+) -> list[Iterator[tuple[int, float, float]]]:
+    """``(storage index, p, q)`` items of each ``_sorted_orders`` order, kept to the
+    storage indices that the boolean array ``keep`` marks when it is given.  Ids
+    are unique, so a kept order is the order of sorting just those customers."""
+    streams = []
+    for listed, order, p, q in orders:
+        if keep is not None:
+            kept = keep[order]
+            listed, p, q = order[kept].tolist(), p[kept], q[kept]
+        streams.append(zip(listed, p.tolist(), q.tolist()))
+    return streams
 
 
 def _greedy_scan(
@@ -126,7 +153,7 @@ def _best_of_scans(
     """Retain ``forced`` and fill up with the best of one or more greedy scans.
 
     ``forced`` holds storage indices (it may be empty); each item stream is
-    the pool in one scan order (see ``_scan_items``).  Each stream is scanned
+    the pool in one scan order (see ``_item_streams``).  Each stream is scanned
     from the forced set's aggregate demand; the scan whose retained set has
     the largest total valuation wins, the earliest stream on ties.  Returns
     the winning retained indices in ascending order and their total
@@ -155,10 +182,7 @@ def _greedy_solve(
     """Best of the scans in ``SCAN_ORDERS[tag]`` over the whole instance."""
     start = time.perf_counter()
     limit_sq = instance.capacity_limit_sq(rel_tol)
-    streams = [
-        _scan_items(instance, scan_order(instance, key, tie_break_rng=tie_break_rng))
-        for key in SCAN_ORDERS[tag]
-    ]
+    streams = _item_streams(_sorted_orders(instance, SCAN_ORDERS[tag], tie_break_rng))
     retained, objective = _best_of_scans(instance, (), streams, limit_sq)
     return solution_from_indices(instance, retained, objective, tag, time.perf_counter() - start)
 
@@ -219,21 +243,20 @@ def gda_forced(
     solution and their valuations count toward the objective.  ``forced`` and
     ``pool`` must be disjoint, and the forced set must fit the capacity on
     its own.
+
+    Both orders are sorted over the whole instance and masked to the pool, so
+    a ``tie_break_rng`` permutes ties over all customers, not only the pool's.
     """
     start = time.perf_counter()
     forced, pool = frozenset(forced), frozenset(pool)
     forced_idx = _storage_indices(instance, forced)
-    pool_idx = np.asarray(_storage_indices(instance, pool), dtype=np.int64)
+    in_pool = np.zeros(len(instance), dtype=bool)
+    in_pool[_storage_indices(instance, pool)] = True
     if forced & pool:
         raise ValueError(f"forced and pool overlap: {sorted(forced & pool)}")
     limit_sq = instance.capacity_limit_sq(rel_tol)
     if not indices_fit(instance, forced_idx, limit_sq):
         raise ValueError("forced set is infeasible on its own")
-    streams = [
-        _scan_items(
-            instance, scan_order(instance, key, subset=pool_idx, tie_break_rng=tie_break_rng)
-        )
-        for key in SCAN_ORDERS["gda"]
-    ]
+    streams = _item_streams(_sorted_orders(instance, SCAN_ORDERS["gda"], tie_break_rng), in_pool)
     retained, objective = _best_of_scans(instance, forced_idx, streams, limit_sq)
     return solution_from_indices(instance, retained, objective, "gda", time.perf_counter() - start)

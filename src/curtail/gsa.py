@@ -36,7 +36,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .greedy import SCAN_ORDERS, _best_of_scans, _scan_items, gda, scan_order
+from .greedy import SCAN_ORDERS, _best_of_scans, _item_streams, _sorted_orders, gda
 from .model import (
     CAPACITY_REL_TOL,
     Instance,
@@ -114,7 +114,7 @@ def _search(
     # pair over the customers it dominates by valuation.  Each seed's pool
     # is a filter of the two instance-wide orders: ids are unique, so the
     # (key, id) order restricted to the pool is the pool's own scan order.
-    orders = [list(_scan_items(instance, scan_order(instance, key))) for key in SCAN_ORDERS["gda"]]
+    orders = [list(items) for items in _item_streams(_sorted_orders(instance, SCAN_ORDERS["gda"]))]
     for combo in combinations(by_id, m) if m > 0 else ():
         idxs = sorted(combo)
         if not indices_fit(instance, idxs, limit_sq):

@@ -10,6 +10,9 @@ An instance stores its customers as columns: read-only numpy arrays of id,
 active and reactive demand, valuation and compensation, in storage order.
 The loader and the scenario generator build those arrays directly; the
 ``Customer`` objects of ``Instance.customers`` are built on first read.
+Construction computes each demand's magnitude once, as
+``ComplexDemand.magnitude`` does, and every capacity check and magnitude-keyed
+order reads that one column.
 
 All types are immutable after construction and all operations are pure,
 so everything in this module is safe to share across threads.
@@ -131,7 +134,8 @@ class Instance:
 
     The customers are stored as five read-only columns in storage order: id
     (int64), active and reactive demand, valuation and compensation.
-    ``columns`` adds the magnitudes and list mirrors of those arrays, and
+    ``columns`` adds the demand magnitudes (the ``ComplexDemand.magnitude``
+    values, computed once at construction) and list mirrors, and
     ``customers`` builds ``Customer`` objects from them on first read, which
     is slow for large instances.  Instances are immutable: attribute
     assignment raises ``AttributeError``.  Two instances are equal when they
@@ -180,8 +184,8 @@ class Instance:
         """Store the columns, then run the instance checks in order.
 
         The checks: capacity finite and > 0, no duplicate ids, no lone demand
-        above the capacity.  Magnitudes here are ``math.hypot``, the value
-        ``ComplexDemand.magnitude`` gives.
+        above the capacity.  The magnitudes compared are ``hypot_magnitudes``,
+        kept as the read-only magnitude column.
         """
         columns = {
             "_id": np.asarray(ids, dtype=np.int64),
@@ -190,6 +194,7 @@ class Instance:
             "_valuation": np.asarray(valuation, dtype=np.float64),
             "_compensation": np.asarray(compensation, dtype=np.float64),
         }
+        columns["_mag"] = hypot_magnitudes(columns["_p"].tolist(), columns["_q"].tolist())
         for array in columns.values():
             array.flags.writeable = False
         self.__dict__.update(columns, capacity=float(capacity))
@@ -201,8 +206,7 @@ class Instance:
             repeated = ordered[1:][ordered[1:] == ordered[:-1]]
             if repeated.size:
                 raise InstanceError(f"duplicate customer ids: {np.unique(repeated).tolist()}")
-        mag = hypot_magnitudes(self._p.tolist(), self._q.tolist())
-        oversized = np.flatnonzero(mag > self.capacity)
+        oversized = np.flatnonzero(self._mag > self.capacity)
         if oversized.size:
             raise DemandExceedsCapacityError(ids[oversized].tolist(), self.capacity)
 
@@ -249,9 +253,7 @@ class Instance:
     def columns(self) -> "InstanceColumns":
         """Column-oriented view of the customers, built once per instance."""
         id_arr, p, q = self._id, self._p, self._q
-        u, comp = self._valuation, self._compensation
-        mag = np.hypot(p, q)
-        mag.flags.writeable = False
+        u, comp, mag = self._valuation, self._compensation, self._mag
         return InstanceColumns(
             id=id_arr, p=p, q=q, valuation=u, compensation=comp, mag=mag,
             id_list=id_arr.tolist(),
@@ -268,9 +270,8 @@ class Instance:
 def hypot_magnitudes(p_list: Sequence[float], q_list: Sequence[float]) -> np.ndarray:
     """Demand magnitudes by ``math.hypot``, as ``ComplexDemand.magnitude`` gives them.
 
-    Capacity checks compare these.  ``np.hypot`` (``InstanceColumns.mag``)
-    differs from them in the last bit on about 0.6% of pairs, which could
-    flip a customer's exclusion at the boundary.
+    ``Instance`` keeps them as ``InstanceColumns.mag``.  numpy's vectorised
+    hypot differs in the last bit on some pairs, so it is not used.
     """
     return np.fromiter(map(math.hypot, p_list, q_list), dtype=np.float64, count=len(p_list))
 
@@ -664,18 +665,26 @@ def instance_from_dict(doc: Mapping) -> Instance:
     return Instance._from_columns(*columns, capacity)
 
 
+def read_json(path: str):
+    """Parse the JSON file at ``path``; malformed or too deeply nested text is a
+    FormatError, worded ``path:line:col: msg`` where the parser gives a place."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{path}: JSON nested too deeply to parse") from exc
+
+
 def load_instance(path: str) -> Instance:
     """Read an instance JSON file. FormatError carries line/field context.
 
     Customers whose lone demand exceeds the capacity keep their dedicated
     error type so callers can report them distinctly from schema problems.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    doc = read_json(path)
     try:
         return instance_from_dict(doc)
     except DemandExceedsCapacityError:

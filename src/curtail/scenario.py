@@ -202,7 +202,7 @@ def restrict_to_capacity(instance: Instance, capacity: float) -> Instance:
     simply be curtailed when capacity dips below their demand.
     """
     cols = instance.columns
-    kept = np.flatnonzero(hypot_magnitudes(cols.p_list, cols.q_list) <= capacity)
+    kept = np.flatnonzero(cols.mag <= capacity)
     return Instance._from_columns(
         cols.id[kept], cols.p[kept], cols.q[kept],
         cols.valuation[kept], cols.compensation[kept], capacity,

@@ -165,7 +165,7 @@ def reference_cmin(instance: Instance, algorithm: str, rel_tol: float = 1e-9):
         return ratio if ratio[1] <= value[1] else value
 
     def mag(c):
-        return float(np.hypot(c.demand.active_p, c.demand.reactive_q))
+        return c.demand.magnitude()
 
     keys = {
         "gva": lambda c: c.compensation,

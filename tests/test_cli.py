@@ -257,6 +257,14 @@ class TestOracleCommand:
         assert dispatch(["oracle", path]) == EXIT_ORACLE_BUDGET
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_n", ["-1", "31", str(2**64)])
+    def test_budget_outside_the_ceiling_is_usage_error(self, trap_file, capsys, max_n):
+        # the budget is checked before any table is sized from it
+        assert dispatch(["oracle", trap_file, "--max-n", max_n]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_n must be <= 30" in captured.err or "budget limits" in captured.err
+
     def test_budget_can_be_raised(self, tmp_path, capsys):
         rows = [(k, 1.0, 0.0, 1.0, 1.0) for k in range(22)]
         path = write_instance(tmp_path / "n22.json", 30.0, rows)
@@ -355,6 +363,34 @@ class TestBenchCommand:
         out = tmp_path / "r.csv"
         assert dispatch(["bench", "--plan", str(plan_path), "-o", str(out)]) == EXIT_USAGE
         assert field.split(".")[-1] in capsys.readouterr().err
+        assert not out.exists()
+
+
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+class TestDeeplyNestedJson:
+    """Nesting deeper than the JSON parser can recurse is malformed input."""
+
+    @pytest.mark.parametrize(
+        "text", [DEEP, '{"capacity": 10, "customers": ' + DEEP + "}"], ids=["top", "customers"]
+    )
+    def test_solve_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        assert dispatch(["solve", "--algorithm", "gda", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nested too deeply" in captured.err
+
+    def test_bench_plan_exits_2_without_csv(self, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(DEEP)
+        out = tmp_path / "r.csv"
+        assert dispatch(["bench", "--plan", str(plan_path), "-o", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nested too deeply" in captured.err
         assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 """Greedy solver family: worked adversarial instances, invariants, guarantees."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,16 +9,24 @@ from hypothesis import strategies as st
 
 from curtail import (
     Customer,
+    GsaConfig,
     Instance,
     UnknownCustomerError,
     alignment_factor,
+    brute_force_cmin,
     brute_force_vmax,
+    cmin_gda,
+    cmin_gma,
+    cmin_gra,
+    cmin_gva,
     gda,
     gda_forced,
     gma,
     gra,
+    gsa,
     gva,
     is_feasible,
+    lp_upper_bound,
     max_phase_spread,
     retained_valuation,
 )
@@ -296,3 +306,28 @@ class TestInvariants:
         best, _ = reference_best_vmax(inst)
         for solver in (gva, gma, gra, gda):
             assert solver(inst).objective == pytest.approx(best)
+
+
+class TestSubnormalDemand:
+    """A subnormal demand overflows its per-VA ratio to inf; that must rank it
+    like a zero-magnitude demand without a float warning."""
+
+    @pytest.fixture
+    def subnormal(self):
+        return build_instance([(0, 1e-320, 0.0, 1.0), (1, 3.0, 4.0, 2.0)], 6.0)
+
+    @pytest.mark.parametrize("solver", [
+        gva, gma, gra, gda, lambda inst: gsa(inst, GsaConfig(0.25)), brute_force_vmax,
+        cmin_gva, cmin_gma, cmin_gra, cmin_gda, brute_force_cmin,
+    ], ids=["gva", "gma", "gra", "gda", "gsa", "oracle", "cmin_gva", "cmin_gma", "cmin_gra",
+            "cmin_gda", "cmin_oracle"])
+    def test_solvers_keep_both_without_warning(self, subnormal, solver):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solver(subnormal)
+        assert sol.retained_ids == {0, 1}
+
+    def test_lp_bound_without_warning(self, subnormal):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lp_upper_bound(subnormal) == 3.0

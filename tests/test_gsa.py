@@ -198,7 +198,12 @@ class TestAgainstPerSeedReference:
             n = int(rng.integers(1, 16))
             inst = tied_instance(rng, n) if rng.random() < 0.5 else random_instance(rng, n)
             pool = np.flatnonzero(rng.random(n) < 0.6)
-            members = set(pool.tolist())
+            members = pool.tolist()
+            cols = inst.columns
+            sub = Instance._from_columns(
+                cols.id[pool], cols.p[pool], cols.q[pool],
+                cols.valuation[pool], cols.compensation[pool], inst.capacity,
+            )
             for key in SortKey:
                 filtered = [j for j in scan_order(inst, key) if j in members]
-                assert filtered == scan_order(inst, key, subset=pool)
+                assert filtered == [members[k] for k in scan_order(sub, key)]

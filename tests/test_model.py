@@ -25,17 +25,21 @@ from curtail import (
     alignment_factor,
     brute_force_vmax,
     cmin_gda,
+    dump_instance,
     gda,
+    generate,
     gsa,
     instance_from_dict,
     instance_to_dict,
     is_feasible,
+    load_instance,
     magnitude,
     magnitude_sum_ratio,
     magnitude_sum_ratio_bound,
     max_phase_spread,
     restrict_to_capacity,
     retained_valuation,
+    spec_from_acronym,
     with_capacity,
 )
 from curtail.model import MAX_CUSTOMER_ID
@@ -522,3 +526,23 @@ class TestLoaderMatchesPerCustomerReference:
         doc = instance_to_dict(valuation_trap)
         doc["customers"] = [MappingProxyType(item) for item in doc["customers"]]
         assert instance_from_dict(doc) == valuation_trap
+
+
+def _assert_column_is_demand_magnitude(inst: Instance) -> None:
+    magnitudes = [c.demand.magnitude() for c in inst.customers]
+    assert inst.columns.mag.tolist() == magnitudes
+    assert inst.columns.mag_list == magnitudes
+
+
+class TestOneMagnitude:
+    """The magnitude column holds ``ComplexDemand.magnitude()`` exactly, the
+    value that the oversize check and ``restrict_to_capacity`` compare."""
+
+    @pytest.mark.parametrize("acronym", [p + c + t for p in "FA" for c in "CUL" for t in "RIM"])
+    def test_generated_column_is_the_demand_magnitude(self, acronym):
+        _assert_column_is_demand_magnitude(generate(spec_from_acronym(acronym, 2000, 2e6, seed=3)))
+
+    def test_loaded_column_is_the_demand_magnitude(self, tmp_path):
+        path = str(tmp_path / "instance.json")
+        dump_instance(generate(spec_from_acronym("FUM", 2000, 2e6, seed=4)), path)
+        _assert_column_is_demand_magnitude(load_instance(path))
