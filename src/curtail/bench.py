@@ -20,6 +20,7 @@ emitted CSV is byte-identical across runs and worker counts.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -374,7 +375,8 @@ def run_dynamic_capacity(
     the public solver.  The greedy algorithms sort their scan orders once per
     simulation; an event masks them with ``mag <= capacity``, the comparison
     ``restrict_to_capacity`` makes, and scans each once.  ``gsa`` solves each
-    restricted instance afresh.
+    restricted instance afresh.  Either way an event at a capacity already
+    solved (every resumption, and repeated floor hits) reuses that answer.
     """
     if not 0.0 <= fail_prob <= 1.0:
         raise ValueError("fail_prob must be within [0, 1]")
@@ -406,12 +408,13 @@ def run_dynamic_capacity(
 
     else:
         orders = _sorted_orders(base, SCAN_ORDERS[algorithm])
-        mag = base.columns.mag
 
         def solve_at(capacity: float) -> tuple[float, int]:
-            streams = _item_streams(orders, mag <= capacity)
+            streams = _item_streams(orders, base.columns.mag <= capacity)
             retained, objective = _best_of_scans(base, (), streams, capacity_limit_sq(capacity))
             return objective, len(retained)
+
+    solve_at = functools.cache(solve_at)
 
     capacity = full_capacity
     objective, retained = solve_at(capacity)

@@ -18,13 +18,16 @@ seeded generator as ``tie_break_rng`` to randomise tie order instead.
 ``curtail.cmin`` shedding ones too (``SHED_ORDERS``).  A solve over part of
 an instance (``gda_forced``, ``gsa`` seeds, simulation events) masks orders
 sorted once over all of it.
+
+A scan runs in ``_greedy_scan``, an array kernel that keeps exactly what the
+per-item loop ``_scan_items`` keeps; ``gsa`` seeds scan their small pools with the loop.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -101,39 +104,28 @@ def scan_order(
 
 def _sorted_orders(
     instance: Instance, keys: Sequence[SortKey], tie_break_rng: np.random.Generator | None = None
-) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
-    """Each key's ``scan_order`` as a list and as storage index, p and q arrays, so
-    that a scan reads memory sequentially instead of chasing storage order."""
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each key's ``scan_order`` as storage index, p and q arrays, so that a scan
+    reads memory sequentially instead of chasing storage order."""
     cols = instance.columns
-    listed = [scan_order(instance, key, tie_break_rng) for key in keys]
-    arrays = [np.asarray(order, dtype=np.int64) for order in listed]
-    return [(lst, arr, cols.p[arr], cols.q[arr]) for lst, arr in zip(listed, arrays)]
+    orders = [np.asarray(scan_order(instance, key, tie_break_rng), dtype=np.int64) for key in keys]
+    return [(order, cols.p[order], cols.q[order]) for order in orders]
 
 
 def _item_streams(
-    orders: Sequence[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]],
-    keep: np.ndarray | None = None,
-) -> list[Iterator[tuple[int, float, float]]]:
-    """``(storage index, p, q)`` items of each ``_sorted_orders`` order, kept to the
-    storage indices that the boolean array ``keep`` marks when it is given.  Ids
-    are unique, so a kept order is the order of sorting just those customers."""
-    streams = []
-    for listed, order, p, q in orders:
-        if keep is not None:
-            kept = keep[order]
-            listed, p, q = order[kept].tolist(), p[kept], q[kept]
-        streams.append(zip(listed, p.tolist(), q.tolist()))
-    return streams
+    orders: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]], keep: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``_sorted_orders`` kept to the storage indices that the boolean ``keep`` marks;
+    ids are unique, so a kept order is the order of sorting just those customers."""
+    kept = [keep[order] for order, _, _ in orders]
+    return [(order[k], p[k], q[k]) for (order, p, q), k in zip(orders, kept)]
 
 
-def _greedy_scan(
-    items: Iterable[tuple[int, float, float]],
-    base_p: float,
-    base_q: float,
-    limit_sq: float,
-) -> list[int]:
-    """Walk ``(index, p, q)`` items in order, keeping every customer that still fits."""
-    acc_p, acc_q = base_p, base_q
+def _scan_items(
+    items: Iterable[tuple[int, float, float]], acc_p: float, acc_q: float, limit_sq: float
+) -> tuple[list[int], float, float]:
+    """Walk ``(index, p, q)`` items in order from the aggregate ``(acc_p, acc_q)``, keeping
+    every customer that still fits; returns the kept indices and the final aggregate."""
     taken: list[int] = []
     for i, pv, qv in items:
         np_ = acc_p + pv
@@ -141,23 +133,81 @@ def _greedy_scan(
         if np_ * np_ + nq * nq <= limit_sq:
             acc_p, acc_q = np_, nq
             taken.append(i)
-    return taken
+    return taken, acc_p, acc_q
+
+
+# First block of a vectorised piece of ``_greedy_scan``; blocks double from it.
+_SCAN_BLOCK = 64
+
+
+def _greedy_scan(
+    stream: tuple[np.ndarray, np.ndarray, np.ndarray], acc_p: float, acc_q: float, limit_sq: float
+) -> tuple[list[int], float, float]:
+    """``_scan_items`` over ``(index, p, q)`` arrays, with the same result.
+
+    The scan is a sequence of pieces, all accepts or all rejects, tested in blocks
+    that double from ``_SCAN_BLOCK``.  Accepts add left to right from the aggregate
+    by ``np.add.accumulate``, so the prefixes are the loop's aggregates bit for
+    bit; rejects end at the first item that fits the unchanged aggregate.  After
+    a piece shorter than two first blocks, too short to pay for its numpy calls,
+    the loop takes a block that doubles while the pieces stay short; it takes
+    all of a stream shorter than two first blocks.
+    """
+    index, p, q = stream
+    n = len(index)
+    if n < 2 * _SCAN_BLOCK:
+        return _scan_items(zip(index.tolist(), p.tolist(), q.tolist()), acc_p, acc_q, limit_sq)
+    taken: list[int] = []
+    k = piece = 0
+    size = loop_size = _SCAN_BLOCK
+    filling = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < n:
+            stop = min(k + size, n)
+            if filling:
+                new_p = np.add.accumulate(np.concatenate(((acc_p,), p[k:stop])))[1:]
+                new_q = np.add.accumulate(np.concatenate(((acc_q,), q[k:stop])))[1:]
+            else:
+                new_p, new_q = p[k:stop] + acc_p, q[k:stop] + acc_q
+            fits = new_p * new_p + new_q * new_q <= limit_sq
+            # the items before ``hit`` are the rest of the piece
+            hit = int(fits.argmin() if filling else fits.argmax())
+            hit = hit if fits[hit] != filling else stop - k
+            if filling and hit:
+                taken += index[k : k + hit].tolist()
+                acc_p, acc_q = float(new_p[hit - 1]), float(new_q[hit - 1])
+            k += hit
+            if k == stop:
+                size *= 2
+                continue
+            filling, size = not filling, _SCAN_BLOCK
+            if 0 < k - piece < 2 * _SCAN_BLOCK:
+                stop = min(k + loop_size, n)
+                items = zip(index[k:stop].tolist(), p[k:stop].tolist(), q[k:stop].tolist())
+                kept, acc_p, acc_q = _scan_items(items, acc_p, acc_q, limit_sq)
+                taken += kept
+                k, loop_size = stop, 2 * loop_size
+            elif k > piece:
+                loop_size = _SCAN_BLOCK
+            piece = k
+    return taken, acc_p, acc_q
 
 
 def _best_of_scans(
     instance: Instance,
     forced: Sequence[int],
-    item_streams: Iterable[Iterable[tuple[int, float, float]]],
+    streams: Iterable,
     limit_sq: float,
+    scan=_greedy_scan,
 ) -> tuple[list[int], float]:
     """Retain ``forced`` and fill up with the best of one or more greedy scans.
 
-    ``forced`` holds storage indices (it may be empty); each item stream is
-    the pool in one scan order (see ``_item_streams``).  Each stream is scanned
-    from the forced set's aggregate demand; the scan whose retained set has
-    the largest total valuation wins, the earliest stream on ties.  Returns
-    the winning retained indices in ascending order and their total
-    valuation, a ``storage_sum``.
+    ``forced`` holds storage indices (it may be empty); each stream is the
+    pool in one scan order, as ``scan`` takes it: ``(index, p, q)`` arrays for
+    ``_greedy_scan``, items for ``_scan_items``.  Each stream is scanned from the forced set's aggregate
+    demand; the scan whose retained set has the largest total valuation
+    wins, the earliest stream on ties.  Returns the winning retained indices
+    in ascending order and their total valuation, a ``storage_sum``.
     """
     cols = instance.columns
     forced = sorted(forced)
@@ -165,8 +215,8 @@ def _best_of_scans(
     base_q = storage_sum(cols.q_list, forced)
     best: list[int] = forced
     best_objective = -np.inf
-    for items in item_streams:
-        retained = sorted(forced + _greedy_scan(items, base_p, base_q, limit_sq))
+    for stream in streams:
+        retained = sorted(forced + scan(stream, base_p, base_q, limit_sq)[0])
         objective = storage_sum(cols.valuation_list, retained)
         if objective > best_objective:
             best, best_objective = retained, objective
@@ -182,7 +232,7 @@ def _greedy_solve(
     """Best of the scans in ``SCAN_ORDERS[tag]`` over the whole instance."""
     start = time.perf_counter()
     limit_sq = instance.capacity_limit_sq(rel_tol)
-    streams = _item_streams(_sorted_orders(instance, SCAN_ORDERS[tag], tie_break_rng))
+    streams = _sorted_orders(instance, SCAN_ORDERS[tag], tie_break_rng)
     retained, objective = _best_of_scans(instance, (), streams, limit_sq)
     return solution_from_indices(instance, retained, objective, tag, time.perf_counter() - start)
 

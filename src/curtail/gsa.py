@@ -36,7 +36,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .greedy import SCAN_ORDERS, _best_of_scans, _item_streams, _sorted_orders, gda
+from .greedy import SCAN_ORDERS, _best_of_scans, _scan_items, _sorted_orders, gda
 from .model import (
     CAPACITY_REL_TOL,
     Instance,
@@ -114,7 +114,8 @@ def _search(
     # pair over the customers it dominates by valuation.  Each seed's pool
     # is a filter of the two instance-wide orders: ids are unique, so the
     # (key, id) order restricted to the pool is the pool's own scan order.
-    orders = [list(items) for items in _item_streams(_sorted_orders(instance, SCAN_ORDERS["gda"]))]
+    sorted_orders = _sorted_orders(instance, SCAN_ORDERS["gda"])
+    orders = [list(zip(*(column.tolist() for column in order))) for order in sorted_orders]
     for combo in combinations(by_id, m) if m > 0 else ():
         idxs = sorted(combo)
         if not indices_fit(instance, idxs, limit_sq):
@@ -125,6 +126,7 @@ def _search(
             idxs,
             [[t for t in items if u_list[t[0]] <= floor and t[0] not in combo] for items in orders],
             limit_sq,
+            scan=_scan_items,
         )
         if objective > best_objective or (objective == best_objective and best_seed is None):
             best, best_objective, best_seed = retained, objective, idxs

@@ -170,22 +170,24 @@ class Instance:
         valuation: np.ndarray,
         compensation: np.ndarray,
         capacity: float,
+        mag: np.ndarray | None = None,
     ) -> "Instance":
         """Build an instance straight from columns whose customers are already valid.
 
         Every row must pass the ``Customer`` checks; the arrays become the
         instance's read-only storage, so callers hand over arrays they own.
+        ``mag``, when given, must be the rows' ``hypot_magnitudes``.
         """
         instance = cls.__new__(cls)
-        instance._init(ids, p, q, valuation, compensation, capacity)
+        instance._init(ids, p, q, valuation, compensation, capacity, mag)
         return instance
 
-    def _init(self, ids, p, q, valuation, compensation, capacity) -> None:
+    def _init(self, ids, p, q, valuation, compensation, capacity, mag=None) -> None:
         """Store the columns, then run the instance checks in order.
 
         The checks: capacity finite and > 0, no duplicate ids, no lone demand
-        above the capacity.  The magnitudes compared are ``hypot_magnitudes``,
-        kept as the read-only magnitude column.
+        above the capacity.  The magnitudes compared are ``hypot_magnitudes``
+        (unless ``mag`` holds them), kept as the read-only magnitude column.
         """
         columns = {
             "_id": np.asarray(ids, dtype=np.int64),
@@ -194,7 +196,9 @@ class Instance:
             "_valuation": np.asarray(valuation, dtype=np.float64),
             "_compensation": np.asarray(compensation, dtype=np.float64),
         }
-        columns["_mag"] = hypot_magnitudes(columns["_p"].tolist(), columns["_q"].tolist())
+        if mag is None:
+            mag = hypot_magnitudes(columns["_p"].tolist(), columns["_q"].tolist())
+        columns["_mag"] = mag
         for array in columns.values():
             array.flags.writeable = False
         self.__dict__.update(columns, capacity=float(capacity))

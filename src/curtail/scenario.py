@@ -160,6 +160,7 @@ def generate(spec: ScenarioSpec) -> Instance:
     if spec.power is PowerKind.ACTIVE_ONLY:
         q = np.zeros(n)
 
+    demand_mags = None
     if spec.correlation is ValueCorrelation.UNCORRELATED:
         val_cap = np.where(industrial, ind_hi, res_hi)
         comp_cap = val_cap
@@ -183,14 +184,14 @@ def generate(spec: ScenarioSpec) -> Instance:
 
     ids = np.arange(n, dtype=np.int64)
     check_customer_columns(ids, p, q, valuations, compensations)
-    return Instance._from_columns(ids, p, q, valuations, compensations, spec.capacity)
+    return Instance._from_columns(ids, p, q, valuations, compensations, spec.capacity, demand_mags)
 
 
 def with_capacity(instance: Instance, capacity: float) -> Instance:
     """Same customers, different capacity. Fails if a customer no longer fits."""
     cols = instance.columns
     return Instance._from_columns(
-        cols.id, cols.p, cols.q, cols.valuation, cols.compensation, capacity
+        cols.id, cols.p, cols.q, cols.valuation, cols.compensation, capacity, cols.mag
     )
 
 
@@ -205,5 +206,5 @@ def restrict_to_capacity(instance: Instance, capacity: float) -> Instance:
     kept = np.flatnonzero(cols.mag <= capacity)
     return Instance._from_columns(
         cols.id[kept], cols.p[kept], cols.q[kept],
-        cols.valuation[kept], cols.compensation[kept], capacity,
+        cols.valuation[kept], cols.compensation[kept], capacity, cols.mag[kept],
     )

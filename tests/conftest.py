@@ -23,16 +23,14 @@ from curtail import (
     GsaConfig,
     Instance,
     InstanceError,
+    SortKey,
     TracePoint,
-    gda,
     gda_forced,
     generate,
-    gma,
-    gra,
     gsa,
-    gva,
     restrict_to_capacity,
 )
+from curtail.greedy import scan_order
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -315,6 +313,61 @@ def reference_gsa_search(instance: Instance, config: GsaConfig, rel_tol: float =
     return best_ids, best_objective, best_seed
 
 
+def reference_greedy_scan(items, base_p, base_q, limit_sq):
+    """Walk ``(index, p, q)`` items in order, keeping every customer that still fits.
+
+    The per-item loop that ``greedy._greedy_scan`` replaced; the kernel must
+    return the same list for every input.
+    """
+    acc_p, acc_q = base_p, base_q
+    taken = []
+    for i, pv, qv in items:
+        np_ = acc_p + pv
+        nq = acc_q + qv
+        if np_ * np_ + nq * nq <= limit_sq:
+            acc_p, acc_q = np_, nq
+            taken.append(i)
+    return taken
+
+
+REFERENCE_SCAN_KEYS = {
+    "gva": (SortKey.VALUATION_DESC,),
+    "gma": (SortKey.MAGNITUDE_ASC,),
+    "gra": (SortKey.EFFICIENCY_DESC,),
+    "gda": (SortKey.EFFICIENCY_DESC, SortKey.VALUATION_DESC),
+}
+
+
+def reference_greedy(instance: Instance, algorithm: str, forced=(), pool=None, rel_tol=1e-9):
+    """The greedy ``algorithm`` by ``scan_order`` and ``reference_greedy_scan``.
+
+    ``forced`` and ``pool`` are storage indices; the pool defaults to every
+    customer.  Each order is sorted over the whole instance and filtered to
+    the pool, then scanned from the forced aggregate; the first order wins
+    ties.  Returns (ascending retained storage indices, objective summed left
+    to right in storage order).
+    """
+    cols = instance.columns
+    p, q, u = cols.p_list, cols.q_list, cols.valuation_list
+    pool = set(range(len(instance)) if pool is None else pool)
+    forced = sorted(forced)
+    base_p = base_q = 0.0
+    for i in forced:
+        base_p += p[i]
+        base_q += q[i]
+    limit_sq = instance.capacity_limit_sq(rel_tol)
+    best, best_objective = None, -math.inf
+    for key in REFERENCE_SCAN_KEYS[algorithm]:
+        items = [(i, p[i], q[i]) for i in scan_order(instance, key) if i in pool]
+        retained = sorted(forced + reference_greedy_scan(items, base_p, base_q, limit_sq))
+        objective = 0.0
+        for i in retained:
+            objective += u[i]
+        if objective > best_objective:
+            best, best_objective = retained, objective
+    return best, best_objective
+
+
 def reference_dynamic_capacity(
     scenario,
     horizon: float = 10_000.0,
@@ -330,23 +383,21 @@ def reference_dynamic_capacity(
     """Per-event rebuild and re-solve; the reference for ``run_dynamic_capacity``.
 
     Draws the same event stream, then at every event restricts the base
-    instance with ``restrict_to_capacity`` and solves the result with the
-    public solver, sorting afresh each time.  Arguments are not validated.
+    instance with ``restrict_to_capacity`` and solves the result afresh:
+    ``gsa`` with the public solver, the greedies with ``reference_greedy``.
+    Arguments are not validated.
     """
-    solvers = {
-        "gva": gva,
-        "gma": gma,
-        "gra": gra,
-        "gda": gda,
-        "gsa": lambda instance: gsa(instance, GsaConfig(gsa_epsilon)),
-    }
     base = generate(replace(scenario, capacity=full_capacity))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD1)))
     lo, hi = drop_range
 
     def point(t, capacity):
-        sol = solvers[algorithm](restrict_to_capacity(base, capacity))
-        return TracePoint(t, capacity, sol.objective, len(sol.retained_ids))
+        instance = restrict_to_capacity(base, capacity)
+        if algorithm == "gsa":
+            sol = gsa(instance, GsaConfig(gsa_epsilon))
+            return TracePoint(t, capacity, sol.objective, len(sol.retained_ids))
+        retained, objective = reference_greedy(instance, algorithm)
+        return TracePoint(t, capacity, objective, len(retained))
 
     capacity = full_capacity
     trace = [point(0.0, capacity)]

@@ -1,5 +1,6 @@
 """Benchmark harness: determinism, ratio orientation, CSV, dynamic capacity."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -382,6 +383,36 @@ class TestDynamicCapacityReference:
         for point in at_floor:
             assert point.retained_count == len(expected.retained_ids) == 3 + math_below
             assert point.objective == expected.objective
+
+
+# SHA-256 of ``write_trace_csv`` for ``simulate --dynamic --n 5000 --seed 1968``
+# at the event defaults, recorded before the greedy scan became an array
+# kernel; a trace whose bytes move means some re-solve changed a float.
+TRACE_SHA256 = {
+    ("FCM", "gda"): "461f29279df61551d08e076fcf6a8714a2c8e68c57f327a7c6a89fe45da038ff",
+    ("FCM", "gra"): "461f29279df61551d08e076fcf6a8714a2c8e68c57f327a7c6a89fe45da038ff",
+    ("FCM", "gma"): "a01e1577374fbad883e10378dbec1ed97d7abfb08ef509ab07662004e04c84d4",
+    ("FCM", "gva"): "461f29279df61551d08e076fcf6a8714a2c8e68c57f327a7c6a89fe45da038ff",
+    ("FUM", "gda"): "8b23acb5b3ee7bbd6776c999f2100f10dbd3bae52e44f2a4f00008c0a17bd03d",
+    ("FUM", "gra"): "8b23acb5b3ee7bbd6776c999f2100f10dbd3bae52e44f2a4f00008c0a17bd03d",
+    ("FUM", "gma"): "28a896ec184a5a414559f138e297980dba8c3784f76320d59958df77c38a9c55",
+    ("FUM", "gva"): "9235273a932646de12334fabcd67299f18102078dcf6b07846a19f540b10b82b",
+    ("AUM", "gda"): "9757ba05aba15971b09bee70819aa2de4a9bd80813d2d79b179af7b709691b54",
+    ("AUM", "gra"): "9757ba05aba15971b09bee70819aa2de4a9bd80813d2d79b179af7b709691b54",
+    ("AUM", "gma"): "abbcadf0628792db970b3a54b09dde8f48cd7e7d11ca323855b5877e18cb9f24",
+    ("AUM", "gva"): "a71f900d55d11cac4a018897067993bacf5704907c6c1c9d61436f02424db1ca",
+}
+
+
+class TestTraceBytes:
+    @pytest.mark.parametrize("acronym, algorithm", sorted(TRACE_SHA256))
+    def test_trace_bytes_are_pinned(self, tmp_path, acronym, algorithm):
+        spec = spec_from_acronym(acronym, 5_000, 2e6, seed=1968)
+        trace = run_dynamic_capacity(spec, algorithm=algorithm, seed=1968)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, str(path))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == TRACE_SHA256[(acronym, algorithm)]
 
 
 class TestRuntimeScaling:

@@ -1,5 +1,6 @@
 """Greedy solver family: worked adversarial instances, invariants, guarantees."""
 
+import math
 import warnings
 
 import numpy as np
@@ -30,7 +31,14 @@ from curtail import (
     max_phase_spread,
     retained_valuation,
 )
-from conftest import build_instance, random_instance, reference_best_vmax
+from curtail import greedy
+from conftest import (
+    build_instance,
+    random_instance,
+    reference_best_vmax,
+    reference_greedy,
+    reference_greedy_scan,
+)
 
 
 class TestGva:
@@ -331,3 +339,139 @@ class TestSubnormalDemand:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert lp_upper_bound(subnormal) == 3.0
+
+
+# Block sizes for the scan kernel: small ones put a piece boundary, a block
+# boundary or a hand-over to the per-item path at almost every position.
+SCAN_BLOCKS = (1, 2, 8, 64)
+
+
+def assert_scan_matches_reference(index, p, q, base_p, base_q, limit_sq):
+    """``_greedy_scan`` keeps what ``reference_greedy_scan`` keeps at every block
+    size, and ends at the kept demands added in scan order to the base."""
+    expected = reference_greedy_scan(
+        zip(index.tolist(), p.tolist(), q.tolist()), base_p, base_q, limit_sq
+    )
+    position = {i: k for k, i in enumerate(index.tolist())}
+    acc_p, acc_q = base_p, base_q
+    for i in expected:
+        acc_p += float(p[position[i]])
+        acc_q += float(q[position[i]])
+    for block in SCAN_BLOCKS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(greedy, "_SCAN_BLOCK", block)
+            scan = greedy._greedy_scan((index, p, q), base_p, base_q, limit_sq)
+        assert scan == (expected, acc_p, acc_q)
+
+
+# Demand components: integer and tenth-rounded ties, signed and subnormal zeros.
+_COMPONENT = st.one_of(
+    st.integers(0, 6).map(float),
+    st.integers(0, 60).map(lambda k: k / 10),
+    st.sampled_from([0.0, -0.0, 1e-320]),
+    st.floats(0.0, 10.0),
+)
+
+
+@st.composite
+def scan_inputs(draw):
+    """(index, p, q, base_p, base_q, limit_sq) for one scan.
+
+    The base is zero or a forced set's aggregate; the limit is the squared
+    aggregate of some prefix (so a fit is an equality), one ulp either side
+    of it, or a fraction of the total demand.
+    """
+    demands = draw(st.lists(st.tuples(_COMPONENT, _COMPONENT), max_size=80))
+    n = len(demands)
+    index = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    p = np.array([d[0] for d in demands], dtype=np.float64)
+    q = np.array([d[1] for d in demands], dtype=np.float64)
+    base_p = base_q = 0.0
+    for a, b in draw(st.lists(st.tuples(_COMPONENT, _COMPONENT), max_size=3)):
+        base_p += a
+        base_q += b
+    acc_p, acc_q = base_p, base_q
+    prefixes = [(acc_p, acc_q)]
+    for a, b in demands:
+        acc_p += a
+        acc_q += b
+        prefixes.append((acc_p, acc_q))
+    if draw(st.booleans()):
+        pp, pq = prefixes[draw(st.integers(0, n))]
+        limit_sq = math.nextafter(pp * pp + pq * pq, draw(st.sampled_from([0.0, math.inf])))
+        if draw(st.booleans()):
+            limit_sq = pp * pp + pq * pq
+    else:
+        limit = draw(st.floats(0.0, 1.2)) * math.hypot(acc_p, acc_q)
+        limit_sq = limit * limit
+    return index, p, q, base_p, base_q, limit_sq
+
+
+class TestScanKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(scan_inputs())
+    def test_matches_reference_loop(self, case):
+        assert_scan_matches_reference(*case)
+
+    def test_accumulates_left_to_right_from_the_base(self):
+        # (0.1 + 0.2) + 0.3 lands one ulp above 0.6 and 0.1 + (0.2 + 0.3) on it,
+        # so only the loop's order of additions rejects the second item
+        index = np.arange(2, dtype=np.int64)
+        p, q = np.array([0.2, 0.3]), np.zeros(2)
+        for block in SCAN_BLOCKS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(greedy, "_SCAN_BLOCK", block)
+                assert greedy._greedy_scan((index, p, q), 0.1, 0.0, 0.36)[0] == [0]
+        assert_scan_matches_reference(index, p, q, 0.1, 0.0, 0.36)
+
+    @pytest.mark.parametrize("demands", [[], [(3.0, 4.0)], [(5.0, 0.1)], [(-0.0, 1e-320)]])
+    def test_empty_and_single_item(self, demands):
+        index = np.arange(len(demands), dtype=np.int64)
+        p = np.array([d[0] for d in demands], dtype=np.float64)
+        q = np.array([d[1] for d in demands], dtype=np.float64)
+        assert_scan_matches_reference(index, p, q, 0.0, 0.0, 25.0)
+        assert_scan_matches_reference(index, p, q, 1.0, 0.0, 25.0)
+
+    def test_alternating_accepts_and_rejects(self):
+        # every tiny demand fits and every capacity-sized one overflows on top
+        # of it, so the scan switches between accept and reject at each item
+        n = 5_000
+        p = np.where(np.arange(n) % 2 == 0, 1e-3, 1e6)
+        q = np.zeros(n)
+        index = np.arange(n, dtype=np.int64)[::-1].copy()
+        taken, _, _ = greedy._greedy_scan((index, p, q), 0.0, 0.0, 1e12)
+        assert taken == index[::2].tolist()
+        assert_scan_matches_reference(index, p, q, 0.0, 0.0, 1e12)
+
+    def test_gda_forced_matches_reference_greedy(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(60):
+            inst = random_instance(rng, int(rng.integers(1, 40)))
+            n = len(inst)
+            order = rng.permutation(n).tolist()
+            forced = sorted(order[: int(rng.integers(0, 4))])
+            limit_sq = inst.capacity_limit_sq()
+            p = sum(inst.columns.p_list[i] for i in forced)
+            q = sum(inst.columns.q_list[i] for i in forced)
+            if p * p + q * q > limit_sq:
+                continue
+            pool = order[len(forced):][: int(rng.integers(0, n + 1))]
+            expected, objective = reference_greedy(inst, "gda", forced, pool)
+            ids = inst.columns.id_list
+            for block in SCAN_BLOCKS:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(greedy, "_SCAN_BLOCK", block)
+                    sol = gda_forced(inst, [ids[i] for i in forced], [ids[i] for i in pool])
+                assert sol.retained_ids == {ids[i] for i in expected}
+                assert sol.objective == objective
+
+    @pytest.mark.parametrize("algorithm", ["gva", "gma", "gra", "gda"])
+    def test_solvers_match_reference_greedy(self, algorithm):
+        rng = np.random.default_rng(7)
+        solver = {"gva": gva, "gma": gma, "gra": gra, "gda": gda}[algorithm]
+        for _ in range(40):
+            inst = random_instance(rng, int(rng.integers(1, 300)))
+            expected, objective = reference_greedy(inst, algorithm)
+            sol = solver(inst)
+            assert sol.retained_ids == {inst.columns.id_list[i] for i in expected}
+            assert sol.objective == objective
