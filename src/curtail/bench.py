@@ -188,7 +188,9 @@ def _mean_ci(values: Sequence[float]) -> tuple[float, float]:
 
 
 def run_benchmark(plan: TrialPlan, threads: int = 1) -> BenchmarkReport:
-    """Execute the plan. ``threads`` only changes wall time, never results."""
+    """Execute the plan. ``threads`` (>= 1) only changes wall time, never results."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     tasks = [(n, t) for n in plan.n_values for t in range(plan.trials_per_n)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

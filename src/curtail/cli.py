@@ -68,28 +68,24 @@ def _emit(doc: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _rel_tol(text: str) -> float:
-    """argparse type for --tolerance-override: a finite, non-negative slack."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-    return value
+def _checked(convert, ok, requirement: str):
+    """argparse type: ``convert`` the flag's text and refuse values that fail ``ok``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
 
 
-def _positive_finite(text: str) -> float:
-    """argparse type for --horizon and --event-rate: finite and > 0."""
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
-    return value
-
-
-def _epsilon(text: str) -> float:
-    """argparse type for --epsilon: the gsa precision, strictly inside (0, 1)."""
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
-    return value
+# --tolerance-override, --horizon/--event-rate, --epsilon (the gsa precision), --threads
+_rel_tol = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0")
+_positive_finite = _checked(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
+_epsilon = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_threads = _checked(int, lambda v: v >= 1, ">= 1")
 
 
 def _cmd_generate(args) -> int:
@@ -225,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run a benchmark plan, emit a CSV report")
     bench.add_argument("--plan", required=True, help="plan JSON path")
     bench.add_argument("-o", "--output", required=True, help="report CSV path")
-    bench.add_argument("--threads", type=int, default=1)
+    bench.add_argument("--threads", type=_threads, default=1, help="worker threads, >= 1")
     bench.set_defaults(func=_cmd_bench)
 
     sim = sub.add_parser("simulate", help="dynamic-capacity event simulation")

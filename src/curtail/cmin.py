@@ -1,11 +1,11 @@
 """Reverse-greedy solvers for compensation-minimising curtailment.
 
-Start from the full customer set and shed customers one by one, in an order
-chosen by each heuristic, stopping at the first state whose aggregate demand
-fits the capacity.  The objective is the total compensation paid to the shed
+Start from the full customer set and shed customers in an order chosen by
+each heuristic, stopping at the first state whose aggregate demand fits the
+capacity.  The objective is the total compensation paid to the shed
 customers.  Since demands sit in the first quadrant, every removal shrinks
-both components of the aggregate, so the first feasible state is well
-defined and the loop always terminates (the empty set is feasible).
+both components of the aggregate, so feasibility is monotone in the number
+shed, the empty set always fits, and that first state is found by bisection.
 
 Removal orders mirror the valuation-maximising greedy family (their keys
 are ``curtail.greedy.SHED_ORDERS``, sorted by ``scan_order``):
@@ -22,54 +22,38 @@ their gap to the exhaustive optimum instead.
 
 from __future__ import annotations
 
+import bisect
 import time
 
 import numpy as np
 
 from .greedy import SHED_ORDERS, scan_order
-from .model import (
-    CAPACITY_REL_TOL,
-    Instance,
-    Solution,
-    indices_fit,
-    solution_from_indices,
-    storage_sum,
-)
+from .model import CAPACITY_REL_TOL, Instance, Solution, solution_from_indices, storage_sum
 
 
-def _shed(instance: Instance, order: list[int], limit_sq: float) -> tuple[list[int], float]:
-    """Shed in ``order`` until the rest fit: (retained indices, shed compensation)."""
+def _shed(instance: Instance, order: np.ndarray, limit_sq: float) -> tuple[list[int], float]:
+    """Shed in ``order`` until the rest fit: (retained indices, shed compensation).
+
+    The count shed is the first ``k`` whose rest, everyone but ``order[:k]``,
+    fits by the canonical sum, found by one bisection.  That fit is monotone
+    in ``k``: the rests are nested, the demands non-negative and rounding
+    monotone, so dropping a term never raises a left-to-right sum.
+    """
     cols = instance.columns
-    p_list, q_list = cols.p_list, cols.q_list
     n = len(order)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
 
-    def kept(removed: int) -> list[int]:
-        keep = np.ones(n, dtype=bool)
-        keep[order[:removed]] = False
-        return np.flatnonzero(keep).tolist()
+    def fits(k: int) -> bool:
+        # np.add.accumulate adds strictly left to right from 0.0: storage_sum's floats
+        keep = rank >= k
+        p = float(np.add.accumulate(np.concatenate(((0.0,), cols.p[keep])))[-1])
+        q = float(np.add.accumulate(np.concatenate(((0.0,), cols.q[keep])))[-1])
+        return p * p + q * q <= limit_sq  # Python floats: an overflow is inf, not a warning
 
-    p = storage_sum(p_list, range(n))
-    q = storage_sum(q_list, range(n))
-    removed = 0
-    while p * p + q * q > limit_sq and removed < n:
-        i = order[removed]
-        p -= p_list[i]
-        q -= q_list[i]
-        removed += 1
-
-    # The running subtraction can drift either way near the boundary.
-    # Canonical feasibility is monotone in the number shed (the retained sets
-    # are nested and the demands non-negative), so walk to the first count
-    # whose canonical sum fits.
-    retained = kept(removed)
-    while removed < n and not indices_fit(instance, retained, limit_sq):
-        removed += 1
-        retained = kept(removed)
-    while removed > 0 and indices_fit(instance, fewer := kept(removed - 1), limit_sq):
-        removed -= 1
-        retained = fewer
-
-    return retained, storage_sum(cols.compensation_list, sorted(order[:removed]))
+    removed = bisect.bisect_left(range(n + 1), True, key=fits)
+    shed = np.flatnonzero(rank < removed).tolist()
+    return np.flatnonzero(rank >= removed).tolist(), storage_sum(cols.compensation_list, shed)
 
 
 def _shed_solve(instance: Instance, tag: str, rel_tol: float) -> Solution:

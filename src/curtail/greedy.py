@@ -95,11 +95,11 @@ def scan_order(
     instance: Instance,
     key: SortKey,
     tie_break_rng: np.random.Generator | None = None,
-) -> list[int]:
-    """Storage indices in ``key`` order; ties by id, or randomised via rng."""
+) -> np.ndarray:
+    """Storage indices in ``key`` order, an int64 array; ties by id, or randomised via rng."""
     cols = instance.columns
     secondary = cols.id if tie_break_rng is None else tie_break_rng.permutation(len(instance))
-    return np.lexsort((secondary, _PRIMARY_KEYS[key](cols))).tolist()
+    return np.lexsort((secondary, _PRIMARY_KEYS[key](cols)))
 
 
 def _sorted_orders(
@@ -108,7 +108,7 @@ def _sorted_orders(
     """Each key's ``scan_order`` as storage index, p and q arrays, so that a scan
     reads memory sequentially instead of chasing storage order."""
     cols = instance.columns
-    orders = [np.asarray(scan_order(instance, key, tie_break_rng), dtype=np.int64) for key in keys]
+    orders = [scan_order(instance, key, tie_break_rng) for key in keys]
     return [(order, cols.p[order], cols.q[order]) for order in orders]
 
 

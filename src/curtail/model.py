@@ -285,11 +285,16 @@ def capacity_limit_sq(capacity: float, rel_tol: float = CAPACITY_REL_TOL) -> flo
 
     ``rel_tol`` must be finite and >= 0: a negative slack would be squared
     away, and nan or inf would make every selection infeasible or feasible.
+    The square must be finite too (C * (1 + rel_tol) below about 1.34e154):
+    an inf threshold would pass every selection.
     """
     if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
         raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
     limit = capacity * (1.0 + rel_tol)
-    return limit * limit
+    limit_sq = limit * limit
+    if not math.isfinite(limit_sq):
+        raise ValueError(f"capacity {capacity:g} with rel_tol {rel_tol:g} squares to {limit_sq}")
+    return limit_sq
 
 
 def _nonnegative_finite(*columns: np.ndarray) -> bool:

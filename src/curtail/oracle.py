@@ -85,14 +85,17 @@ def _best_feasible_mask(
 
     Ties are broken toward the lexicographically smallest sorted id list.
     """
+    limit_sq = instance.capacity_limit_sq(rel_tol)
     # |sum|^2 = p^2 + q^2 built in place in the psum table: same floats as
-    # the expression form, without three 2^n temporaries
+    # the expression form, without three 2^n temporaries; a square that
+    # overflows to inf is simply infeasible
     psum = subset_sums(instance.columns.p)
     qsum = subset_sums(instance.columns.q)
-    np.multiply(psum, psum, out=psum)
-    np.multiply(qsum, qsum, out=qsum)
-    np.add(psum, qsum, out=psum)
-    feasible = psum <= instance.capacity_limit_sq(rel_tol)
+    with np.errstate(over="ignore"):
+        np.multiply(psum, psum, out=psum)
+        np.multiply(qsum, qsum, out=qsum)
+        np.add(psum, qsum, out=psum)
+    feasible = psum <= limit_sq
     wsum = subset_sums(weights)
     wsum[~feasible] = -np.inf
     best_value = wsum.max()  # the empty mask is always feasible, so > -inf
@@ -161,7 +164,7 @@ def lp_upper_bound(instance: Instance) -> float:
     the total valuation.
     """
     cols = instance.columns
-    order = scan_order(instance, SortKey.EFFICIENCY_DESC)
+    order = scan_order(instance, SortKey.EFFICIENCY_DESC).tolist()
     capacity = instance.capacity
     taken_mag = 0.0
     value = 0.0

@@ -169,6 +169,11 @@ class TestRunBenchmark:
             paths.append(path.read_bytes())
         assert paths[0] == paths[1] == paths[2]
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            run_benchmark(small_plan(), threads=threads)
+
     def test_gda_worst_case_floor_per_row(self):
         # worst case at 36 degrees spread is (1/2) cos 18deg, above 0.4755
         plan = small_plan(

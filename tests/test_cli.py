@@ -167,6 +167,24 @@ class TestSolve:
         assert captured.out == ""
         assert "tolerance-override" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--algorithm", "gda"], ["solve", "--algorithm", "gda", "--objective", "cmin"],
+         ["solve", "--algorithm", "gsa"], ["oracle"], ["oracle", "--objective", "cmin"]],
+    )
+    @pytest.mark.parametrize("capacity, tolerance", [(1e200, "1e-9"), (1000.0, "1e300")])
+    def test_limit_squaring_to_inf_is_usage_error(
+        self, tmp_path, capsys, argv, capacity, tolerance
+    ):
+        # an inf squared limit used to retain both customers at 1.98 times the capacity
+        demand = 7e199 if capacity == 1e200 else 700.0
+        rows = [(0, demand, demand, 1.0, 1.0), (1, demand, demand, 1.0, 1.0)]
+        path = write_instance(tmp_path / "huge.json", capacity, rows)
+        assert dispatch(argv + [path, f"--tolerance-override={tolerance}"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "squares to inf" in captured.err
+
     @pytest.mark.parametrize("value", ["-3", "0", "1", "5", "nan"])
     def test_epsilon_outside_unit_interval_rejected(self, trap_file, capsys, value):
         # gda ignores the precision, but a value with no meaning is still refused
@@ -355,6 +373,27 @@ class TestBenchCommand:
         assert "malformed benchmark plan" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys, threads):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan_doc("n_values", [4])))
+        out = tmp_path / "r.csv"
+        argv = ["bench", "--plan", str(plan_path), "-o", str(out), f"--threads={threads}"]
+        assert dispatch(argv) == EXIT_USAGE
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_capacity_squaring_to_inf_exits_2_without_csv(self, tmp_path, capsys, threads):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan_doc("scenario.capacity", 1e200)))
+        out = tmp_path / "r.csv"
+        argv = ["bench", "--plan", str(plan_path), "-o", str(out), f"--threads={threads}"]
+        assert dispatch(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "squares to inf" in captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, value", COERCIBLE_PLAN_FIELDS + [("gsa_epsilon", 1.0)])
     def test_wrong_plan_field_exits_2_without_csv(self, tmp_path, capsys, field, value):
@@ -446,6 +485,19 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "epsilon" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm", ["gda", "gsa"])
+    def test_capacity_squaring_to_inf_is_usage_error(self, tmp_path, capsys, algorithm):
+        out = tmp_path / "trace.csv"
+        code = dispatch(
+            ["simulate", "--dynamic", "--scenario", "ACR", "--n", "12", "--capacity", "1e200",
+             "--algorithm", algorithm, "--horizon", "500", "-o", str(out)]
+        )
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "squares to inf" in captured.err
         assert not out.exists()
 
     def test_requires_dynamic_flag(self, tmp_path):

@@ -64,7 +64,7 @@ FLAGS = {
     "bench": {
         "--plan": (("{plan}",), ()),
         "-o": (("{out}",), ()),
-        "--threads": ((None, 1, 2), ()),
+        "--threads": ((None, 1, 2), (0, -1)),
     },
     "simulate": {
         "--dynamic": ((True,), (None,)),

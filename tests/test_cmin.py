@@ -1,6 +1,7 @@
 """Reverse-greedy compensation minimisers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,12 @@ from curtail import (
     is_feasible,
     retained_valuation,
 )
+from curtail.greedy import SHED_ORDERS, scan_order
+from curtail.model import indices_fit
 from conftest import build_instance, random_instance, reference_cmin
+
+SOLVERS = {"gva": cmin_gva, "gma": cmin_gma, "gra": cmin_gra, "gda": cmin_gda}
+SHED_KEYS = tuple(dict.fromkeys(key for keys in SHED_ORDERS.values() for key in keys))
 
 
 class TestCminGva:
@@ -164,21 +170,31 @@ class TestRemovalInvariants:
         assert all(0.0 <= g <= 1.0 + 1e-12 for g in gaps)
 
 
-# demands and compensations that tie often and whose sums round (tenths)
+# demands and compensations that tie often and whose sums round (tenths),
+# with signed zeros and subnormals
 _amounts = st.one_of(
     st.integers(0, 6).map(float),
     st.integers(0, 40).map(lambda k: k / 10),
+    st.sampled_from([-0.0, 1e-320]),
     st.floats(0.0, 10.0),
 )
 
 
 @st.composite
 def _cmin_cases(draw):
-    n = draw(st.integers(0, 9))
+    # up to 40 customers, so that the bisection over the count shed takes several steps
+    n = draw(st.integers(0, 40))
     rows = [(k, draw(_amounts), draw(_amounts), 1.0, draw(_amounts)) for k in range(n)]
     # a capacity on the boundary of some subset, where the running
-    # subtraction and the canonical sum can disagree
+    # subtraction or any other sum can disagree with the canonical one; half
+    # the time the subset is what a shedding order keeps after its first k
     subset = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(SHED_KEYS))
+        roomy = build_instance(rows, 1.0 + sum(math.hypot(r[1], r[2]) for r in rows))
+        order = scan_order(roomy, key).tolist()
+        rest = set(order[draw(st.integers(0, n)) :])
+        subset = [k in rest for k in range(n)]
     p = q = 0.0
     for (_, pv, qv, _, _), inside in zip(rows, subset):
         if inside:
@@ -186,6 +202,60 @@ def _cmin_cases(draw):
             q += qv
     capacity = max([1e-3, math.hypot(p, q)] + [math.hypot(pv, qv) for _, pv, qv, _, _ in rows])
     return build_instance(rows, capacity), draw(st.sampled_from([1e-9, 0.0]))
+
+
+class TestShedFitIsMonotone:
+    """The bisection in ``cmin._shed`` rests on this: along a shedding order,
+    the rest's canonical fit is False for some first counts, then True."""
+
+    @given(case=_cmin_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_fit_is_a_run_of_false_then_a_run_of_true(self, case):
+        inst, rel_tol = case
+        limit_sq = inst.capacity_limit_sq(rel_tol)
+        for key in SHED_KEYS:
+            order = scan_order(inst, key).tolist()
+            fits = [indices_fit(inst, sorted(order[k:]), limit_sq) for k in range(len(order) + 1)]
+            assert fits == sorted(fits), key  # False sorts before True
+            assert fits[-1]  # shedding everyone always fits
+
+
+class TestShedEdges:
+    @pytest.mark.parametrize("solver", SOLVERS.values())
+    def test_empty_instance(self, solver):
+        sol = solver(build_instance([], 1.0))
+        assert sol.retained_ids == frozenset()
+        assert sol.objective == 0.0
+
+    @pytest.mark.parametrize("solver", SOLVERS.values())
+    def test_nobody_shed(self, solver):
+        rows = [(k, 0.1, 0.2, 1.0, float(k)) for k in range(50)]
+        sol = solver(build_instance(rows, 50.0))
+        assert sol.retained_ids == frozenset(range(50))
+        assert sol.objective == 0.0
+
+    @pytest.mark.parametrize("solver", SOLVERS.values())
+    def test_everyone_shed(self, solver):
+        # 0.1**2 + 0.1**2 rounds above hypot(0.1, 0.1)**2: with no slack neither
+        # customer fits even alone, though each passes the instance's magnitude check
+        rows = [(0, 0.1, 0.1, 1.0, 2.0), (1, 0.1, 0.1, 1.0, 3.0)]
+        sol = solver(build_instance(rows, math.hypot(0.1, 0.1)), 0.0)
+        assert sol.retained_ids == frozenset()
+        assert sol.objective == 2.0 + 3.0
+
+    @pytest.mark.parametrize("algorithm", SOLVERS)
+    def test_huge_demands_raise_no_runtime_warning(self, algorithm):
+        # the forty demands sum to 4e154 VA: squaring that as a numpy scalar
+        # would warn of overflow, squaring it as a Python float gives inf
+        rows = [(k, 1e153, 1e152 * (k % 3), 1.0, float(k % 7)) for k in range(40)]
+        inst = build_instance(rows, 1.3e154)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = SOLVERS[algorithm](inst)
+        retained, objective = reference_cmin(inst, algorithm)
+        assert sol.retained_ids == retained
+        assert sol.objective == objective
+        assert 0 < len(retained) < 40
 
 
 class TestAgainstPerCustomerReference:

@@ -126,6 +126,33 @@ class TestFeasibility:
     def test_zero_rel_tol_is_the_exact_capacity(self, magnitude_trap):
         assert magnitude_trap.capacity_limit_sq(0.0) == 100.0 * 100.0
 
+    @pytest.mark.parametrize("capacity, rel_tol", [(1e200, 1e-9), (1e200, 0.0), (1000.0, 1e300)])
+    def test_limit_squaring_to_inf_rejected(self, capacity, rel_tol):
+        # an inf squared limit would let every selection fit: two customers of
+        # 7e199 VA each used to be retained together under a 1e200 VA capacity
+        rows = [(0, 7e199, 7e199, 1.0, 1.0), (1, 7e199, 7e199, 1.0, 1.0)]
+        inst = build_instance(rows if capacity == 1e200 else [(0, 1.0, 0.0, 1.0)], capacity)
+        with pytest.raises(ValueError, match="squares to inf"):
+            inst.capacity_limit_sq(rel_tol)
+        gsa_quarter = lambda i, rel_tol: gsa(i, GsaConfig(0.25), rel_tol)
+        for solve in (gda, cmin_gda, brute_force_vmax, gsa_quarter):
+            with pytest.raises(ValueError, match="squares to inf"):
+                solve(inst, rel_tol=rel_tol)
+        with pytest.raises(ValueError, match="squares to inf"):
+            is_feasible(inst, inst.ids, rel_tol)
+
+    def test_largest_capacities_still_solve(self):
+        # 1.3e154 squared is still finite; the active sum of all twelve demands,
+        # 1.44e154, squares past the float range, which is infeasible, not a warning
+        rows = [(k, 1.2e153, 3e152, float(k + 1)) for k in range(12)]
+        inst = build_instance(rows, 1.3e154)
+        assert math.isfinite(inst.capacity_limit_sq())
+        assert not is_feasible(inst, inst.ids)
+        greedy, optimum = gda(inst), brute_force_vmax(inst)
+        assert is_feasible(inst, greedy.retained_ids)
+        assert greedy.objective <= optimum.objective
+        assert is_feasible(inst, optimum.retained_ids)
+
     def test_monotone_under_removal(self):
         # first-quadrant demands: dropping customers shrinks both components
         rng = np.random.default_rng(11)
