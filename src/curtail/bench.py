@@ -330,7 +330,7 @@ def plan_from_dict(doc: Mapping) -> TrialPlan:
             oracle=_field(doc, "oracle", str, "plan", "brute_force"),
             gsa_epsilon=float(_field(doc, "gsa_epsilon", float, "plan", 0.25)),
             measure_time=_field(doc, "measure_time", bool, "plan", False),
-            budget=OracleBudget(max_n=_field(doc, "oracle_max_n", int, "plan", 20)),
+            budget=OracleBudget(max_n=_field(doc, "oracle_max_n", int, "plan", OracleBudget.max_n)),
         )
     except FormatError:
         raise

@@ -37,9 +37,7 @@ from .model import (
     load_instance,
     read_json,
 )
-from .oracle import (
-    MAX_ORACLE_N, OracleBudget, OracleBudgetError, brute_force_cmin, brute_force_vmax,
-)
+from .oracle import OracleBudget, OracleBudgetError, brute_force_cmin, brute_force_vmax
 from .scenario import spec_from_acronym, generate
 
 EXIT_OK = 0
@@ -111,7 +109,7 @@ def _cmd_solve(args) -> int:
     tag = args.algorithm
     rel_tol = args.tolerance_override
     if tag == "oracle":
-        budget = OracleBudget(max_n=args.budget_max_n, max_subsets=1 << MAX_ORACLE_N)
+        budget = OracleBudget(max_n=args.budget_max_n)
         if args.objective == "cmin":
             solution = brute_force_cmin(instance, budget, rel_tol)
         else:
@@ -200,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--objective", choices=("vmax", "cmin"), default="vmax")
     solve.add_argument("--epsilon", type=_epsilon, default=0.25,
                        help="gsa precision, in (0, 1)")
-    solve.add_argument("--budget-max-n", type=int, default=20,
+    solve.add_argument("--budget-max-n", type=int, default=OracleBudget.max_n,
                        help="enumeration budget when --algorithm oracle")
     solve.add_argument("--tolerance-override", type=_rel_tol, default=CAPACITY_REL_TOL,
                        help="relative slack on the capacity feasibility test")
@@ -211,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc = sub.add_parser("oracle", help="exhaustive optimum of an instance file")
     orc.add_argument("instance", help="instance JSON path")
     orc.add_argument("--objective", choices=("vmax", "cmin"), default="vmax")
-    orc.add_argument("--max-n", dest="budget_max_n", type=int, default=20,
+    orc.add_argument("--max-n", dest="budget_max_n", type=int, default=OracleBudget.max_n,
                      help="enumeration budget")
     orc.add_argument("--tolerance-override", type=_rel_tol, default=CAPACITY_REL_TOL,
                      help="relative slack on the capacity feasibility test")

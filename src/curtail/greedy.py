@@ -36,7 +36,6 @@ from .model import (
     Instance,
     Solution,
     _storage_indices,
-    indices_fit,
     solution_from_indices,
     storage_sum,
 )
@@ -199,7 +198,7 @@ def _best_of_scans(
     streams: Iterable,
     limit_sq: float,
     scan=_greedy_scan,
-) -> tuple[list[int], float]:
+) -> tuple[list[int], float] | None:
     """Retain ``forced`` and fill up with the best of one or more greedy scans.
 
     ``forced`` holds storage indices (it may be empty); each stream is the
@@ -207,12 +206,15 @@ def _best_of_scans(
     ``_greedy_scan``, items for ``_scan_items``.  Each stream is scanned from the forced set's aggregate
     demand; the scan whose retained set has the largest total valuation
     wins, the earliest stream on ties.  Returns the winning retained indices
-    in ascending order and their total valuation, a ``storage_sum``.
+    in ascending order and their total valuation, a ``storage_sum``, or None
+    without reading ``streams`` when the forced set does not fit on its own.
     """
     cols = instance.columns
     forced = sorted(forced)
     base_p = storage_sum(cols.p_list, forced)
     base_q = storage_sum(cols.q_list, forced)
+    if base_p * base_p + base_q * base_q > limit_sq:
+        return None
     best: list[int] = forced
     best_objective = -np.inf
     for stream in streams:
@@ -305,8 +307,9 @@ def gda_forced(
     if forced & pool:
         raise ValueError(f"forced and pool overlap: {sorted(forced & pool)}")
     limit_sq = instance.capacity_limit_sq(rel_tol)
-    if not indices_fit(instance, forced_idx, limit_sq):
-        raise ValueError("forced set is infeasible on its own")
     streams = _item_streams(_sorted_orders(instance, SCAN_ORDERS["gda"], tie_break_rng), in_pool)
-    retained, objective = _best_of_scans(instance, forced_idx, streams, limit_sq)
+    best = _best_of_scans(instance, forced_idx, streams, limit_sq)
+    if best is None:
+        raise ValueError("forced set is infeasible on its own")
+    retained, objective = best
     return solution_from_indices(instance, retained, objective, "gda", time.perf_counter() - start)

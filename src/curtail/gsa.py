@@ -12,10 +12,11 @@ m = min(ceil(1/epsilon) - 2, n) and runs two phases:
 The best candidate across both phases is returned.  The objective is at
 least ``(1 - epsilon) * alignment_factor(theta)`` times the optimum, at the
 cost of examining O(n^m) subsets; small epsilon buys accuracy with runtime.
-The two greedy orders are sorted once per instance; each feasible seed then
-costs one O(n) filter of both orders to its pool and one scan of each, all
-in storage indices, so a seed's work is O(n) and the whole search
-O(n log n + n^(m+1)).
+The two greedy orders are sorted once per instance.  Each seed's demand is
+summed once: a seed that does not fit on its own is dropped there, and a
+feasible one costs one O(n) filter of both orders to its pool and one scan
+of each, all in storage indices, so a seed's work is O(n) and the whole
+search O(n log n + n^(m+1)).
 
 With epsilon >= 1/2 the derived m is 0 and the enumeration degenerates; the
 solver then falls back to a single unforced greedy-pair run, whose 1/2
@@ -79,15 +80,8 @@ def gsa_subset_count(n: int, epsilon: float) -> int:
     return sum(math.comb(n, s) for s in range(m + 1))
 
 
-def _search(
-    instance: Instance,
-    config: GsaConfig,
-    rel_tol: float,
-) -> tuple[list[int], float, list[int] | None]:
-    """Best retained set, its objective, and the winning Phase 2 seed (if any).
-
-    The retained set and the seed are ascending storage indices.
-    """
+def _search(instance: Instance, config: GsaConfig, rel_tol: float) -> tuple[list[int], float]:
+    """Best retained set, as ascending storage indices, and its objective."""
     cols = instance.columns
     m = config.max_subset_size(len(instance))
     limit_sq = instance.capacity_limit_sq(rel_tol)
@@ -98,7 +92,7 @@ def _search(
 
     best: list[int] = []
     best_objective = 0.0
-    best_seed: list[int] | None = None
+    seeded = False
 
     # Phase 1: plain best valuation over feasible subsets smaller than m.
     for size in range(m):
@@ -114,24 +108,26 @@ def _search(
     # pair over the customers it dominates by valuation.  Each seed's pool
     # is a filter of the two instance-wide orders: ids are unique, so the
     # (key, id) order restricted to the pool is the pool's own scan order.
+    # The pools are a generator: _best_of_scans reads them only for a seed
+    # that fits on its own.
     sorted_orders = _sorted_orders(instance, SCAN_ORDERS["gda"])
     orders = [list(zip(*(column.tolist() for column in order))) for order in sorted_orders]
     for combo in combinations(by_id, m) if m > 0 else ():
-        idxs = sorted(combo)
-        if not indices_fit(instance, idxs, limit_sq):
-            continue
-        floor = min(u_list[i] for i in idxs)
-        retained, objective = _best_of_scans(
+        floor = min(u_list[i] for i in combo)
+        found = _best_of_scans(
             instance,
-            idxs,
-            [[t for t in items if u_list[t[0]] <= floor and t[0] not in combo] for items in orders],
+            combo,
+            ([t for t in items if u_list[t[0]] <= floor and t[0] not in combo] for items in orders),
             limit_sq,
             scan=_scan_items,
         )
-        if objective > best_objective or (objective == best_objective and best_seed is None):
-            best, best_objective, best_seed = retained, objective, idxs
+        if found is None:
+            continue
+        retained, objective = found
+        if objective > best_objective or (objective == best_objective and not seeded):
+            best, best_objective, seeded = retained, objective, True
 
-    return best, best_objective, best_seed
+    return best, best_objective
 
 
 def gsa(
@@ -144,5 +140,5 @@ def gsa(
     if config.max_subset_size(len(instance)) == 0:
         base = gda(instance, rel_tol)
         return replace(base, algorithm="gsa", elapsed=time.perf_counter() - start)
-    retained, objective, _seed = _search(instance, config, rel_tol)
+    retained, objective = _search(instance, config, rel_tol)
     return solution_from_indices(instance, retained, objective, "gsa", time.perf_counter() - start)

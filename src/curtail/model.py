@@ -263,7 +263,6 @@ class Instance:
             id_list=id_arr.tolist(),
             p_list=p.tolist(), q_list=q.tolist(),
             valuation_list=u.tolist(), compensation_list=comp.tolist(),
-            mag_list=mag.tolist(),
         )
 
     def capacity_limit_sq(self, rel_tol: float = CAPACITY_REL_TOL) -> float:
@@ -336,7 +335,6 @@ class InstanceColumns:
     q_list: list[float]
     valuation_list: list[float]
     compensation_list: list[float]
-    mag_list: list[float]
 
 
 @dataclass(frozen=True)

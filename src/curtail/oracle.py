@@ -3,7 +3,8 @@
 The enumeration evaluates all 2^n selections with O(2^n) total arithmetic:
 subset sums are built by prefix doubling over numpy arrays (each bit extends
 the table for all masks below it), so n = 20 stays routine on a laptop.
-Budgets keep accidental 2^30-subset runs from happening.
+The budget is one limit on n, ``OracleBudget.max_n`` (at most ``MAX_ORACLE_N``
+= 30); its default keeps accidental 2^30-subset runs from happening.
 
 ``lp_upper_bound`` solves the magnitude-relaxed fractional problem exactly by
 the efficiency-greedy rule: it upper-bounds the alignment-scaled optimum from
@@ -36,25 +37,23 @@ class OracleBudgetError(CurtailError):
 
 @dataclass(frozen=True)
 class OracleBudget:
-    """Size limits for exhaustive enumeration."""
+    """The largest customer count that exhaustive enumeration accepts.
+
+    ``OracleBudget.max_n`` is the package default, for the CLI and plans too.
+    """
 
     max_n: int = 20
-    max_subsets: int = 1 << 20
 
     def __post_init__(self):
         if self.max_n > MAX_ORACLE_N:
             raise ValueError(f"max_n must be <= {MAX_ORACLE_N}, got {self.max_n}")
-        if self.max_n < 0 or self.max_subsets < 1:
+        if self.max_n < 0:
             raise ValueError("budget limits must be non-negative")
 
     def check(self, n: int) -> None:
         if n > self.max_n:
             raise OracleBudgetError(
                 f"instance has {n} customers; enumeration budget allows max_n={self.max_n}"
-            )
-        if (1 << n) > self.max_subsets:
-            raise OracleBudgetError(
-                f"instance needs 2^{n} subsets; budget allows {self.max_subsets}"
             )
 
 
@@ -161,19 +160,19 @@ def lp_upper_bound(instance: Instance) -> float:
     Walk customers by descending efficiency, accumulating demand magnitudes;
     the first customer that would overflow the capacity is included
     fractionally and the walk stops.  If everything fits the bound is simply
-    the total valuation.
+    the total valuation.  The walk's running sums are prefix sums added left
+    to right from 0.0, so they are the same floats as a per-customer loop's.
     """
     cols = instance.columns
-    order = scan_order(instance, SortKey.EFFICIENCY_DESC).tolist()
-    capacity = instance.capacity
-    taken_mag = 0.0
-    value = 0.0
-    for i in order:
-        m = cols.mag_list[i]
-        if taken_mag + m <= capacity:
-            taken_mag += m
-            value += cols.valuation_list[i]
-        else:
-            # break customer: m > 0 here since zero-magnitude demands always fit
-            return value + (capacity - taken_mag) * cols.valuation_list[i] / m
-    return value
+    order = scan_order(instance, SortKey.EFFICIENCY_DESC)
+    mag, valuation = cols.mag[order], cols.valuation[order]
+    with np.errstate(over="ignore"):  # a sum past the float range is inf, as in a loop
+        taken_mag = np.add.accumulate(np.concatenate(((0.0,), mag)))
+        value = np.add.accumulate(np.concatenate(((0.0,), valuation)))
+    # prefixes never shrink, so the break customer is the first whose prefix overflows
+    k = int(np.searchsorted(taken_mag[1:], instance.capacity, side="right"))
+    if k == len(order):
+        return float(value[k])
+    # break customer: its magnitude is > 0, since zero-magnitude demands always fit
+    room = instance.capacity - float(taken_mag[k])
+    return float(value[k]) + room * float(valuation[k]) / float(mag[k])

@@ -16,6 +16,7 @@ from curtail import (
     Instance,
     OracleBudget,
     TrialPlan,
+    brute_force_vmax,
     emit_csv,
     generate,
     instance_for_trial,
@@ -51,6 +52,14 @@ class TestPlanValidation:
     def test_budget_guard(self):
         with pytest.raises(ValueError, match="budget"):
             small_plan(n_values=(25,))
+
+    def test_oracle_max_n_above_the_default_is_the_limit(self):
+        # the plan's oracle_max_n alone bounds n: a plan that passes validation
+        # at n = 21 also enumerates its n = 21 instances
+        plan = plan_from_dict({**plan_doc("oracle_max_n", 21), "n_values": [21]})
+        plan.budget.check(21)
+        sol = brute_force_vmax(instance_for_trial(plan, 21, 0), plan.budget)
+        assert sol.objective > 0.0
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown algorithms"):

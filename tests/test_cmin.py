@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from curtail import (
@@ -180,15 +180,26 @@ _amounts = st.one_of(
 )
 
 
+# Every phase but explain, which only annotates a shrunk failure by re-running
+# it hundreds of times; over these cases it took several times as long as the
+# shrink itself, so a failing case is reported without it.
+_NO_EXPLAIN = [Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink]
+
+
 @st.composite
 def _cmin_cases(draw):
-    # up to 40 customers, so that the bisection over the count shed takes several steps
+    # up to 40 customers, so that the bisection over the count shed takes several
+    # steps; n is drawn first because st.lists alone averages about five rows.
+    # Each row is one tuple, its subset flag included, so that shrinking drops
+    # whole rows and a failing case is reported quickly.
     n = draw(st.integers(0, 40))
-    rows = [(k, draw(_amounts), draw(_amounts), 1.0, draw(_amounts)) for k in range(n)]
+    row = st.tuples(_amounts, _amounts, _amounts, st.booleans())
+    drawn = draw(st.lists(row, min_size=n, max_size=n))
+    rows = [(k, pv, qv, 1.0, comp) for k, (pv, qv, comp, _) in enumerate(drawn)]
     # a capacity on the boundary of some subset, where the running
     # subtraction or any other sum can disagree with the canonical one; half
     # the time the subset is what a shedding order keeps after its first k
-    subset = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    subset = [inside for *_, inside in drawn]
     if draw(st.booleans()):
         key = draw(st.sampled_from(SHED_KEYS))
         roomy = build_instance(rows, 1.0 + sum(math.hypot(r[1], r[2]) for r in rows))
@@ -209,7 +220,7 @@ class TestShedFitIsMonotone:
     the rest's canonical fit is False for some first counts, then True."""
 
     @given(case=_cmin_cases())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, phases=_NO_EXPLAIN)
     def test_fit_is_a_run_of_false_then_a_run_of_true(self, case):
         inst, rel_tol = case
         limit_sq = inst.capacity_limit_sq(rel_tol)
@@ -261,7 +272,7 @@ class TestShedEdges:
 class TestAgainstPerCustomerReference:
     @pytest.mark.parametrize("algorithm", ["gva", "gma", "gra", "gda"])
     @given(case=_cmin_cases())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, phases=_NO_EXPLAIN)
     def test_same_retained_set_and_objective(self, algorithm, case):
         inst, rel_tol = case
         solver = {"gva": cmin_gva, "gma": cmin_gma, "gra": cmin_gra, "gda": cmin_gda}[algorithm]

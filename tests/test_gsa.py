@@ -27,10 +27,9 @@ from conftest import build_instance, random_instance, reference_gsa_search
 
 def search_ids(inst: Instance, config: GsaConfig):
     """``_search`` with its storage indices mapped to ids, as the reference returns them."""
-    retained, objective, seed = _search(inst, config, 1e-9)
+    retained, objective = _search(inst, config, 1e-9)
     id_list = inst.columns.id_list
-    ids = frozenset(id_list[i] for i in retained)
-    return ids, objective, None if seed is None else tuple(sorted(id_list[i] for i in seed))
+    return frozenset(id_list[i] for i in retained), objective
 
 
 def tied_instance(rng: np.random.Generator, n: int) -> Instance:
@@ -128,11 +127,13 @@ class TestGsa:
                 assert gsa(inst, GsaConfig(eps)).objective >= bound * opt - 1e-9
 
     def test_phase2_winner_contains_its_seed(self):
+        # _search returns no seed, so this checks the reference, whose ids
+        # TestAgainstPerSeedReference requires _search to match exactly
         rng = np.random.default_rng(103)
         seeded = 0
         for _ in range(60):
             inst = random_instance(rng, int(rng.integers(3, 11)))
-            ids, objective, seed = search_ids(inst, GsaConfig(0.25))
+            ids, _, seed = reference_gsa_search(inst, GsaConfig(0.25))
             if seed is None:
                 continue
             assert set(seed) <= set(ids)
@@ -167,15 +168,14 @@ class TestGsa:
         inst = Instance(
             [Customer(i, ComplexDemand(p, q), u, u) for i, p, q, u in rows], 2.0
         )
-        ids, objective, seed = search_ids(inst, GsaConfig(0.25))
+        ids, objective = search_ids(inst, GsaConfig(0.25))
         assert objective == 2.0
-        assert seed == (0, 1)
         assert set(ids) == {0, 1}
 
 
 class TestAgainstPerSeedReference:
     """``_search`` sorts once per instance; the reference re-sorts every seed's
-    pool through ``gda_forced``.  Both must agree exactly, seed included."""
+    pool through ``gda_forced``.  Both must agree exactly."""
 
     @pytest.mark.parametrize("epsilon", [1 / 3, 1 / 4, 1 / 5])
     def test_identical_ids_objective_and_seed(self, epsilon):
@@ -188,8 +188,7 @@ class TestAgainstPerSeedReference:
                 got = search_ids(inst, GsaConfig(epsilon))
                 assert got[0] == expected[0]
                 assert got[1] == expected[1]  # float-exact, not approximate
-                assert got[2] == expected[2]
-                seeded += got[2] is not None
+                seeded += expected[2] is not None  # cases that a Phase 2 seed won
         assert seeded >= 12
 
     def test_filtered_global_order_is_the_pool_order(self):

@@ -558,7 +558,6 @@ class TestLoaderMatchesPerCustomerReference:
 def _assert_column_is_demand_magnitude(inst: Instance) -> None:
     magnitudes = [c.demand.magnitude() for c in inst.customers]
     assert inst.columns.mag.tolist() == magnitudes
-    assert inst.columns.mag_list == magnitudes
 
 
 class TestOneMagnitude:

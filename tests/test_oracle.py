@@ -46,6 +46,13 @@ class TestBruteForceVmax:
         with pytest.raises(OracleBudgetError):
             brute_force_vmax(magnitude_trap, OracleBudget(max_n=1))
 
+    def test_budget_above_the_default_enumerates(self):
+        # n = 21 needs 2^21 subsets: max_n is the only limit on that
+        rows = [(k, 1.0, 0.0, float(k + 1)) for k in range(21)]
+        sol = brute_force_vmax(build_instance(rows, 10.0), OracleBudget(max_n=21))
+        assert sol.retained_ids == frozenset(range(11, 21))
+        assert sol.objective == float(sum(range(12, 22)))
+
     def test_budget_caps_validated(self):
         with pytest.raises(ValueError):
             OracleBudget(max_n=31)
