@@ -31,7 +31,7 @@ from .greedy import SHED_ORDERS, scan_order
 from .model import CAPACITY_REL_TOL, Instance, Solution, solution_from_indices, storage_sum
 
 
-def _shed(instance: Instance, order: np.ndarray, limit_sq: float) -> tuple[list[int], float]:
+def _shed(instance: Instance, order: np.ndarray, limit_sq: float) -> tuple[np.ndarray, float]:
     """Shed in ``order`` until the rest fit: (retained indices, shed compensation).
 
     The count shed is the first ``k`` whose rest, everyone but ``order[:k]``,
@@ -45,15 +45,11 @@ def _shed(instance: Instance, order: np.ndarray, limit_sq: float) -> tuple[list[
     rank[order] = np.arange(n)
 
     def fits(k: int) -> bool:
-        # np.add.accumulate adds strictly left to right from 0.0: storage_sum's floats
-        keep = rank >= k
-        p = float(np.add.accumulate(np.concatenate(((0.0,), cols.p[keep])))[-1])
-        q = float(np.add.accumulate(np.concatenate(((0.0,), cols.q[keep])))[-1])
+        p, q = storage_sum(cols.p, rank >= k), storage_sum(cols.q, rank >= k)
         return p * p + q * q <= limit_sq  # Python floats: an overflow is inf, not a warning
 
     removed = bisect.bisect_left(range(n + 1), True, key=fits)
-    shed = np.flatnonzero(rank < removed).tolist()
-    return np.flatnonzero(rank >= removed).tolist(), storage_sum(cols.compensation_list, shed)
+    return np.flatnonzero(rank >= removed), storage_sum(cols.compensation, rank < removed)
 
 
 def _shed_solve(instance: Instance, tag: str, rel_tol: float) -> Solution:

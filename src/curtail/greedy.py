@@ -20,7 +20,8 @@ an instance (``gda_forced``, ``gsa`` seeds, simulation events) masks orders
 sorted once over all of it.
 
 A scan runs in ``_greedy_scan``, an array kernel that keeps exactly what the
-per-item loop ``_scan_items`` keeps; ``gsa`` seeds scan their small pools with the loop.
+per-item loop ``_scan_items`` keeps; ``gsa`` runs the same scan for a whole
+block of seeds at once, one vector step per customer.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from .model import (
     CAPACITY_REL_TOL,
     Instance,
     Solution,
-    _storage_indices,
+    _running_sums,
+    _storage_mask,
     solution_from_indices,
     storage_sum,
 )
@@ -146,7 +148,7 @@ def _greedy_scan(
 
     The scan is a sequence of pieces, all accepts or all rejects, tested in blocks
     that double from ``_SCAN_BLOCK``.  Accepts add left to right from the aggregate
-    by ``np.add.accumulate``, so the prefixes are the loop's aggregates bit for
+    by ``_running_sums``, so the prefixes are the loop's aggregates bit for
     bit; rejects end at the first item that fits the unchanged aggregate.  After
     a piece shorter than two first blocks, too short to pay for its numpy calls,
     the loop takes a block that doubles while the pieces stay short; it takes
@@ -164,8 +166,8 @@ def _greedy_scan(
         while k < n:
             stop = min(k + size, n)
             if filling:
-                new_p = np.add.accumulate(np.concatenate(((acc_p,), p[k:stop])))[1:]
-                new_q = np.add.accumulate(np.concatenate(((acc_q,), q[k:stop])))[1:]
+                new_p = _running_sums(p[k:stop], acc_p)[1:]
+                new_q = _running_sums(q[k:stop], acc_q)[1:]
             else:
                 new_p, new_q = p[k:stop] + acc_p, q[k:stop] + acc_q
             fits = new_p * new_p + new_q * new_q <= limit_sq
@@ -194,32 +196,33 @@ def _greedy_scan(
 
 def _best_of_scans(
     instance: Instance,
-    forced: Sequence[int],
-    streams: Iterable,
+    forced: Sequence[int] | np.ndarray,
+    streams: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
     limit_sq: float,
-    scan=_greedy_scan,
-) -> tuple[list[int], float] | None:
+) -> tuple[np.ndarray, float]:
     """Retain ``forced`` and fill up with the best of one or more greedy scans.
 
     ``forced`` holds storage indices (it may be empty); each stream is the
-    pool in one scan order, as ``scan`` takes it: ``(index, p, q)`` arrays for
-    ``_greedy_scan``, items for ``_scan_items``.  Each stream is scanned from the forced set's aggregate
-    demand; the scan whose retained set has the largest total valuation
-    wins, the earliest stream on ties.  Returns the winning retained indices
-    in ascending order and their total valuation, a ``storage_sum``, or None
-    without reading ``streams`` when the forced set does not fit on its own.
+    pool in one scan order, as ``(index, p, q)`` arrays.  Each stream is
+    scanned from the forced set's aggregate demand; the scan whose retained
+    set has the largest total valuation wins, the earliest stream on ties.
+    Returns the winning retained indices in ascending order and their total
+    valuation, a ``storage_sum``.  Raises ValueError when the forced set does
+    not fit on its own.
     """
     cols = instance.columns
-    forced = sorted(forced)
-    base_p = storage_sum(cols.p_list, forced)
-    base_q = storage_sum(cols.q_list, forced)
+    forced = np.sort(np.asarray(forced, dtype=np.int64))
+    base_p = base_q = 0.0
+    if forced.size:  # most scans force nobody; that skips two numpy calls each
+        base_p, base_q = storage_sum(cols.p, forced), storage_sum(cols.q, forced)
     if base_p * base_p + base_q * base_q > limit_sq:
-        return None
-    best: list[int] = forced
+        raise ValueError("forced set is infeasible on its own")
+    best = forced
     best_objective = -np.inf
     for stream in streams:
-        retained = sorted(forced + scan(stream, base_p, base_q, limit_sq)[0])
-        objective = storage_sum(cols.valuation_list, retained)
+        taken = np.array(_greedy_scan(stream, base_p, base_q, limit_sq)[0], dtype=np.int64)
+        retained = np.sort(np.concatenate((forced, taken)))
+        objective = storage_sum(cols.valuation, retained)
         if objective > best_objective:
             best, best_objective = retained, objective
     return best, best_objective
@@ -301,15 +304,10 @@ def gda_forced(
     """
     start = time.perf_counter()
     forced, pool = frozenset(forced), frozenset(pool)
-    forced_idx = _storage_indices(instance, forced)
-    in_pool = np.zeros(len(instance), dtype=bool)
-    in_pool[_storage_indices(instance, pool)] = True
+    in_forced, in_pool = _storage_mask(instance, forced), _storage_mask(instance, pool)
     if forced & pool:
         raise ValueError(f"forced and pool overlap: {sorted(forced & pool)}")
     limit_sq = instance.capacity_limit_sq(rel_tol)
     streams = _item_streams(_sorted_orders(instance, SCAN_ORDERS["gda"], tie_break_rng), in_pool)
-    best = _best_of_scans(instance, forced_idx, streams, limit_sq)
-    if best is None:
-        raise ValueError("forced set is infeasible on its own")
-    retained, objective = best
+    retained, objective = _best_of_scans(instance, np.flatnonzero(in_forced), streams, limit_sq)
     return solution_from_indices(instance, retained, objective, "gda", time.perf_counter() - start)

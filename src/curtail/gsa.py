@@ -12,11 +12,11 @@ m = min(ceil(1/epsilon) - 2, n) and runs two phases:
 The best candidate across both phases is returned.  The objective is at
 least ``(1 - epsilon) * alignment_factor(theta)`` times the optimum, at the
 cost of examining O(n^m) subsets; small epsilon buys accuracy with runtime.
-The two greedy orders are sorted once per instance.  Each seed's demand is
-summed once: a seed that does not fit on its own is dropped there, and a
-feasible one costs one O(n) filter of both orders to its pool and one scan
-of each, all in storage indices, so a seed's work is O(n) and the whole
-search O(n log n + n^(m+1)).
+The two greedy orders are sorted once per instance.  The seeds of a phase
+are scanned together, a block of rows at a time: one row-wise canonical sum
+tells which seeds fit on their own, and each order is walked once for the
+whole block, one vector step per customer, so a seed's work is O(n) and the
+whole search O(n log n + n^(m+1)), with memory bounded by the block.
 
 With epsilon >= 1/2 the derived m is 0 and the enumeration degenerates; the
 solver then falls back to a single unforced greedy-pair run, whose 1/2
@@ -33,18 +33,19 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, islice
+from typing import Iterator
 
 import numpy as np
 
-from .greedy import SCAN_ORDERS, _best_of_scans, _scan_items, _sorted_orders, gda
+from .greedy import SCAN_ORDERS, _sorted_orders, gda
 from .model import (
     CAPACITY_REL_TOL,
     Instance,
+    InstanceColumns,
     Solution,
-    indices_fit,
+    _running_sums,
     solution_from_indices,
-    storage_sum,
 )
 
 
@@ -80,52 +81,85 @@ def gsa_subset_count(n: int, epsilon: float) -> int:
     return sum(math.comb(n, s) for s in range(m + 1))
 
 
-def _search(instance: Instance, config: GsaConfig, rel_tol: float) -> tuple[list[int], float]:
-    """Best retained set, as ascending storage indices, and its objective."""
+# Most seeds x customers cells in one block of seeds scanned together; a block's
+# masks and sums take about 30 bytes a cell.
+_SEED_BLOCK_CELLS = 1 << 19
+
+
+def _seed_blocks(by_id: list[int], size: int) -> Iterator[np.ndarray]:
+    """The size-``size`` seeds in id-lexicographic order, as blocks of rows of
+    ascending storage indices, at most ``_SEED_BLOCK_CELLS`` seeds x customers each."""
+    combos = combinations(by_id, size)
+    while block := list(islice(combos, max(1, _SEED_BLOCK_CELLS // len(by_id)))):
+        yield np.sort(np.array(block, dtype=np.int64).reshape(len(block), size), axis=1)
+
+
+def _fill_seeds(cols: InstanceColumns, seeds: np.ndarray, orders: list, limit_sq: float) -> tuple:
+    """Each seed's greedy-pair completion: (retained masks, objectives).
+
+    A seed that does not fit on its own scores -inf.  Each order walks its
+    customers once for all seeds, with the per-item loop's float operations
+    on every row; the efficiency order wins a seed's ties.
+    """
+    base_p, base_q = _running_sums(cols.p[seeds])[:, -1], _running_sums(cols.q[seeds])[:, -1]
+    fits = base_p * base_p + base_q * base_q <= limit_sq
+    forced = np.zeros((len(seeds), len(cols.id)), dtype=bool)
+    forced[np.arange(len(seeds))[:, None], seeds] = True
+    floor = np.where(fits, cols.valuation[seeds].min(axis=1), -np.inf)
+    best, best_objective = forced, np.full(len(seeds), -np.inf)
+    for order, p, q in orders:
+        # pool[j]: the seeds whose pool holds the customer j-th in this order
+        pool = (cols.valuation[order][:, None] <= floor) & ~forced.T[order]
+        taken = np.zeros_like(pool)
+        acc_p, acc_q = base_p, base_q
+        for j in np.flatnonzero(pool.any(axis=1)).tolist():
+            cand_p, cand_q = acc_p + p[j], acc_q + q[j]
+            np.logical_and(pool[j], cand_p * cand_p + cand_q * cand_q <= limit_sq, out=taken[j])
+            acc_p, acc_q = np.where(taken[j], cand_p, acc_p), np.where(taken[j], cand_q, acc_q)
+        retained = forced.copy()
+        retained[:, order] |= taken.T
+        # +0.0 for an untaken customer leaves a sum from 0.0 unchanged
+        objective = _running_sums(np.where(retained, cols.valuation, 0.0))[:, -1]
+        better = fits & (objective > best_objective)
+        best = np.where(better[:, None], retained, best)
+        best_objective = np.where(better, objective, best_objective)
+    return best, best_objective
+
+
+@np.errstate(over="ignore", invalid="ignore")  # past the float range, sums and squares are inf
+def _search(instance: Instance, config: GsaConfig, rel_tol: float) -> tuple[np.ndarray, float]:
+    """Best retained set, as ascending storage indices, and its objective.
+
+    A block's first seed at the block's best stands for the block, so the
+    winner is the one a walk over the seeds in id-lexicographic order keeps.
+    """
     cols = instance.columns
     m = config.max_subset_size(len(instance))
     limit_sq = instance.capacity_limit_sq(rel_tol)
-    u_list = cols.valuation_list
-
     # positions in ascending id order, so combinations() is id-lexicographic
     by_id = np.lexsort((cols.id,)).tolist()
+    best, best_objective, seeded = np.empty(0, dtype=np.int64), 0.0, False
 
-    best: list[int] = []
-    best_objective = 0.0
-    seeded = False
+    # Phase 1: plain best valuation over feasible subsets smaller than m;
+    # the first strict improvement wins.
+    for size in range(1, m):
+        for seeds in _seed_blocks(by_id, size):
+            p, q, u = (_running_sums(a[seeds])[:, -1] for a in (cols.p, cols.q, cols.valuation))
+            value = np.where(p * p + q * q <= limit_sq, u, -np.inf)
+            k = int(value.argmax())
+            if value[k] > best_objective:
+                best, best_objective = seeds[k], float(value[k])
 
-    # Phase 1: plain best valuation over feasible subsets smaller than m.
-    for size in range(m):
-        for combo in combinations(by_id, size):
-            idxs = sorted(combo)
-            if not indices_fit(instance, idxs, limit_sq):
-                continue
-            value = storage_sum(u_list, idxs)
-            if value > best_objective:
-                best, best_objective = idxs, value
-
-    # Phase 2: force each feasible size-m subset, fill up with the greedy
-    # pair over the customers it dominates by valuation.  Each seed's pool
-    # is a filter of the two instance-wide orders: ids are unique, so the
-    # (key, id) order restricted to the pool is the pool's own scan order.
-    # The pools are a generator: _best_of_scans reads them only for a seed
-    # that fits on its own.
-    sorted_orders = _sorted_orders(instance, SCAN_ORDERS["gda"])
-    orders = [list(zip(*(column.tolist() for column in order))) for order in sorted_orders]
-    for combo in combinations(by_id, m) if m > 0 else ():
-        floor = min(u_list[i] for i in combo)
-        found = _best_of_scans(
-            instance,
-            combo,
-            ([t for t in items if u_list[t[0]] <= floor and t[0] not in combo] for items in orders),
-            limit_sq,
-            scan=_scan_items,
-        )
-        if found is None:
-            continue
-        retained, objective = found
-        if objective > best_objective or (objective == best_objective and not seeded):
-            best, best_objective, seeded = retained, objective, True
+    # Phase 2: force each feasible size-m subset, fill up with the greedy pair
+    # over the customers it dominates by valuation.  Each seed's pool masks the
+    # instance-wide orders: ids are unique, so the (key, id) order restricted to
+    # the pool is its own scan order.  Phase 2 wins ties against Phase 1.
+    orders = _sorted_orders(instance, SCAN_ORDERS["gda"])
+    for seeds in _seed_blocks(by_id, m) if m > 0 else ():
+        retained, objective = _fill_seeds(cols, seeds, orders, limit_sq)
+        k = int(objective.argmax())
+        if objective[k] > best_objective or (objective[k] == best_objective and not seeded):
+            best, best_objective, seeded = np.flatnonzero(retained[k]), float(objective[k]), True
 
     return best, best_objective
 

@@ -18,12 +18,13 @@ All types are immutable after construction and all operations are pure,
 so everything in this module is safe to share across threads.
 
 Float discipline: every objective and aggregate demand is a ``storage_sum``,
-plain left-to-right addition from 0.0 over ascending storage indices.  The
-solvers and the exhaustive oracle keep selections as storage indices and
-build their answers with ``solution_from_indices``; ``retained_valuation``
-and friends map id sets onto the same sum.  So equal selections produce
-bit-identical objectives and aggregates no matter which code path built
-them, on every supported Python version.
+left-to-right addition from 0.0 over ascending storage indices by the one
+running sum of the package, ``_running_sums``.  The solvers and the oracle
+keep selections as storage indices or masks and build their answers with
+``solution_from_indices``; ``retained_valuation`` and friends map id sets
+onto the same sum.  So equal selections produce bit-identical objectives
+and aggregates no matter which code path built them, on every supported
+Python version.
 """
 
 from __future__ import annotations
@@ -135,11 +136,11 @@ class Instance:
     The customers are stored as five read-only columns in storage order: id
     (int64), active and reactive demand, valuation and compensation.
     ``columns`` adds the demand magnitudes (the ``ComplexDemand.magnitude``
-    values, computed once at construction) and list mirrors, and
-    ``customers`` builds ``Customer`` objects from them on first read, which
-    is slow for large instances.  Instances are immutable: attribute
-    assignment raises ``AttributeError``.  Two instances are equal when they
-    hold the same customers in the same order and the same capacity.
+    values, computed once at construction), and ``customers`` builds
+    ``Customer`` objects from them on first read, which is slow for large
+    instances.  Instances are immutable: attribute assignment raises
+    ``AttributeError``.  Two instances are equal when they hold the same
+    customers in the same order and the same capacity.
 
     Construction rejects customers whose individual demand magnitude exceeds
     the capacity (they can never be part of a feasible supply set), listing
@@ -240,29 +241,20 @@ class Instance:
     @cached_property
     def customers(self) -> tuple[Customer, ...]:
         """The customers as objects, in storage order; built on first read."""
-        cols = self.columns
         return tuple(
             Customer(id=cid, demand=ComplexDemand(p, q), valuation=u, compensation=comp)
-            for cid, p, q, u, comp in zip(
-                cols.id_list, cols.p_list, cols.q_list,
-                cols.valuation_list, cols.compensation_list,
-            )
+            for cid, p, q, u, comp in _rows(self.columns)
         )
 
     @cached_property
     def ids(self) -> frozenset[int]:
-        return frozenset(self.columns.id_list)
+        return frozenset(self._id.tolist())
 
     @cached_property
     def columns(self) -> "InstanceColumns":
         """Column-oriented view of the customers, built once per instance."""
-        id_arr, p, q = self._id, self._p, self._q
-        u, comp, mag = self._valuation, self._compensation, self._mag
         return InstanceColumns(
-            id=id_arr, p=p, q=q, valuation=u, compensation=comp, mag=mag,
-            id_list=id_arr.tolist(),
-            p_list=p.tolist(), q_list=q.tolist(),
-            valuation_list=u.tolist(), compensation_list=comp.tolist(),
+            self._id, self._p, self._q, self._valuation, self._compensation, self._mag
         )
 
     def capacity_limit_sq(self, rel_tol: float = CAPACITY_REL_TOL) -> float:
@@ -330,11 +322,11 @@ class InstanceColumns:
     valuation: np.ndarray
     compensation: np.ndarray
     mag: np.ndarray
-    id_list: list[int]
-    p_list: list[float]
-    q_list: list[float]
-    valuation_list: list[float]
-    compensation_list: list[float]
+
+
+def _rows(cols: InstanceColumns) -> zip:
+    """(id, p, q, valuation, compensation) of each customer as Python numbers."""
+    return zip(*(a.tolist() for a in (cols.id, cols.p, cols.q, cols.valuation, cols.compensation)))
 
 
 @dataclass(frozen=True)
@@ -365,26 +357,32 @@ class Solution:
         }
 
 
-# --- canonical accumulation -------------------------------------------------
-#
-# Every objective and aggregate demand is a ``storage_sum``: selections are
-# lists of ascending storage indices, and the public helpers below map id
-# sets onto them.
+# --- canonical accumulation (see "Float discipline" above) ------------------
 
 
-def storage_sum(values: Sequence[float], indices: Iterable[int]) -> float:
-    """``values[i]`` added left to right from 0.0 over ascending storage ``indices``.
+def _running_sums(values: np.ndarray, start: float = 0.0) -> np.ndarray:
+    """``start``, then ``start`` plus each prefix of ``values`` along the last axis.
 
-    This is the package's one canonical accumulation.  It is a plain loop on
-    purpose: builtin ``sum`` is compensated from Python 3.12 on, ``np.sum``
-    adds pairwise, and a numpy call per sum costs more than the loop on the
-    small selections the solvers sum most.  Starting from 0.0 makes an empty
-    or all ``-0.0`` selection sum to ``0.0``.
+    The additions run strictly left to right, as a ``+=`` loop's do (builtin
+    ``sum`` compensates from Python 3.12 on, ``np.sum`` adds pairwise).  A sum
+    past the float range is inf; callers silence numpy's overflow warning."""
+    sums = np.empty(values.shape[:-1] + (values.shape[-1] + 1,))
+    sums[..., 0], sums[..., 1:] = start, values
+    return np.add.accumulate(sums, axis=-1, out=sums)
+
+
+def storage_sum(values: np.ndarray | Sequence[float], indices: np.ndarray | Sequence[int]) -> float:
+    """``values[indices]`` added left to right from 0.0, as a Python float.
+
+    ``indices`` holds ascending storage indices (an int array or list) or is
+    a boolean mask over ``values``.  Starting from 0.0 makes an empty or all
+    ``-0.0`` selection sum to ``0.0``.
     """
-    total = 0.0
-    for i in indices:
-        total += values[i]
-    return total
+    indices = np.asarray(indices)
+    if indices.dtype != np.bool_:
+        indices = indices.astype(np.intp, copy=False)
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range is inf
+        return float(_running_sums(np.asarray(values, dtype=np.float64)[indices])[-1])
 
 
 def solution_from_indices(
@@ -396,63 +394,48 @@ def solution_from_indices(
 ) -> Solution:
     """The ``Solution`` that retains the customers at ascending storage indices.
 
-    The ids and the aggregate demand are derived from ``retained``; the
-    objective must already be a ``storage_sum`` over the same instance.
+    The ids and the aggregate demand are derived from ``retained`` (an array or
+    list); the objective must already be a ``storage_sum`` over the same instance.
     """
     cols = instance.columns
-    id_list = cols.id_list
+    retained = np.asarray(retained, dtype=np.intp)
     return Solution(
-        retained_ids=frozenset([id_list[i] for i in retained]),
+        retained_ids=frozenset(cols.id[retained].tolist()),
         objective=objective,
         aggregate_demand=ComplexDemand(
-            storage_sum(cols.p_list, retained), storage_sum(cols.q_list, retained)
+            storage_sum(cols.p, retained), storage_sum(cols.q, retained)
         ),
         algorithm=algorithm,
         elapsed=elapsed,
     )
 
 
-def _storage_indices(instance: Instance, ids: Iterable[int], inside: bool = True) -> list[int]:
-    """Ascending storage indices of the customers in ``ids``, or of the rest.
+def _storage_mask(instance: Instance, ids: Iterable[int]) -> np.ndarray:
+    """Boolean mask over storage order of the customers in ``ids``.
 
     Raises UnknownCustomerError for ids not in the instance.
     """
     ids = frozenset(ids)
-    id_list = instance.columns.id_list
-    picked = [i for i, cid in enumerate(id_list) if (cid in ids) == inside]
-    if len(picked) != (len(ids) if inside else len(id_list) - len(ids)):
+    if not ids <= instance.ids:
         raise UnknownCustomerError(f"unknown customer ids: {sorted(ids - instance.ids)}")
-    return picked
-
-
-def indices_fit(instance: Instance, indices: Sequence[int], limit_sq: float) -> bool:
-    """Whether the customers at ascending storage ``indices`` fit together.
-
-    True iff the squared magnitude of their ``storage_sum`` aggregate is at
-    most ``limit_sq`` (see ``capacity_limit_sq``).
-    """
-    cols = instance.columns
-    p = storage_sum(cols.p_list, indices)
-    q = storage_sum(cols.q_list, indices)
-    return p * p + q * q <= limit_sq
+    return np.isin(instance.columns.id, np.fromiter(ids, dtype=np.int64, count=len(ids)))
 
 
 def aggregate_demand(instance: Instance, ids: Iterable[int]) -> ComplexDemand:
     """Component-wise sum of the selected customers' demands."""
-    indices = _storage_indices(instance, ids)
+    mask = _storage_mask(instance, ids)
     cols = instance.columns
-    return ComplexDemand(storage_sum(cols.p_list, indices), storage_sum(cols.q_list, indices))
+    return ComplexDemand(storage_sum(cols.p, mask), storage_sum(cols.q, mask))
 
 
 def retained_valuation(instance: Instance, ids: Iterable[int]) -> float:
     """Total valuation of the selected customers."""
-    return storage_sum(instance.columns.valuation_list, _storage_indices(instance, ids))
+    return storage_sum(instance.columns.valuation, _storage_mask(instance, ids))
 
 
 def curtailed_compensation(instance: Instance, retained: Iterable[int]) -> float:
     """Total compensation owed to customers outside the retained set."""
-    shed = _storage_indices(instance, retained, inside=False)
-    return storage_sum(instance.columns.compensation_list, shed)
+    return storage_sum(instance.columns.compensation, ~_storage_mask(instance, retained))
 
 
 def is_feasible(
@@ -464,7 +447,9 @@ def is_feasible(
     Raises UnknownCustomerError for ids not in the instance.
     """
     limit_sq = instance.capacity_limit_sq(rel_tol)
-    return indices_fit(instance, _storage_indices(instance, ids), limit_sq)
+    mask = _storage_mask(instance, ids)
+    p, q = storage_sum(instance.columns.p, mask), storage_sum(instance.columns.q, mask)
+    return p * p + q * q <= limit_sq
 
 
 def max_phase_spread(instance: Instance) -> float:
@@ -475,10 +460,10 @@ def max_phase_spread(instance: Instance) -> float:
     """
     cols = instance.columns
     phases = [
-        math.atan2(q, p) for p, q in zip(cols.p_list, cols.q_list) if p != 0.0 or q != 0.0
+        math.atan2(q, p) for p, q in zip(cols.p.tolist(), cols.q.tolist()) if p != 0.0 or q != 0.0
     ]
     if not phases:
-        raise CurtailError("phase spread is undefined: all demands have zero magnitude")
+        raise InstanceError("phase spread is undefined: all demands have zero magnitude")
     return max(phases) - min(phases)
 
 
@@ -562,15 +547,11 @@ class LinearValue:
 
 
 def instance_to_dict(instance: Instance) -> dict:
-    cols = instance.columns
     return {
         "capacity": instance.capacity,
         "customers": [
             {"id": cid, "p": p, "q": q, "valuation": u, "compensation": comp}
-            for cid, p, q, u, comp in zip(
-                cols.id_list, cols.p_list, cols.q_list,
-                cols.valuation_list, cols.compensation_list,
-            )
+            for cid, p, q, u, comp in _rows(instance.columns)
         ],
     }
 

@@ -24,6 +24,7 @@ from .model import (
     CurtailError,
     Instance,
     Solution,
+    _running_sums,
     solution_from_indices,
     storage_sum,
 )
@@ -72,15 +73,8 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mask_indices(mask: int) -> list[int]:
-    """Storage indices of the set bits of ``mask``, ascending."""
-    return [j for j in range(mask.bit_length()) if mask >> j & 1]
-
-
-def _best_feasible_mask(
-    instance: Instance, weights: np.ndarray, rel_tol: float
-) -> int:
-    """Mask of the feasible selection maximising the weight sum.
+def _best_feasible_mask(instance: Instance, weights: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Storage mask of the feasible selection maximising the weight sum.
 
     Ties are broken toward the lexicographically smallest sorted id list.
     """
@@ -99,13 +93,9 @@ def _best_feasible_mask(
     wsum[~feasible] = -np.inf
     best_value = wsum.max()  # the empty mask is always feasible, so > -inf
     candidates = np.flatnonzero(wsum == best_value)
-    if len(candidates) == 1:
-        return int(candidates[0])
-    id_list = instance.columns.id_list
-    return min(
-        (int(m) for m in candidates),
-        key=lambda m: tuple(sorted(id_list[j] for j in _mask_indices(m))),
-    )
+    ids, bits = instance.columns.id.tolist(), range(len(instance))
+    best = min(map(int, candidates), key=lambda m: sorted(ids[j] for j in bits if m >> j & 1))
+    return np.array([best >> j & 1 for j in bits], dtype=bool)
 
 
 def _brute_force(
@@ -120,14 +110,14 @@ def _brute_force(
     start = time.perf_counter()
     cols = instance.columns
     if objective == "cmin":
-        weights, values, algorithm = cols.compensation, cols.compensation_list, "cmin_oracle"
+        weights, algorithm = cols.compensation, "cmin_oracle"
     else:
-        weights, values, algorithm = cols.valuation, cols.valuation_list, "oracle"
-    mask = _best_feasible_mask(instance, weights, rel_tol)
-    retained = _mask_indices(mask)
-    counted = _mask_indices(mask ^ ((1 << len(instance)) - 1)) if objective == "cmin" else retained
+        weights, algorithm = cols.valuation, "oracle"
+    kept = _best_feasible_mask(instance, weights, rel_tol)
+    counted = ~kept if objective == "cmin" else kept
     return solution_from_indices(
-        instance, retained, storage_sum(values, counted), algorithm, time.perf_counter() - start
+        instance, np.flatnonzero(kept), storage_sum(weights, counted), algorithm,
+        time.perf_counter() - start,
     )
 
 
@@ -167,8 +157,7 @@ def lp_upper_bound(instance: Instance) -> float:
     order = scan_order(instance, SortKey.EFFICIENCY_DESC)
     mag, valuation = cols.mag[order], cols.valuation[order]
     with np.errstate(over="ignore"):  # a sum past the float range is inf, as in a loop
-        taken_mag = np.add.accumulate(np.concatenate(((0.0,), mag)))
-        value = np.add.accumulate(np.concatenate(((0.0,), valuation)))
+        taken_mag, value = _running_sums(mag), _running_sums(valuation)
     # prefixes never shrink, so the break customer is the first whose prefix overflows
     k = int(np.searchsorted(taken_mag[1:], instance.capacity, side="right"))
     if k == len(order):

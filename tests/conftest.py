@@ -272,7 +272,7 @@ def reference_gsa_search(instance: Instance, config: GsaConfig, rel_tol: float =
     n = len(instance)
     m = config.max_subset_size(n)
     limit_sq = instance.capacity_limit_sq(rel_tol)
-    p_list, q_list, u_list = cols.p_list, cols.q_list, cols.valuation_list
+    p_list, q_list, u_list = cols.p.tolist(), cols.q.tolist(), cols.valuation.tolist()
 
     def fits(idxs):
         p = q = 0.0
@@ -348,7 +348,7 @@ def reference_greedy(instance: Instance, algorithm: str, forced=(), pool=None, r
     to right in storage order).
     """
     cols = instance.columns
-    p, q, u = cols.p_list, cols.q_list, cols.valuation_list
+    p, q, u = cols.p.tolist(), cols.q.tolist(), cols.valuation.tolist()
     pool = set(range(len(instance)) if pool is None else pool)
     forced = sorted(forced)
     base_p = base_q = 0.0

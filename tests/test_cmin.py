@@ -19,7 +19,6 @@ from curtail import (
     retained_valuation,
 )
 from curtail.greedy import SHED_ORDERS, scan_order
-from curtail.model import indices_fit
 from conftest import build_instance, random_instance, reference_cmin
 
 SOLVERS = {"gva": cmin_gva, "gma": cmin_gma, "gra": cmin_gra, "gda": cmin_gda}
@@ -223,10 +222,10 @@ class TestShedFitIsMonotone:
     @settings(max_examples=300, deadline=None, phases=_NO_EXPLAIN)
     def test_fit_is_a_run_of_false_then_a_run_of_true(self, case):
         inst, rel_tol = case
-        limit_sq = inst.capacity_limit_sq(rel_tol)
+        ids = inst.columns.id
         for key in SHED_KEYS:
-            order = scan_order(inst, key).tolist()
-            fits = [indices_fit(inst, sorted(order[k:]), limit_sq) for k in range(len(order) + 1)]
+            order = scan_order(inst, key)
+            fits = [is_feasible(inst, ids[order[k:]].tolist(), rel_tol) for k in range(len(order) + 1)]
             assert fits == sorted(fits), key  # False sorts before True
             assert fits[-1]  # shedding everyone always fits
 

@@ -451,13 +451,13 @@ class TestScanKernel:
             order = rng.permutation(n).tolist()
             forced = sorted(order[: int(rng.integers(0, 4))])
             limit_sq = inst.capacity_limit_sq()
-            p = sum(inst.columns.p_list[i] for i in forced)
-            q = sum(inst.columns.q_list[i] for i in forced)
+            p = sum(inst.columns.p[forced].tolist())
+            q = sum(inst.columns.q[forced].tolist())
             if p * p + q * q > limit_sq:
                 continue
             pool = order[len(forced):][: int(rng.integers(0, n + 1))]
             expected, objective = reference_greedy(inst, "gda", forced, pool)
-            ids = inst.columns.id_list
+            ids = inst.columns.id.tolist()
             for block in SCAN_BLOCKS:
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(greedy, "_SCAN_BLOCK", block)
@@ -473,5 +473,5 @@ class TestScanKernel:
             inst = random_instance(rng, int(rng.integers(1, 300)))
             expected, objective = reference_greedy(inst, algorithm)
             sol = solver(inst)
-            assert sol.retained_ids == {inst.columns.id_list[i] for i in expected}
+            assert sol.retained_ids == set(inst.columns.id[expected].tolist())
             assert sol.objective == objective

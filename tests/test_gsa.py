@@ -1,6 +1,8 @@
 """Enumeration-boosted solver: size arithmetic, phases, guarantee, exactness."""
 
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,18 +20,23 @@ from curtail import (
     gsa_subset_count,
     is_feasible,
     max_phase_spread,
+    restrict_to_capacity,
     retained_valuation,
+    spec_from_acronym,
+    generate,
 )
 from curtail.greedy import scan_order
 from curtail.gsa import _search
+
+# the package's ``gsa`` function shadows the module as an attribute of ``curtail``
+gsa_module = importlib.import_module("curtail.gsa")
 from conftest import build_instance, random_instance, reference_gsa_search
 
 
 def search_ids(inst: Instance, config: GsaConfig):
     """``_search`` with its storage indices mapped to ids, as the reference returns them."""
     retained, objective = _search(inst, config, 1e-9)
-    id_list = inst.columns.id_list
-    return frozenset(id_list[i] for i in retained), objective
+    return frozenset(inst.columns.id[retained].tolist()), objective
 
 
 def tied_instance(rng: np.random.Generator, n: int) -> Instance:
@@ -206,3 +213,35 @@ class TestAgainstPerSeedReference:
             for key in SortKey:
                 filtered = [j for j in scan_order(inst, key) if j in members]
                 assert filtered == [members[k] for k in scan_order(sub, key)]
+
+
+class TestSeedBlocks:
+    """Seeds are scanned in blocks of at most ``_SEED_BLOCK_CELLS`` seeds x customers."""
+
+    @pytest.mark.parametrize("epsilon", [1 / 3, 1 / 4, 1 / 5])
+    def test_every_block_size_matches_the_reference(self, epsilon):
+        # one seed per block at 1 and 2 cells, so every seed is its own block
+        rng = np.random.default_rng(227)
+        for n in range(1, 11):
+            for make in (random_instance, tied_instance):
+                inst = make(rng, n)
+                expected = reference_gsa_search(inst, GsaConfig(epsilon))
+                for cells in (1, 2, gsa_module._SEED_BLOCK_CELLS):
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(gsa_module, "_SEED_BLOCK_CELLS", cells)
+                        got = search_ids(inst, GsaConfig(epsilon))
+                    assert got == expected[:2]
+
+    def test_memory_stays_bounded_at_large_n(self):
+        # 2 000 singleton seeds over 2 000 customers: scanned as one block, the
+        # seed masks and sums would take over 100 MiB
+        base = generate(spec_from_acronym("FCM", 2_000, 1e12, 0))
+        inst = restrict_to_capacity(base, 0.4 * float(base.columns.mag.sum()))
+        assert GsaConfig(0.34).max_subset_size(len(inst)) == 1
+        tracemalloc.start()
+        try:
+            gsa(inst, GsaConfig(0.34))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20

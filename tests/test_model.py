@@ -1,7 +1,9 @@
 """Core model: demand arithmetic, feasibility, phase geometry, value models."""
 
+import dataclasses
 import json
 import math
+import warnings
 from functools import cached_property
 
 import numpy as np
@@ -40,9 +42,10 @@ from curtail import (
     restrict_to_capacity,
     retained_valuation,
     spec_from_acronym,
+    storage_sum,
     with_capacity,
 )
-from curtail.model import MAX_CUSTOMER_ID
+from curtail.model import MAX_CUSTOMER_ID, InstanceColumns
 from conftest import build_instance, reference_instance_from_dict
 
 
@@ -97,7 +100,7 @@ class TestInstance:
 
     def test_ids_must_fit_int64_columns(self):
         inst = build_instance([(2**63 - 1, 1, 0, 1)], 10)
-        assert inst.columns.id_list == [2**63 - 1]
+        assert inst.columns.id.tolist() == [2**63 - 1]
         for bad in (2**63, -1, math.inf, math.nan):
             with pytest.raises(InstanceError, match="customer id"):
                 build_instance([(bad, 1, 0, 1)], 10)
@@ -196,7 +199,7 @@ class TestPhaseSpread:
 
     def test_all_zero_demands_error(self):
         inst = build_instance([(1, 0, 0, 1)], 10)
-        with pytest.raises(Exception, match="undefined"):
+        with pytest.raises(ValueError, match="undefined"):
             max_phase_spread(inst)
 
     @given(
@@ -363,15 +366,69 @@ class TestSerde:
 COLUMN_NAMES = ("id", "p", "q", "valuation", "compensation", "mag")
 
 
+def loop_sum(values, indices) -> float:
+    """The reference for ``storage_sum``: a plain ``+=`` loop from 0.0."""
+    total = 0.0
+    for i in indices:
+        total += values[i]
+    return total
+
+
+# Summands: ordinary magnitudes, signed zeros, subnormals and values near overflow.
+_SUMMAND = st.one_of(
+    st.floats(0.0, 1e6),
+    st.sampled_from([0.0, -0.0, 1e-320, 5e-324, 1e308, 1.7976931348623157e308]),
+)
+
+
+class TestStorageSum:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_SUMMAND, max_size=40), st.data())
+    def test_equals_the_loop_for_every_index_form(self, values, data):
+        mask = data.draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+        indices = [i for i, keep in enumerate(mask) if keep]
+        expected = loop_sum(values, indices)
+        array = np.array(values, dtype=np.float64)
+        for vals, idx in (
+            (array, np.array(indices, dtype=np.int64)),
+            (values, indices),
+            (array, np.array(mask, dtype=bool)),
+        ):
+            got = storage_sum(vals, idx)
+            assert type(got) is float
+            assert got == expected
+            assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+
+    def test_empty_selection_is_positive_zero(self):
+        for idx in ([], np.empty(0, dtype=np.int64), np.zeros(3, dtype=bool)):
+            got = storage_sum(np.array([1.0, 2.0, 3.0]), idx)
+            assert type(got) is float and got == 0.0 and math.copysign(1.0, got) == 1.0
+
+    def test_negative_zeros_sum_to_positive_zero(self):
+        got = storage_sum(np.full(4, -0.0), np.arange(4))
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+    def test_subnormals_add_exactly(self):
+        assert storage_sum([1e-320] * 3, [0, 1, 2]) == loop_sum([1e-320] * 3, [0, 1, 2])
+
+    def test_overflow_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert storage_sum(np.array([1.7e308, 1.7e308]), [0, 1]) == math.inf
+
+
 class TestColumnStorage:
     def test_columns_match_the_customers(self, valuation_trap):
         cols = valuation_trap.columns
         for k, c in enumerate(valuation_trap.customers):
-            assert cols.id_list[k] == c.id
-            assert cols.p_list[k] == c.demand.active_p
-            assert cols.q_list[k] == c.demand.reactive_q
-            assert cols.valuation_list[k] == c.valuation
-            assert cols.compensation_list[k] == c.compensation
+            assert cols.id[k] == c.id
+            assert cols.p[k] == c.demand.active_p
+            assert cols.q[k] == c.demand.reactive_q
+            assert cols.valuation[k] == c.valuation
+            assert cols.compensation[k] == c.compensation
+
+    def test_columns_are_the_six_arrays(self, valuation_trap):
+        assert tuple(f.name for f in dataclasses.fields(InstanceColumns)) == COLUMN_NAMES
 
     def test_column_arrays_are_read_only(self, valuation_trap):
         cols = valuation_trap.columns
