@@ -4,8 +4,7 @@ A trial plan names a scenario template, the customer counts to sweep, how
 many trials per count, which algorithms to run and which yardstick (the
 exhaustive optimum, the LP relaxation bound, or none).  Every trial's
 instance seed is derived from (plan seed, n, trial index), so any trial can
-be regenerated in isolation and results never depend on execution order or
-on thread count.
+be regenerated in isolation and results never depend on execution order.
 
 Ratios are oriented so that 1.0 means optimal for both objectives: achieved
 over optimal when maximising valuation, optimal over achieved when
@@ -14,7 +13,7 @@ confidence intervals use the normal approximation 1.96 * s / sqrt(t).
 
 Wall-clock timings are inherently non-reproducible, so plans only include
 elapsed columns when ``measure_time`` is set; with it off (the default) the
-emitted CSV is byte-identical across runs and worker counts.
+emitted CSV is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
@@ -188,15 +186,16 @@ def _mean_ci(values: Sequence[float]) -> tuple[float, float]:
 
 
 def run_benchmark(plan: TrialPlan, threads: int = 1) -> BenchmarkReport:
-    """Execute the plan. ``threads`` (>= 1) only changes wall time, never results."""
+    """Execute the plan's trials in order on the calling thread.
+
+    ``threads`` (>= 1) is validated and otherwise ignored: a trial is many
+    short numpy calls, and worker threads only contended for the GIL.
+    """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    tasks = [(n, t) for n in plan.n_values for t in range(plan.trials_per_n)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = dict(zip(tasks, pool.map(lambda nt: _run_trial(plan, *nt), tasks)))
-    else:
-        outcomes = {nt: _run_trial(plan, *nt) for nt in tasks}
+    outcomes = {
+        (n, t): _run_trial(plan, n, t) for n in plan.n_values for t in range(plan.trials_per_n)
+    }
 
     rows = []
     for n in sorted(set(plan.n_values)):

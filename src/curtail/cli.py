@@ -219,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run a benchmark plan, emit a CSV report")
     bench.add_argument("--plan", required=True, help="plan JSON path")
     bench.add_argument("-o", "--output", required=True, help="report CSV path")
-    bench.add_argument("--threads", type=_threads, default=1, help="worker threads, >= 1")
+    bench.add_argument("--threads", type=_threads, default=1,
+                       help=">= 1; accepted for compatibility, trials run serially")
     bench.set_defaults(func=_cmd_bench)
 
     sim = sub.add_parser("simulate", help="dynamic-capacity event simulation")

@@ -18,13 +18,13 @@ All types are immutable after construction and all operations are pure,
 so everything in this module is safe to share across threads.
 
 Float discipline: every objective and aggregate demand is a ``storage_sum``,
-left-to-right addition from 0.0 over ascending storage indices by the one
-running sum of the package, ``_running_sums``.  The solvers and the oracle
-keep selections as storage indices or masks and build their answers with
-``solution_from_indices``; ``retained_valuation`` and friends map id sets
-onto the same sum.  So equal selections produce bit-identical objectives
-and aggregates no matter which code path built them, on every supported
-Python version.
+left-to-right addition from 0.0 over ascending storage indices, by a plain
+loop for a few values and otherwise by the one running sum of the package,
+``_running_sums``.  The solvers and the oracle keep selections as storage
+indices or masks and build their answers with ``solution_from_indices``;
+``retained_valuation`` and friends map id sets onto the same sum.  So equal
+selections produce bit-identical objectives and aggregates no matter which
+code path built them, on every supported Python version.
 """
 
 from __future__ import annotations
@@ -371,18 +371,31 @@ def _running_sums(values: np.ndarray, start: float = 0.0) -> np.ndarray:
     return np.add.accumulate(sums, axis=-1, out=sums)
 
 
+# Selections of at most this many values are added by a plain ``+=`` loop,
+# which is faster than the accumulation's numpy calls at that size.
+_LOOP_SUM_MAX = 64
+
+
 def storage_sum(values: np.ndarray | Sequence[float], indices: np.ndarray | Sequence[int]) -> float:
     """``values[indices]`` added left to right from 0.0, as a Python float.
 
     ``indices`` holds ascending storage indices (an int array or list) or is
     a boolean mask over ``values``.  Starting from 0.0 makes an empty or all
-    ``-0.0`` selection sum to ``0.0``.
+    ``-0.0`` selection sum to ``0.0``.  Up to ``_LOOP_SUM_MAX`` selected
+    values go through a ``+=`` loop, more through ``_running_sums``; both add
+    in the same order, so they return the same float.
     """
     indices = np.asarray(indices)
     if indices.dtype != np.bool_:
         indices = indices.astype(np.intp, copy=False)
+    selected = np.asarray(values, dtype=np.float64)[indices]
+    if selected.size <= _LOOP_SUM_MAX:
+        total = 0.0
+        for value in selected.tolist():
+            total += value
+        return total
     with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range is inf
-        return float(_running_sums(np.asarray(values, dtype=np.float64)[indices])[-1])
+        return float(_running_sums(selected)[-1])
 
 
 def solution_from_indices(

@@ -31,6 +31,7 @@ from curtail import (
     restrict_to_capacity,
 )
 from curtail.greedy import scan_order
+from curtail.oracle import subset_sums
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -147,6 +148,27 @@ def reference_best_vmax(instance: Instance, rel_tol: float = 1e-9):
             elif abs(value - best) <= 1e-12 * max(1.0, abs(best)):
                 winners.append(combo)
     return best, winners
+
+
+def reference_best_feasible_mask(instance: Instance, weights: np.ndarray, rel_tol: float):
+    """Full-table search; the reference for ``oracle._best_feasible_mask``.
+
+    Tabulates p, q and weight sums over all 2^n storage masks with
+    ``subset_sums``, so every entry is the float the search builds for that
+    selection.  Among the feasible masks of largest weight it returns the one
+    whose sorted id list is lexicographically smallest, as a boolean mask.
+    """
+    limit_sq = instance.capacity_limit_sq(rel_tol)
+    with np.errstate(over="ignore"):  # a sum or square past the float range is inf
+        psum = subset_sums(instance.columns.p)
+        qsum = subset_sums(instance.columns.q)
+        feasible = psum * psum + qsum * qsum <= limit_sq
+        wsum = subset_sums(weights)
+    wsum[~feasible] = -np.inf
+    candidates = np.flatnonzero(wsum == wsum.max())
+    ids, bits = instance.columns.id.tolist(), range(len(instance))
+    best = min(map(int, candidates), key=lambda m: sorted(ids[j] for j in bits if m >> j & 1))
+    return np.array([best >> j & 1 for j in bits], dtype=bool)
 
 
 def reference_cmin(instance: Instance, algorithm: str, rel_tol: float = 1e-9):

@@ -1,10 +1,12 @@
 """Core model: demand arithmetic, feasibility, phase geometry, value models."""
 
 import dataclasses
+import importlib
 import json
 import math
 import warnings
 from functools import cached_property
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,6 +49,8 @@ from curtail import (
 )
 from curtail.model import MAX_CUSTOMER_ID, InstanceColumns
 from conftest import build_instance, reference_instance_from_dict
+
+model_module = importlib.import_module("curtail.model")
 
 
 class TestComplexDemand:
@@ -415,6 +419,39 @@ class TestStorageSum:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert storage_sum(np.array([1.7e308, 1.7e308]), [0, 1]) == math.inf
+
+    # At most _LOOP_SUM_MAX selected values are added by a Python loop, more
+    # by the numpy accumulation; the tests above run on the loop side.
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_SUMMAND, max_size=40), st.data())
+    def test_accumulation_side_equals_the_loop(self, values, data):
+        mask = data.draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+        indices = [i for i, keep in enumerate(mask) if keep]
+        expected = loop_sum(values, indices)
+        with mock.patch.object(model_module, "_LOOP_SUM_MAX", -1):
+            for idx in (indices, np.array(mask, dtype=bool)):
+                got = storage_sum(np.array(values, dtype=np.float64), idx)
+                assert type(got) is float
+                assert got == expected
+                assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+
+    @pytest.mark.parametrize("cut_over", [-1, 10**9], ids=["accumulation", "loop"])
+    def test_edge_values_on_both_sides(self, cut_over):
+        with mock.patch.object(model_module, "_LOOP_SUM_MAX", cut_over), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for got in (storage_sum(np.full(4, -0.0), np.arange(4)), storage_sum([1.0], [])):
+                assert type(got) is float and got == 0.0 and math.copysign(1.0, got) == 1.0
+            assert storage_sum([1e-320] * 3, [0, 1, 2]) == loop_sum([1e-320] * 3, [0, 1, 2])
+            assert storage_sum(np.array([1.7e308, 1.7e308]), [0, 1]) == math.inf
+
+    def test_selection_sizes_around_the_cut_over(self):
+        rng = np.random.default_rng(7)
+        cut = model_module._LOOP_SUM_MAX
+        for size in (cut - 1, cut, cut + 1, 4 * cut):
+            values = rng.uniform(0.0, 1e6, size + 9)
+            indices = np.sort(rng.choice(len(values), size, replace=False))
+            assert storage_sum(values, indices) == loop_sum(values.tolist(), indices.tolist())
 
 
 class TestColumnStorage:

@@ -1,6 +1,9 @@
 """Exhaustive oracles and the LP relaxation bound."""
 
+import importlib
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,12 +21,24 @@ from curtail import (
     gda,
     gma,
     gra,
+    generate,
     gva,
+    is_feasible,
     lp_upper_bound,
     max_phase_spread,
+    restrict_to_capacity,
     retained_valuation,
+    spec_from_acronym,
 )
-from conftest import build_instance, knapsack_dp, random_instance, reference_best_vmax
+from conftest import (
+    build_instance,
+    knapsack_dp,
+    random_instance,
+    reference_best_feasible_mask,
+    reference_best_vmax,
+)
+
+oracle_module = importlib.import_module("curtail.oracle")
 
 
 class TestBruteForceVmax:
@@ -128,6 +143,90 @@ class TestAgainstItertoolsReference:
         _, winners = reference_best_vmax(mirror)
         assert tuple(sorted(sol.retained_ids)) in [tuple(sorted(w)) for w in winners]
         assert sol.objective == curtailed_compensation(inst, sol.retained_ids)
+
+
+_HUGE_DEMANDS = st.sampled_from([0.0, 1e153, 3e153, 6e153])
+_HUGE_WEIGHTS = st.sampled_from([0.0, 1e307, 8e307, 1.7976931348623157e308])
+
+
+@st.composite
+def _mask_search_cases(draw):
+    """An instance, its weights, a slack and a full-table size for the mask search.
+
+    The value kinds give ties (small integers), zero demands, all-zero
+    weights, and sums whose squares or weights overflow.  The capacity is
+    either the exact magnitude of a drawn subset's sums or a fraction of the
+    total, and the table size falls on both sides of n.
+    """
+    n = draw(st.integers(0, 13))
+    kind = draw(st.sampled_from(["floats", "integers", "zero weights", "near overflow"]))
+    if kind == "near overflow":
+        demand, weight = _HUGE_DEMANDS, _HUGE_WEIGHTS
+    else:
+        demand = st.one_of(st.just(0.0), st.integers(0, 5).map(float), st.floats(0.0, 10.0))
+        weight = st.integers(0, 3).map(float) if kind == "integers" else st.floats(0.0, 100.0)
+        if kind == "integers":
+            demand = st.integers(0, 4).map(float)
+        if kind == "zero weights":
+            weight = st.just(0.0)
+    ids = draw(st.permutations(range(2 * n)))[:n]
+    p, q, w = ([draw(values) for _ in range(n)] for values in (demand, demand, weight))
+    if draw(st.booleans()):
+        chosen = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        sum_p = sum_q = 0.0
+        for k in range(n):
+            if chosen[k]:
+                sum_p += p[k]
+                sum_q += q[k]
+        capacity = math.hypot(sum_p, sum_q)
+    else:
+        capacity = draw(st.floats(0.1, 0.9)) * sum(map(math.hypot, p, q))
+    capacity = min(max([1e-3, capacity, *map(math.hypot, p, q)]), 1.3e154)
+    rows = [(ids[k], p[k], q[k], w[k]) for k in range(n)]
+    rel_tol = draw(st.sampled_from([0.0, 1e-9]))
+    return build_instance(rows, capacity), np.array(w, dtype=np.float64), rel_tol, draw(
+        st.integers(0, 14)
+    )
+
+
+class TestMaskSearch:
+    @given(case=_mask_search_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_full_table(self, case):
+        inst, weights, rel_tol, table_bits = case
+        expected = reference_best_feasible_mask(inst, weights, rel_tol)
+        with mock.patch.object(oracle_module, "_TABLE_BITS", table_bits):
+            got = oracle_module._best_feasible_mask(inst, weights, rel_tol)
+        assert got.dtype == bool
+        assert np.array_equal(got, expected)
+
+    def test_bound_margin_keeps_a_tie_made_by_rounding(self):
+        # {0, 2, 3} adds up to 1 + 2u by rounding up twice and ties {1}, but
+        # its prefix {0} plus the rest adds up to only 1 + u: without the
+        # margin, {0} would be dropped once {1} is the incumbent
+        u = 2.0**-52
+        weights = np.array([1.0, 1.0 + 2 * u, 0.6 * u, 0.6 * u])
+        rows = [(k, p, 0.0, w) for k, (p, w) in enumerate(zip((0.5, 0.875, 0.25, 0.25), weights))]
+        inst = build_instance(rows, 1.0)
+        expected = [True, False, True, True]
+        assert reference_best_feasible_mask(inst, weights, 1e-9).tolist() == expected
+        with mock.patch.object(oracle_module, "_TABLE_BITS", 0):
+            assert oracle_module._best_feasible_mask(inst, weights, 1e-9).tolist() == expected
+
+    def test_fcr_26_stays_under_100_mib(self):
+        # full p, q and weight tables over 2^26 masks would take about 1.6 GiB
+        base = generate(spec_from_acronym("FCR", 26, 1e12, 0))
+        inst = restrict_to_capacity(base, 0.4 * float(base.columns.mag.sum()))
+        assert len(inst) == 26
+        tracemalloc.start()
+        try:
+            sol = brute_force_vmax(inst, OracleBudget(max_n=26))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+        assert is_feasible(inst, sol.retained_ids)
+        assert sol.objective >= gda(inst).objective
 
 
 class TestBruteForceCmin:
