@@ -33,6 +33,9 @@ from .model import (
     FormatError,
     Instance,
     Solution,
+    _REQUIRED,
+    _check,
+    _field,
     capacity_limit_sq,
     storage_sum,
 )
@@ -168,7 +171,7 @@ def _run_trial(plan: TrialPlan, n: int, trial: int) -> dict[str, tuple[float, fl
     instance = instance_for_trial(plan, n, trial)
     optimal = _yardstick(plan, instance)
     out = {}
-    for tag in plan.algorithms:
+    for tag in sorted(set(plan.algorithms)):
         solution = _solve(plan, tag, instance)
         ratio = None if optimal is None else _ratio(plan, solution.objective, optimal)
         out[tag] = (solution.objective, ratio, solution.elapsed)
@@ -193,12 +196,13 @@ def run_benchmark(plan: TrialPlan, threads: int = 1) -> BenchmarkReport:
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    n_values = sorted(set(plan.n_values))  # a repeated n runs once, like a repeated algorithm
     outcomes = {
-        (n, t): _run_trial(plan, n, t) for n in plan.n_values for t in range(plan.trials_per_n)
+        (n, t): _run_trial(plan, n, t) for n in n_values for t in range(plan.trials_per_n)
     }
 
     rows = []
-    for n in sorted(set(plan.n_values)):
+    for n in n_values:
         for tag in sorted(set(plan.algorithms)):
             trials = [outcomes[(n, t)][tag] for t in range(plan.trials_per_n)]
             objectives = [t[0] for t in trials]
@@ -227,7 +231,6 @@ def run_benchmark(plan: TrialPlan, threads: int = 1) -> BenchmarkReport:
                     ci95_elapsed=ci_el,
                 )
             )
-    rows.sort(key=lambda r: (r.scenario, r.n, r.algorithm))
     return BenchmarkReport(rows=tuple(rows))
 
 
@@ -264,29 +267,6 @@ _PLAN_SCENARIO_KEYS = {
 }
 
 
-_REQUIRED = object()
-_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
-          list: "a list", Mapping: "an object"}
-
-
-def _check(value, kind: type, where: str):
-    """``value`` if it has the JSON type ``kind``; ``float`` admits integers, and
-    a bool passes only as ``bool``."""
-    allowed = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
-        raise FormatError(f"{where}: expected {_KINDS[kind]}, got {value!r}")
-    return value
-
-
-def _field(doc: Mapping, key: str, kind: type, where: str, default=_REQUIRED):
-    """``doc[key]`` checked by ``_check``, or ``default`` when absent."""
-    if key not in doc:
-        if default is _REQUIRED:
-            raise FormatError(f"{where}: missing field '{key}'")
-        return default
-    return _check(doc[key], kind, f"{where}.{key}")
-
-
 def _list_field(doc: Mapping, key: str, kind: type, default=_REQUIRED) -> tuple:
     values = _field(doc, key, list, "plan", default)
     return tuple(_check(v, kind, f"plan.{key}[{i}]") for i, v in enumerate(values))
@@ -312,7 +292,7 @@ def plan_from_dict(doc: Mapping) -> TrialPlan:
         scenario = spec_from_acronym(
             _field(sc, "acronym", str, "plan.scenario"),
             n=0,
-            capacity=float(_field(sc, "capacity", float, "plan.scenario")),
+            capacity=_field(sc, "capacity", float, "plan.scenario"),
             seed=_field(sc, "seed", int, "plan.scenario"),
             **{
                 key: _field(sc, key, float, "plan.scenario")
@@ -327,7 +307,7 @@ def plan_from_dict(doc: Mapping) -> TrialPlan:
             algorithms=_list_field(doc, "algorithms", str, ["gda"]),
             objective=_field(doc, "objective", str, "plan", "vmax"),
             oracle=_field(doc, "oracle", str, "plan", "brute_force"),
-            gsa_epsilon=float(_field(doc, "gsa_epsilon", float, "plan", 0.25)),
+            gsa_epsilon=_field(doc, "gsa_epsilon", float, "plan", 0.25),
             measure_time=_field(doc, "measure_time", bool, "plan", False),
             budget=OracleBudget(max_n=_field(doc, "oracle_max_n", int, "plan", OracleBudget.max_n)),
         )
@@ -356,19 +336,19 @@ def run_dynamic_capacity(
     drop_range: tuple[float, float] = (0.05, 0.35),
     algorithm: str = "gda",
     seed: int = 0,
-    full_capacity: float = 2_000_000.0,
     floor_capacity: float = 100_000.0,
     gsa_epsilon: float = 0.25,
 ) -> list[TracePoint]:
-    """Re-solve a fixed customer set while generation capacity jumps around.
+    """Re-solve the customers of ``generate(scenario)`` while capacity jumps around.
 
-    Events arrive with exponential inter-arrival times at ``event_rate`` per
-    second until ``horizon`` seconds; both must be finite and > 0.  Each
-    event is a failure with probability ``fail_prob`` (capacity drops by a
-    uniform fraction from ``drop_range``, floored at ``floor_capacity``) and
-    a full resumption otherwise.  The floor must lie in (0, full_capacity].
-    The trace starts with one point at t=0 at full capacity and gains a point
-    per event.
+    The full capacity is ``scenario.capacity``.  Events arrive with
+    exponential inter-arrival times at ``event_rate`` per second until
+    ``horizon`` seconds; both must be finite and > 0.  Each event is a
+    failure with probability ``fail_prob`` (capacity drops by a uniform
+    fraction from ``drop_range``, floored at ``floor_capacity``) and a
+    resumption to full capacity otherwise.  The floor must lie in
+    (0, scenario.capacity].  The trace starts with one point at t=0 at full
+    capacity and gains a point per event.
 
     Customers whose lone demand exceeds the current capacity are excluded
     from that re-solve; they could never be part of a feasible supply set.
@@ -389,16 +369,16 @@ def run_dynamic_capacity(
             f"horizon and event_rate must be finite and > 0, "
             f"got horizon {horizon:g} and event_rate {event_rate:g}"
         )
-    if not 0.0 < floor_capacity <= full_capacity:
+    if not 0.0 < floor_capacity <= scenario.capacity:
         raise ValueError(
             f"floor capacity must satisfy 0 < floor <= full capacity, "
-            f"got floor {floor_capacity:g} and full {full_capacity:g}"
+            f"got floor {floor_capacity:g} and full {scenario.capacity:g}"
         )
     if algorithm not in set(VMAX_ALGORITHMS) | {"gsa"}:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     config = GsaConfig(gsa_epsilon)
 
-    base = generate(replace(scenario, capacity=full_capacity))
+    base = generate(scenario)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD1)))
 
     if algorithm == "gsa":
@@ -417,7 +397,7 @@ def run_dynamic_capacity(
 
     solve_at = functools.cache(solve_at)
 
-    capacity = full_capacity
+    capacity = scenario.capacity
     objective, retained = solve_at(capacity)
     trace = [TracePoint(0.0, capacity, objective, retained)]
     t = 0.0
@@ -428,7 +408,7 @@ def run_dynamic_capacity(
         if rng.random() < fail_prob:
             capacity = max(floor_capacity, capacity * (1.0 - rng.uniform(lo, hi)))
         else:
-            capacity = full_capacity
+            capacity = scenario.capacity
         objective, retained = solve_at(capacity)
         trace.append(TracePoint(t, capacity, objective, retained))
     return trace

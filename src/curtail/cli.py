@@ -158,7 +158,6 @@ def _cmd_simulate(args) -> int:
         drop_range=(args.drop_lo, args.drop_hi),
         algorithm=args.algorithm,
         seed=args.seed,
-        full_capacity=args.capacity,
         floor_capacity=args.floor,
         gsa_epsilon=args.epsilon,
     )

@@ -26,6 +26,10 @@ Determinism: subsets are enumerated lexicographically by customer id;
 a Phase 2 candidate replaces the incumbent on ties only if the incumbent
 came from Phase 1, so equal-objective winners resolve to the
 lexicographically smallest Phase 2 seed regardless of evaluation order.
+
+The package re-exports the function ``gsa`` over this submodule, so
+``curtail.gsa`` names the function, also after ``import curtail.gsa``;
+``importlib.import_module("curtail.gsa")`` returns this module.
 """
 
 from __future__ import annotations

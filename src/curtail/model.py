@@ -572,16 +572,32 @@ def instance_to_dict(instance: Instance) -> dict:
 _NUMBER_FIELDS = ("p", "q", "valuation", "compensation")
 
 
-def _require_number(obj: Mapping, key: str, where: str) -> float:
-    if key not in obj:
-        raise FormatError(f"{where}: missing field '{key}'")
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FormatError(f"{where}.{key}: expected a number, got {value!r}")
+_REQUIRED = object()
+_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+          list: "a list", Mapping: "an object"}
+
+
+def _check(value, kind: type, where: str):
+    """``value`` if it has the JSON type ``kind``, as a float for ``float``, which
+    admits integers a float can hold; a bool passes only as ``bool``."""
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+        raise FormatError(f"{where}: expected {_KINDS[kind]}, got {value!r}")
+    if kind is not float:
+        return value
     try:
         return float(value)
     except OverflowError as exc:
-        raise FormatError(f"{where}.{key}: integer too large for a float") from exc
+        raise FormatError(f"{where}: integer too large for a float") from exc
+
+
+def _field(doc: Mapping, key: str, kind: type, where: str, default=_REQUIRED):
+    """``doc[key]`` checked by ``_check``, or ``default`` when absent."""
+    if key not in doc:
+        if default is _REQUIRED:
+            raise FormatError(f"{where}: missing field '{key}'")
+        return default
+    return _check(doc[key], kind, f"{where}.{key}")
 
 
 def _only(values: list, allowed: type | tuple[type, ...]) -> bool:
@@ -624,20 +640,15 @@ def _raise_customer_error(raw: list) -> None:
         where = f"customers[{i}]"
         if not isinstance(item, Mapping):
             raise FormatError(f"{where}: expected an object")
-        if "id" not in item:
-            raise FormatError(f"{where}: missing field 'id'")
-        cid = item["id"]
-        if isinstance(cid, bool) or not isinstance(cid, int):
-            raise FormatError(f"{where}.id: expected an integer, got {cid!r}")
+        cid = _field(item, "id", int, where)
         try:
             Customer(
                 id=cid,
                 demand=ComplexDemand(
-                    _require_number(item, "p", where),
-                    _require_number(item, "q", where),
+                    _field(item, "p", float, where), _field(item, "q", float, where)
                 ),
-                valuation=_require_number(item, "valuation", where),
-                compensation=_require_number(item, "compensation", where),
+                valuation=_field(item, "valuation", float, where),
+                compensation=_field(item, "compensation", float, where),
             )
         except InstanceError as exc:
             raise FormatError(f"{where}: {exc}") from exc
@@ -652,7 +663,7 @@ def instance_from_dict(doc: Mapping) -> Instance:
     """
     if not isinstance(doc, Mapping):
         raise FormatError("instance document must be a JSON object")
-    capacity = _require_number(doc, "capacity", "instance")
+    capacity = _field(doc, "capacity", float, "instance")
     raw = doc.get("customers")
     if not isinstance(raw, list):
         raise FormatError("instance.customers: expected a list")

@@ -62,7 +62,7 @@ class OracleBudget:
         if self.max_n > MAX_ORACLE_N:
             raise ValueError(f"max_n must be <= {MAX_ORACLE_N}, got {self.max_n}")
         if self.max_n < 0:
-            raise ValueError("budget limits must be non-negative")
+            raise ValueError(f"max_n must be >= 0, got {self.max_n}")
 
     def check(self, n: int) -> None:
         if n > self.max_n:
@@ -99,9 +99,9 @@ def _best_feasible_mask(instance: Instance, weights: np.ndarray, rel_tol: float)
     table holds).  The entry and its extension each survive only if they fit
     (``p^2 + q^2 <= limit_sq``) and their bound, the weight plus all weight
     after position j, reaches the incumbent: the largest weight among
-    fitting entries, which is a real feasible objective.  The storage masks
-    ride along as an int64 column.  This drops no selection that the full
-    enumeration would have tied at the maximum:
+    fitting entries, which is a real feasible objective.  A fourth row,
+    ``2^j``, carries each entry's storage mask in the same table.  This drops
+    no selection that the full enumeration would have tied at the maximum:
 
     1. Fit is downward-closed, in floats too.  Demands have p, q >= 0, and
        sums are built by adding in ascending storage order, so by monotone
@@ -120,36 +120,35 @@ def _best_feasible_mask(instance: Instance, weights: np.ndarray, rel_tol: float)
     n = len(instance)
     cols = instance.columns
     limit_sq = instance.capacity_limit_sq(rel_tol)
-    values = np.stack((cols.p, cols.q, weights))
+    # sums of distinct powers of two below 2^MAX_ORACLE_N are exact masks
+    values = np.stack((cols.p, cols.q, weights, 2.0 ** np.arange(n)))
     base = min(n, _TABLE_BITS)
     # a sum or square that overflows to inf is simply infeasible, and a bound
     # that overflows keeps its entry
     with np.errstate(over="ignore"):
         rest = _running_sums(weights[::-1])[::-1]  # rest[j]: weight of positions j..n-1
         entries = subset_sums(values[:, :base])
-        masks = np.arange(1 << base, dtype=np.int64)
         keep = _fits(entries, limit_sq)
         incumbent = entries[2].compress(keep).max()  # the empty selection always fits
         keep &= _reaches(entries[2], rest[base], incumbent)
-        entries, masks = entries.compress(keep, axis=1), masks.compress(keep)
+        entries = entries.compress(keep, axis=1)
         for j in range(base, n):
             tail = rest[j + 1]
             grown = entries + values[:, j, None]
             fit = _fits(grown, limit_sq)
             incumbent = grown[2].compress(fit).max(initial=incumbent)
             new = fit & _reaches(grown[2], tail, incumbent)
-            grown, grown_masks = grown.compress(new, axis=1), (masks | (1 << j)).compress(new)
             old = _reaches(entries[2], tail, incumbent)
-            entries, masks = entries.compress(old, axis=1), masks.compress(old)
-            entries = np.concatenate((entries, grown), axis=1)
-            masks = np.concatenate((masks, grown_masks))
+            entries = np.concatenate(
+                (entries.compress(old, axis=1), grown.compress(new, axis=1)), axis=1
+            )
     wsum = entries[2]
-    best = _lexicographic_first(cols.id, masks[wsum == wsum.max()])
+    best = _lexicographic_first(cols.id, entries[3, wsum == wsum.max()].astype(np.int64))
     return (best >> np.arange(n)) & 1 == 1
 
 
 def _fits(entries: np.ndarray, limit_sq: float) -> np.ndarray:
-    """Which (p, q, weight) columns of ``entries`` have ``p^2 + q^2 <= limit_sq``."""
+    """Which columns of ``entries`` (rows p, q, ...) have ``p^2 + q^2 <= limit_sq``."""
     p, q = entries[0], entries[1]
     square = p * p
     square += q * q

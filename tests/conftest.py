@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import replace
 from itertools import combinations
 from typing import Mapping
 
@@ -398,7 +397,6 @@ def reference_dynamic_capacity(
     drop_range=(0.05, 0.35),
     algorithm: str = "gda",
     seed: int = 0,
-    full_capacity: float = 2_000_000.0,
     floor_capacity: float = 100_000.0,
     gsa_epsilon: float = 0.25,
 ) -> list[TracePoint]:
@@ -409,7 +407,7 @@ def reference_dynamic_capacity(
     ``gsa`` with the public solver, the greedies with ``reference_greedy``.
     Arguments are not validated.
     """
-    base = generate(replace(scenario, capacity=full_capacity))
+    base = generate(scenario)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD1)))
     lo, hi = drop_range
 
@@ -421,7 +419,7 @@ def reference_dynamic_capacity(
         retained, objective = reference_greedy(instance, algorithm)
         return TracePoint(t, capacity, objective, len(retained))
 
-    capacity = full_capacity
+    capacity = scenario.capacity
     trace = [point(0.0, capacity)]
     t = 0.0
     while True:
@@ -431,6 +429,6 @@ def reference_dynamic_capacity(
         if rng.random() < fail_prob:
             capacity = max(floor_capacity, capacity * (1.0 - rng.uniform(lo, hi)))
         else:
-            capacity = full_capacity
+            capacity = scenario.capacity
         trace.append(point(t, capacity))
     return trace

@@ -9,9 +9,11 @@ import pytest
 
 from conftest import COERCIBLE_PLAN_FIELDS, plan_doc, reference_dynamic_capacity
 from curtail.bench import VMAX_ALGORITHMS, _mean_ci
+from curtail.scenario import NARROW_LOAD_RANGES
 from curtail import (
     ComplexDemand,
     Customer,
+    DemandExceedsCapacityError,
     FormatError,
     Instance,
     OracleBudget,
@@ -183,6 +185,20 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="threads"):
             run_benchmark(small_plan(), threads=threads)
 
+    def test_duplicate_n_values_and_algorithms_run_once(self, tmp_path, monkeypatch):
+        paths = [tmp_path / "once.csv", tmp_path / "twice.csv"]
+        emit_csv(run_benchmark(small_plan(n_values=(8,), algorithms=("gda",))), str(paths[0]))
+        built, solved = [], []
+        gda = VMAX_ALGORITHMS["gda"]
+        monkeypatch.setattr(
+            "curtail.bench.instance_for_trial", lambda *a: built.append(a) or instance_for_trial(*a)
+        )
+        monkeypatch.setitem(VMAX_ALGORITHMS, "gda", lambda inst: solved.append(inst) or gda(inst))
+        report = run_benchmark(small_plan(n_values=(8, 8), algorithms=("gda", "gda")))
+        emit_csv(report, str(paths[1]))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert len(built) == len(solved) == 30
+
     def test_gda_worst_case_floor_per_row(self):
         # worst case at 36 degrees spread is (1/2) cos 18deg, above 0.4755
         plan = small_plan(
@@ -274,6 +290,19 @@ class TestDynamicCapacity:
         for point in trace:
             assert 100_000.0 <= point.capacity <= 2e6
 
+    def test_full_capacity_is_the_scenario_capacity(self):
+        # the narrow preset keeps every industrial demand below 1 MVA
+        spec = spec_from_acronym("FCM", 16, 1e6, seed=2, load_ranges=NARROW_LOAD_RANGES)
+        trace = run_dynamic_capacity(spec, seed=7)
+        assert trace[0].capacity == 1e6
+        assert max(point.capacity for point in trace) == 1e6
+        assert min(point.capacity for point in trace) < 1e6
+
+    def test_customers_above_the_scenario_capacity_are_refused(self):
+        # generated at the scenario capacity, not at some larger one
+        with pytest.raises(DemandExceedsCapacityError):
+            run_dynamic_capacity(spec_from_acronym("FCM", 16, 1e6, seed=2), seed=7)
+
     def test_trace_csv_shape(self, tmp_path):
         spec = spec_from_acronym("ACR", 10, 2e6, seed=8)
         trace = run_dynamic_capacity(spec, horizon=1000.0, seed=12)
@@ -296,7 +325,7 @@ class TestDynamicCapacity:
     def test_floor_outside_zero_to_full_rejected(self, floor):
         spec = spec_from_acronym("ACR", 5, 2e6, seed=1)
         with pytest.raises(ValueError, match="floor"):
-            run_dynamic_capacity(spec, full_capacity=2e6, floor_capacity=floor)
+            run_dynamic_capacity(spec, floor_capacity=floor)
 
     def test_floor_equal_to_full_capacity_is_flat(self):
         spec = spec_from_acronym("ACR", 5, 2e6, seed=1)
@@ -322,7 +351,7 @@ class TestDynamicCapacity:
 # lets some events fall below the largest lone demand, so the mask matters.
 DIFFERENTIAL_CASES = {
     # residential loads only: a deep floor drops the largest of them
-    "FCR": dict(n=300, full_capacity=4e5, floor_capacity=7e3, fail_prob=0.8,
+    "FCR": dict(n=300, capacity=4e5, floor_capacity=7e3, fail_prob=0.8,
                 drop_range=(0.3, 0.6)),
     "FCM": dict(n=200),
     "AUM": dict(n=200),
@@ -355,7 +384,7 @@ class TestDynamicCapacityReference:
         n = kwargs.pop("n")
         if algorithm == "gsa":
             n = min(n, 24)  # about n^3 forced scans per event at epsilon 1/4
-        full = kwargs.get("full_capacity", 2e6)
+        full = kwargs.pop("capacity", 2e6)
         masked = 0
         for seed in (0, 1, 2):
             spec = spec_from_acronym(acronym, n, full, seed=seed)
@@ -386,7 +415,6 @@ class TestDynamicCapacityReference:
             fail_prob=1.0,
             drop_range=(0.8, 0.9),
             algorithm=algorithm,
-            full_capacity=4 * floor,
             floor_capacity=floor,
         )
         at_floor = trace[1:]

@@ -281,7 +281,8 @@ class TestOracleCommand:
         assert dispatch(["oracle", trap_file, "--max-n", max_n]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "max_n must be <= 30" in captured.err or "budget limits" in captured.err
+        bound = ">= 0" if max_n == "-1" else "<= 30"
+        assert f"error: max_n must be {bound}, got {max_n}\n" == captured.err
 
     def test_budget_can_be_raised(self, tmp_path, capsys):
         rows = [(k, 1.0, 0.0, 1.0, 1.0) for k in range(22)]
@@ -370,7 +371,7 @@ class TestBenchCommand:
         plan_path.write_text(json.dumps(plan))
         out = tmp_path / "r.csv"
         assert dispatch(["bench", "--plan", str(plan_path), "-o", str(out)]) == EXIT_USAGE
-        assert "malformed benchmark plan" in capsys.readouterr().err
+        assert "plan.scenario.capacity: integer too large for a float" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-1"])

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from curtail import (
@@ -268,9 +268,38 @@ class TestShedEdges:
         assert 0 < len(retained) < 40
 
 
+def _rest_on_the_boundary(pq, shed_first=None):
+    """Rows of integer tenths whose left-to-right sum lies on the capacity.
+
+    The capacity is the exact magnitude of the rows' sum in storage order,
+    with no slack.  ``shed_first``, when given, is an extra row at storage
+    index 0 that every shedding order sheds first, and only it must go.
+    Eight or more rows make a pairwise sum such as ``np.sum`` round away
+    from the left-to-right one, so a ``_shed`` that sums another way sheds
+    one customer more on these cases.
+    """
+    rows = [(k + 1, pv, qv, 1.0, 1.0 + k / 10) for k, (pv, qv) in enumerate(pq)]
+    p = q = 0.0
+    for _, pv, qv, _, _ in rows:
+        p += pv
+        q += qv
+    if shed_first is not None:
+        rows.insert(0, (0, *shed_first, 1.0, 0.1))
+    return build_instance(rows, math.hypot(p, q)), 0.0
+
+
 class TestAgainstPerCustomerReference:
     @pytest.mark.parametrize("algorithm", ["gva", "gma", "gra", "gda"])
     @given(case=_cmin_cases())
+    @example(case=_rest_on_the_boundary(
+        [(1.3, 1.8), (3.9, 3.1), (1.7, 1.4), (2.1, 2.5), (1.2, 3.1), (0.4, 3.7), (1.7, 1.7),
+         (2.5, 0.1)]
+    ))
+    @example(case=_rest_on_the_boundary(
+        [(3.9, 3.9), (1.0, 2.2), (1.8, 2.3), (3.9, 2.5), (3.4, 1.6), (2.3, 1.0), (0.2, 2.0),
+         (2.2, 1.6), (1.5, 3.4)],
+        shed_first=(20.0, 0.0),  # the largest demand at the least compensation per VA
+    ))
     @settings(max_examples=300, deadline=None, phases=_NO_EXPLAIN)
     def test_same_retained_set_and_objective(self, algorithm, case):
         inst, rel_tol = case
