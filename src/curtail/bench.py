@@ -21,8 +21,8 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -54,19 +54,6 @@ CMIN_ALGORITHMS: Mapping[str, Callable[[Instance], Solution]] = {
     "gra": cmin_gra,
     "gda": cmin_gda,
 }
-
-CSV_COLUMNS = (
-    "scenario",
-    "n",
-    "algorithm",
-    "mean_objective",
-    "mean_ratio_vs_oracle",
-    "ci95_halfwidth",
-    "worst_ratio",
-    "mean_elapsed",
-    "ci95_elapsed",
-)
-
 
 @dataclass(frozen=True)
 class TrialPlan:
@@ -188,14 +175,8 @@ def _mean_ci(values: Sequence[float]) -> tuple[float, float]:
     return mean, 1.96 * math.sqrt(var) / math.sqrt(t)
 
 
-def run_benchmark(plan: TrialPlan, threads: int = 1) -> BenchmarkReport:
-    """Execute the plan's trials in order on the calling thread.
-
-    ``threads`` (>= 1) is validated and otherwise ignored: a trial is many
-    short numpy calls, and worker threads only contended for the GIL.
-    """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+def run_benchmark(plan: TrialPlan) -> BenchmarkReport:
+    """Execute the plan's trials in order on the calling thread."""
     n_values = sorted(set(plan.n_values))  # a repeated n runs once, like a repeated algorithm
     outcomes = {
         (n, t): _run_trial(plan, n, t) for n in n_values for t in range(plan.trials_per_n)
@@ -234,28 +215,25 @@ def run_benchmark(plan: TrialPlan, threads: int = 1) -> BenchmarkReport:
     return BenchmarkReport(rows=tuple(rows))
 
 
-def emit_csv(report: BenchmarkReport, path: str) -> None:
-    """Write the report as RFC 4180 CSV with a fixed column order."""
+def _write_csv(path: str, what: str, header: Sequence[str], rows: Iterable) -> None:
+    """Write ``header``, then the fields of each dataclass in ``rows``, as RFC 4180 CSV.
+
+    The csv module writes ``None`` as an empty field and a float as its
+    ``repr``.  ``dataclasses.astuple`` is not used: it deep-copies every
+    field, which costs more than the rest of the write.
+    """
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for row in report.rows:
-                writer.writerow(
-                    [
-                        row.scenario,
-                        row.n,
-                        row.algorithm,
-                        repr(row.mean_objective),
-                        "" if row.mean_ratio_vs_oracle is None else repr(row.mean_ratio_vs_oracle),
-                        "" if row.ci95_halfwidth is None else repr(row.ci95_halfwidth),
-                        "" if row.worst_ratio is None else repr(row.worst_ratio),
-                        "" if row.mean_elapsed is None else repr(row.mean_elapsed),
-                        "" if row.ci95_elapsed is None else repr(row.ci95_elapsed),
-                    ]
-                )
+            writer.writerow(header)
+            writer.writerows([getattr(row, f.name) for f in fields(row)] for row in rows)
     except OSError as exc:
-        raise OSError(f"could not write benchmark CSV to {path}: {exc}") from exc
+        raise OSError(f"could not write {what} to {path}: {exc}") from exc
+
+
+def emit_csv(report: BenchmarkReport, path: str) -> None:
+    """Write the report as RFC 4180 CSV, one column per ``BenchRow`` field."""
+    _write_csv(path, "benchmark CSV", [f.name for f in fields(BenchRow)], report.rows)
 
 
 _PLAN_KEYS = {
@@ -415,10 +393,5 @@ def run_dynamic_capacity(
 
 
 def write_trace_csv(trace: Sequence[TracePoint], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("t_seconds", "capacity_va", "objective", "retained_count"))
-        for point in trace:
-            writer.writerow(
-                [repr(point.time_s), repr(point.capacity), repr(point.objective), point.retained_count]
-            )
+    header = ("t_seconds", "capacity_va", "objective", "retained_count")
+    _write_csv(path, "trace CSV", header, trace)

@@ -139,8 +139,7 @@ def _cmd_bench(args) -> int:
         plan = plan_from_dict(doc)
     except ValueError as exc:
         raise FormatError(f"{args.plan}: {exc}") from exc
-    report = run_benchmark(plan, threads=args.threads)
-    emit_csv(report, args.output)
+    emit_csv(run_benchmark(plan), args.output)
     return EXIT_OK
 
 

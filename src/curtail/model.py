@@ -6,13 +6,14 @@ them costs).  An instance bundles a customer set with an apparent-power
 capacity; a selection of customers is feasible when the magnitude of the
 vector sum of their demands stays within that capacity.
 
-An instance stores its customers as columns: read-only numpy arrays of id,
-active and reactive demand, valuation and compensation, in storage order.
-The loader and the scenario generator build those arrays directly; the
-``Customer`` objects of ``Instance.customers`` are built on first read.
-Construction computes each demand's magnitude once, as
-``ComplexDemand.magnitude`` does, and every capacity check and magnitude-keyed
-order reads that one column.
+An instance stores its customers as one ``InstanceColumns``: read-only
+numpy arrays of id, active and reactive demand, valuation, compensation and
+demand magnitude, in storage order.  The loader and the scenario generator
+build those columns directly, and a restriction to a capacity takes rows of
+them; the ``Customer`` objects of ``Instance.customers`` are built on first
+read.  Each demand's magnitude is computed once, as
+``ComplexDemand.magnitude`` does, when the columns are built, and every
+capacity check and magnitude-keyed order reads that one column.
 
 All types are immutable after construction and all operations are pure,
 so everything in this module is safe to share across threads.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -133,12 +134,12 @@ class Customer:
 class Instance:
     """A customer set plus an apparent-power capacity; the unit of solving.
 
-    The customers are stored as five read-only columns in storage order: id
-    (int64), active and reactive demand, valuation and compensation.
-    ``columns`` adds the demand magnitudes (the ``ComplexDemand.magnitude``
-    values, computed once at construction), and ``customers`` builds
-    ``Customer`` objects from them on first read, which is slow for large
-    instances.  Instances are immutable: attribute assignment raises
+    The customers are stored as one ``InstanceColumns``, ``columns``: id,
+    active and reactive demand, valuation, compensation and the demand
+    magnitudes (the ``ComplexDemand.magnitude`` values, computed once when
+    the columns are built), read-only and in storage order.  ``customers``
+    builds ``Customer`` objects from them on first read, which is slow for
+    large instances.  Instances are immutable: attribute assignment raises
     ``AttributeError``.  Two instances are equal when they hold the same
     customers in the same order and the same capacity.
 
@@ -151,67 +152,44 @@ class Instance:
 
     def __init__(self, customers: Iterable[Customer], capacity: float):
         customers = tuple(customers)
-        n = len(customers)
-        self._init(
-            np.fromiter((c.id for c in customers), dtype=np.int64, count=n),
-            np.fromiter((c.demand.active_p for c in customers), dtype=np.float64, count=n),
-            np.fromiter((c.demand.reactive_q for c in customers), dtype=np.float64, count=n),
-            np.fromiter((c.valuation for c in customers), dtype=np.float64, count=n),
-            np.fromiter((c.compensation for c in customers), dtype=np.float64, count=n),
-            capacity,
+        columns = InstanceColumns.build(
+            [c.id for c in customers],
+            [c.demand.active_p for c in customers],
+            [c.demand.reactive_q for c in customers],
+            [c.valuation for c in customers],
+            [c.compensation for c in customers],
         )
+        self._init(columns, capacity)
         self.__dict__["customers"] = customers
 
     @classmethod
-    def _from_columns(
-        cls,
-        ids: np.ndarray,
-        p: np.ndarray,
-        q: np.ndarray,
-        valuation: np.ndarray,
-        compensation: np.ndarray,
-        capacity: float,
-        mag: np.ndarray | None = None,
-    ) -> "Instance":
-        """Build an instance straight from columns whose customers are already valid.
+    def _from_columns(cls, columns: "InstanceColumns", capacity: float) -> "Instance":
+        """Build an instance straight from the columns of customers that are already valid.
 
-        Every row must pass the ``Customer`` checks; the arrays become the
-        instance's read-only storage, so callers hand over arrays they own.
-        ``mag``, when given, must be the rows' ``hypot_magnitudes``.
+        Every row must pass the ``Customer`` checks (``check_customer_columns``),
+        and ``columns.mag`` must hold the rows' ``hypot_magnitudes``.  The
+        instance stores ``columns`` itself.
         """
         instance = cls.__new__(cls)
-        instance._init(ids, p, q, valuation, compensation, capacity, mag)
+        instance._init(columns, capacity)
         return instance
 
-    def _init(self, ids, p, q, valuation, compensation, capacity, mag=None) -> None:
+    def _init(self, columns: "InstanceColumns", capacity: float) -> None:
         """Store the columns, then run the instance checks in order.
 
         The checks: capacity finite and > 0, no duplicate ids, no lone demand
-        above the capacity.  The magnitudes compared are ``hypot_magnitudes``
-        (unless ``mag`` holds them), kept as the read-only magnitude column.
+        magnitude above the capacity.
         """
-        columns = {
-            "_id": np.asarray(ids, dtype=np.int64),
-            "_p": np.asarray(p, dtype=np.float64),
-            "_q": np.asarray(q, dtype=np.float64),
-            "_valuation": np.asarray(valuation, dtype=np.float64),
-            "_compensation": np.asarray(compensation, dtype=np.float64),
-        }
-        if mag is None:
-            mag = hypot_magnitudes(columns["_p"].tolist(), columns["_q"].tolist())
-        columns["_mag"] = mag
-        for array in columns.values():
-            array.flags.writeable = False
-        self.__dict__.update(columns, capacity=float(capacity))
+        self.__dict__.update(_columns=columns, capacity=float(capacity))
         if not math.isfinite(self.capacity) or self.capacity <= 0:
             raise InstanceError(f"capacity must be finite and > 0, got {capacity}")
-        ids = self._id
+        ids = columns.id
         if ids.size > 1:
             ordered = np.sort(ids)
             repeated = ordered[1:][ordered[1:] == ordered[:-1]]
             if repeated.size:
                 raise InstanceError(f"duplicate customer ids: {np.unique(repeated).tolist()}")
-        oversized = np.flatnonzero(self._mag > self.capacity)
+        oversized = np.flatnonzero(columns.mag > self.capacity)
         if oversized.size:
             raise DemandExceedsCapacityError(ids[oversized].tolist(), self.capacity)
 
@@ -225,18 +203,17 @@ class Instance:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.capacity == other.capacity and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("_id", "_p", "_q", "_valuation", "_compensation")
+            map(np.array_equal, self._columns.arrays(), other._columns.arrays())
         )
 
     def __hash__(self) -> int:
-        return hash((self.capacity, self._id.tobytes()))
+        return hash((self.capacity, self._columns.id.tobytes()))
 
     def __repr__(self) -> str:
         return f"Instance(n={len(self)}, capacity={self.capacity!r})"
 
     def __len__(self) -> int:
-        return len(self._id)
+        return len(self._columns.id)
 
     @cached_property
     def customers(self) -> tuple[Customer, ...]:
@@ -248,27 +225,29 @@ class Instance:
 
     @cached_property
     def ids(self) -> frozenset[int]:
-        return frozenset(self._id.tolist())
+        return frozenset(self._columns.id.tolist())
 
     @cached_property
     def columns(self) -> "InstanceColumns":
-        """Column-oriented view of the customers, built once per instance."""
-        return InstanceColumns(
-            self._id, self._p, self._q, self._valuation, self._compensation, self._mag
-        )
+        """The customers' columns, as stored at construction.
+
+        A cached property rather than a plain attribute, so that a tracer can
+        wrap its first read (``perfbench/spans.py`` does).
+        """
+        return self._columns
 
     def capacity_limit_sq(self, rel_tol: float = CAPACITY_REL_TOL) -> float:
         """Squared feasibility threshold of this instance; see ``capacity_limit_sq``."""
         return capacity_limit_sq(self.capacity, rel_tol)
 
 
-def hypot_magnitudes(p_list: Sequence[float], q_list: Sequence[float]) -> np.ndarray:
+def hypot_magnitudes(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Demand magnitudes by ``math.hypot``, as ``ComplexDemand.magnitude`` gives them.
 
     ``Instance`` keeps them as ``InstanceColumns.mag``.  numpy's vectorised
     hypot differs in the last bit on some pairs, so it is not used.
     """
-    return np.fromiter(map(math.hypot, p_list, q_list), dtype=np.float64, count=len(p_list))
+    return np.fromiter(map(math.hypot, p.tolist(), q.tolist()), dtype=np.float64, count=len(p))
 
 
 def capacity_limit_sq(capacity: float, rel_tol: float = CAPACITY_REL_TOL) -> float:
@@ -293,28 +272,27 @@ def _nonnegative_finite(*columns: np.ndarray) -> bool:
     return all(np.isfinite(c).all() and (c >= 0).all() for c in columns)
 
 
-def check_customer_columns(
-    ids: np.ndarray,
-    p: np.ndarray,
-    q: np.ndarray,
-    valuation: np.ndarray,
-    compensation: np.ndarray,
-) -> None:
+def check_customer_columns(columns: "InstanceColumns") -> None:
     """Raise the InstanceError that building the first invalid row's Customer raises.
 
     Valid columns pass a column-wise test and build nothing.
     """
-    if (ids >= 0).all() and _nonnegative_finite(p, q, valuation, compensation):
+    numbers = (columns.p, columns.q, columns.valuation, columns.compensation)
+    if (columns.id >= 0).all() and _nonnegative_finite(*numbers):
         return
-    for cid, pv, qv, u, comp in zip(
-        ids.tolist(), p.tolist(), q.tolist(), valuation.tolist(), compensation.tolist()
-    ):
-        Customer(id=cid, demand=ComplexDemand(pv, qv), valuation=u, compensation=comp)
+    for cid, p, q, u, comp in _rows(columns):
+        Customer(id=cid, demand=ComplexDemand(p, q), valuation=u, compensation=comp)
 
 
 @dataclass(frozen=True)
 class InstanceColumns:
-    """Parallel arrays over an instance's customers, in storage order."""
+    """Parallel read-only arrays over an instance's customers, in storage order.
+
+    ``id`` is int64 and the other five columns are float64; construction
+    converts an array of another dtype (copying only then) and makes every
+    array read-only, so callers hand over arrays they own.  ``mag`` holds the
+    ``hypot_magnitudes`` of ``p`` and ``q``, which ``build`` computes.
+    """
 
     id: np.ndarray
     p: np.ndarray
@@ -323,10 +301,31 @@ class InstanceColumns:
     compensation: np.ndarray
     mag: np.ndarray
 
+    def __post_init__(self):
+        for field in fields(self):
+            dtype = np.int64 if field.name == "id" else np.float64
+            array = np.asarray(getattr(self, field.name), dtype=dtype)
+            array.flags.writeable = False
+            object.__setattr__(self, field.name, array)
+
+    @classmethod
+    def build(cls, ids, p, q, valuation, compensation) -> "InstanceColumns":
+        """The columns of these customers, with ``mag`` computed from ``p`` and ``q``."""
+        p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+        return cls(ids, p, q, valuation, compensation, hypot_magnitudes(p, q))
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """The six arrays, in field order."""
+        return tuple(getattr(self, field.name) for field in fields(self))
+
+    def take(self, rows: np.ndarray) -> "InstanceColumns":
+        """The rows at storage indices ``rows``, in that order, of every column."""
+        return InstanceColumns(*(array[rows] for array in self.arrays()))
+
 
 def _rows(cols: InstanceColumns) -> zip:
     """(id, p, q, valuation, compensation) of each customer as Python numbers."""
-    return zip(*(a.tolist() for a in (cols.id, cols.p, cols.q, cols.valuation, cols.compensation)))
+    return zip(*(array.tolist() for array in cols.arrays()[:5]))  # all columns but mag
 
 
 @dataclass(frozen=True)
@@ -605,8 +604,8 @@ def _only(values: list, allowed: type | tuple[type, ...]) -> bool:
     return all(issubclass(t, allowed) and t is not bool for t in set(map(type, values)))
 
 
-def _customer_columns(raw: list[dict]) -> tuple[np.ndarray, ...] | None:
-    """The id, p, q, valuation and compensation columns of ``raw``.
+def _customer_columns(raw: list[dict]) -> InstanceColumns | None:
+    """The columns of the customers in ``raw``.
 
     Returns None when any customer fails a check; ``_raise_customer_error``
     then says which one and why.
@@ -626,7 +625,7 @@ def _customer_columns(raw: list[dict]) -> tuple[np.ndarray, ...] | None:
         return None
     if not _nonnegative_finite(*arrays):
         return None
-    return (np.array(ids, dtype=np.int64), *arrays)
+    return InstanceColumns.build(np.array(ids, dtype=np.int64), *arrays)
 
 
 def _raise_customer_error(raw: list) -> None:
@@ -674,7 +673,7 @@ def instance_from_dict(doc: Mapping) -> Instance:
     columns = _customer_columns(raw)
     if columns is None:
         _raise_customer_error(raw)
-    return Instance._from_columns(*columns, capacity)
+    return Instance._from_columns(columns, capacity)
 
 
 def read_json(path: str):

@@ -23,6 +23,7 @@ import numpy as np
 from .model import (
     FormatError,
     Instance,
+    InstanceColumns,
     LinearValue,
     QuadraticValue,
     check_customer_columns,
@@ -159,8 +160,8 @@ def generate(spec: ScenarioSpec) -> Instance:
     q = mags * np.sin(phases)
     if spec.power is PowerKind.ACTIVE_ONLY:
         q = np.zeros(n)
+    demand_mags = hypot_magnitudes(p, q)
 
-    demand_mags = None
     if spec.correlation is ValueCorrelation.UNCORRELATED:
         val_cap = np.where(industrial, ind_hi, res_hi)
         comp_cap = val_cap
@@ -170,29 +171,25 @@ def generate(spec: ScenarioSpec) -> Instance:
         while zero.size:
             compensations[zero] = comp_cap[zero] * rng.random(zero.size)
             zero = zero[compensations[zero] == 0.0]
+    elif spec.correlation is ValueCorrelation.CORRELATED:
+        valuations = compensations = spec.quadratic.value_of(demand_mags)
     else:
-        demand_mags = hypot_magnitudes(p.tolist(), q.tolist())
-        if spec.correlation is ValueCorrelation.CORRELATED:
-            valuations = spec.quadratic.value_of(demand_mags)
-        else:
-            valuations = np.where(
-                industrial,
-                spec.linear_industrial.value_of(demand_mags),
-                spec.linear_residential.value_of(demand_mags),
-            )
-        compensations = valuations
+        valuations = compensations = np.where(
+            industrial,
+            spec.linear_industrial.value_of(demand_mags),
+            spec.linear_residential.value_of(demand_mags),
+        )
 
-    ids = np.arange(n, dtype=np.int64)
-    check_customer_columns(ids, p, q, valuations, compensations)
-    return Instance._from_columns(ids, p, q, valuations, compensations, spec.capacity, demand_mags)
+    columns = InstanceColumns(
+        np.arange(n, dtype=np.int64), p, q, valuations, compensations, demand_mags
+    )
+    check_customer_columns(columns)
+    return Instance._from_columns(columns, spec.capacity)
 
 
 def with_capacity(instance: Instance, capacity: float) -> Instance:
     """Same customers, different capacity. Fails if a customer no longer fits."""
-    cols = instance.columns
-    return Instance._from_columns(
-        cols.id, cols.p, cols.q, cols.valuation, cols.compensation, capacity, cols.mag
-    )
+    return Instance._from_columns(instance.columns, capacity)
 
 
 def restrict_to_capacity(instance: Instance, capacity: float) -> Instance:
@@ -203,8 +200,4 @@ def restrict_to_capacity(instance: Instance, capacity: float) -> Instance:
     simply be curtailed when capacity dips below their demand.
     """
     cols = instance.columns
-    kept = np.flatnonzero(cols.mag <= capacity)
-    return Instance._from_columns(
-        cols.id[kept], cols.p[kept], cols.q[kept],
-        cols.valuation[kept], cols.compensation[kept], capacity, cols.mag[kept],
-    )
+    return Instance._from_columns(cols.take(np.flatnonzero(cols.mag <= capacity)), capacity)

@@ -174,16 +174,11 @@ class TestRunBenchmark:
     def test_deterministic_across_runs_and_threads(self, tmp_path):
         plan = small_plan()
         paths = []
-        for i, threads in enumerate((1, 1, 4)):
+        for i in range(2):
             path = tmp_path / f"report{i}.csv"
-            emit_csv(run_benchmark(plan, threads=threads), str(path))
+            emit_csv(run_benchmark(plan), str(path))
             paths.append(path.read_bytes())
-        assert paths[0] == paths[1] == paths[2]
-
-    @pytest.mark.parametrize("threads", [0, -1])
-    def test_threads_below_one_rejected(self, threads):
-        with pytest.raises(ValueError, match="threads"):
-            run_benchmark(small_plan(), threads=threads)
+        assert paths[0] == paths[1]
 
     def test_duplicate_n_values_and_algorithms_run_once(self, tmp_path, monkeypatch):
         paths = [tmp_path / "once.csv", tmp_path / "twice.csv"]
@@ -465,10 +460,12 @@ class TestRuntimeScaling:
 
         from curtail import gda, generate
 
-        t = {}
-        for n in (10_000, 100_000):
-            inst = generate(spec_from_acronym("FCM", n, 2e6, seed=15))
-            inst.columns  # warm the cached arrays; solver cost is the gate
-            gc.collect()
-            t[n] = min(gda(inst).elapsed for _ in range(7))
+        sizes = (10_000, 100_000)
+        instances = [generate(spec_from_acronym("FCM", n, 2e6, seed=15)) for n in sizes]
+        gc.collect()
+        # the sizes alternate, so a change of machine speed mid-test skews both alike
+        t = {n: math.inf for n in sizes}
+        for _ in range(7):
+            for n, inst in zip(sizes, instances):
+                t[n] = min(t[n], gda(inst).elapsed)
         assert t[100_000] / t[10_000] <= 15.0

@@ -9,6 +9,7 @@ from curtail import instance_to_dict, load_instance
 from conftest import COERCIBLE_PLAN_FIELDS, plan_doc
 from curtail.cli import (
     EXIT_CODES,
+    EXIT_ERROR,
     EXIT_INFEASIBLE_INSTANCE,
     EXIT_OK,
     EXIT_ORACLE_BUDGET,
@@ -506,3 +507,14 @@ class TestSimulateCommand:
             ["simulate", "--scenario", "ACR", "--n", "5", "-o", str(tmp_path / "t.csv")]
         )
         assert code == EXIT_USAGE
+
+    def test_unwritable_trace_exits_1_naming_the_path(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "t.csv"
+        code = dispatch(
+            ["simulate", "--dynamic", "--scenario", "ACR", "--n", "12",
+             "--horizon", "500", "-o", str(out)]
+        )
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: could not write trace CSV to {out}: ")

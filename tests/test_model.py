@@ -468,10 +468,19 @@ class TestColumnStorage:
         assert tuple(f.name for f in dataclasses.fields(InstanceColumns)) == COLUMN_NAMES
 
     def test_column_arrays_are_read_only(self, valuation_trap):
-        cols = valuation_trap.columns
-        for name in COLUMN_NAMES:
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(cols, name)[0] = 1.0
+        built = {
+            "Instance": Instance(valuation_trap.customers, 10.0),
+            "instance_from_dict": instance_from_dict(instance_to_dict(valuation_trap)),
+            "generate": generate(spec_from_acronym("FUM", 20, 2e6, seed=5)),
+            "restrict_to_capacity": restrict_to_capacity(valuation_trap, 5.0),
+            "with_capacity": with_capacity(valuation_trap, 11.0),
+        }
+        for path, inst in built.items():
+            for name in COLUMN_NAMES:
+                column = getattr(inst.columns, name)
+                assert column.dtype == (np.int64 if name == "id" else np.float64), (path, name)
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = 1.0
 
     def test_attribute_assignment_raises(self, valuation_trap):
         with pytest.raises(AttributeError):
