@@ -70,6 +70,9 @@ class TrialPlan:
     budget: OracleBudget = OracleBudget()
 
     def __post_init__(self):
+        negative = [n for n in self.n_values if n < 0]
+        if negative:
+            raise ValueError(f"n_values must be >= 0, got {negative}")
         if not 0.0 < self.gsa_epsilon < 1.0:
             raise ValueError(f"gsa_epsilon must be in (0, 1), got {self.gsa_epsilon}")
         if self.trials_per_n < 30:
@@ -326,7 +329,8 @@ def run_dynamic_capacity(
     fraction from ``drop_range``, floored at ``floor_capacity``) and a
     resumption to full capacity otherwise.  The floor must lie in
     (0, scenario.capacity].  The trace starts with one point at t=0 at full
-    capacity and gains a point per event.
+    capacity and gains a point per event.  The events are drawn from
+    ``seed``, which must be >= 0.
 
     Customers whose lone demand exceeds the current capacity are excluded
     from that re-solve; they could never be part of a feasible supply set.
@@ -337,6 +341,8 @@ def run_dynamic_capacity(
     restricted instance afresh.  Either way an event at a capacity already
     solved (every resumption, and repeated floor hits) reuses that answer.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not 0.0 <= fail_prob <= 1.0:
         raise ValueError("fail_prob must be within [0, 1]")
     lo, hi = drop_range

@@ -11,8 +11,7 @@ remaining apparent-power capacity.
   ``alignment_factor(theta) / 2`` of the optimum when the pairwise phase
   spread theta is at most pi/2.
 
-Ties are broken by ascending customer id so runs are reproducible; pass a
-seeded generator as ``tie_break_rng`` to randomise tie order instead.
+Ties are broken by ascending customer id, so runs are reproducible.
 
 ``scan_order`` orders customers for every heuristic in the package, the
 ``curtail.cmin`` shedding ones too (``SHED_ORDERS``).  A solve over part of
@@ -92,24 +91,19 @@ _PRIMARY_KEYS = {
 }
 
 
-def scan_order(
-    instance: Instance,
-    key: SortKey,
-    tie_break_rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Storage indices in ``key`` order, an int64 array; ties by id, or randomised via rng."""
+def scan_order(instance: Instance, key: SortKey) -> np.ndarray:
+    """Storage indices in ``key`` order, an int64 array; ties by ascending id."""
     cols = instance.columns
-    secondary = cols.id if tie_break_rng is None else tie_break_rng.permutation(len(instance))
-    return np.lexsort((secondary, _PRIMARY_KEYS[key](cols)))
+    return np.lexsort((cols.id, _PRIMARY_KEYS[key](cols)))
 
 
 def _sorted_orders(
-    instance: Instance, keys: Sequence[SortKey], tie_break_rng: np.random.Generator | None = None
+    instance: Instance, keys: Sequence[SortKey]
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Each key's ``scan_order`` as storage index, p and q arrays, so that a scan
     reads memory sequentially instead of chasing storage order."""
     cols = instance.columns
-    orders = [scan_order(instance, key, tie_break_rng) for key in keys]
+    orders = [scan_order(instance, key) for key in keys]
     return [(order, cols.p[order], cols.q[order]) for order in orders]
 
 
@@ -228,52 +222,31 @@ def _best_of_scans(
     return best, best_objective
 
 
-def _greedy_solve(
-    instance: Instance,
-    tag: str,
-    rel_tol: float,
-    tie_break_rng: np.random.Generator | None,
-) -> Solution:
+def _greedy_solve(instance: Instance, tag: str, rel_tol: float) -> Solution:
     """Best of the scans in ``SCAN_ORDERS[tag]`` over the whole instance."""
     start = time.perf_counter()
     limit_sq = instance.capacity_limit_sq(rel_tol)
-    streams = _sorted_orders(instance, SCAN_ORDERS[tag], tie_break_rng)
+    streams = _sorted_orders(instance, SCAN_ORDERS[tag])
     retained, objective = _best_of_scans(instance, (), streams, limit_sq)
     return solution_from_indices(instance, retained, objective, tag, time.perf_counter() - start)
 
 
-def gva(
-    instance: Instance,
-    rel_tol: float = CAPACITY_REL_TOL,
-    tie_break_rng: np.random.Generator | None = None,
-) -> Solution:
+def gva(instance: Instance, rel_tol: float = CAPACITY_REL_TOL) -> Solution:
     """Greedy by descending valuation."""
-    return _greedy_solve(instance, "gva", rel_tol, tie_break_rng)
+    return _greedy_solve(instance, "gva", rel_tol)
 
 
-def gma(
-    instance: Instance,
-    rel_tol: float = CAPACITY_REL_TOL,
-    tie_break_rng: np.random.Generator | None = None,
-) -> Solution:
+def gma(instance: Instance, rel_tol: float = CAPACITY_REL_TOL) -> Solution:
     """Greedy by ascending demand magnitude."""
-    return _greedy_solve(instance, "gma", rel_tol, tie_break_rng)
+    return _greedy_solve(instance, "gma", rel_tol)
 
 
-def gra(
-    instance: Instance,
-    rel_tol: float = CAPACITY_REL_TOL,
-    tie_break_rng: np.random.Generator | None = None,
-) -> Solution:
+def gra(instance: Instance, rel_tol: float = CAPACITY_REL_TOL) -> Solution:
     """Greedy by descending efficiency (valuation per VA of demand)."""
-    return _greedy_solve(instance, "gra", rel_tol, tie_break_rng)
+    return _greedy_solve(instance, "gra", rel_tol)
 
 
-def gda(
-    instance: Instance,
-    rel_tol: float = CAPACITY_REL_TOL,
-    tie_break_rng: np.random.Generator | None = None,
-) -> Solution:
+def gda(instance: Instance, rel_tol: float = CAPACITY_REL_TOL) -> Solution:
     """Better of the efficiency-greedy and valuation-greedy solutions.
 
     The valuation branch always retains the single highest-valuation customer
@@ -281,7 +254,7 @@ def gda(
     never below the largest single valuation.  On equal objectives the
     efficiency branch's set is returned.
     """
-    return _greedy_solve(instance, "gda", rel_tol, tie_break_rng)
+    return _greedy_solve(instance, "gda", rel_tol)
 
 
 def gda_forced(
@@ -289,7 +262,6 @@ def gda_forced(
     forced: Iterable[int],
     pool: Iterable[int],
     rel_tol: float = CAPACITY_REL_TOL,
-    tie_break_rng: np.random.Generator | None = None,
 ) -> Solution:
     """``gda`` restricted to ``pool``, with ``forced`` customers pre-retained.
 
@@ -298,9 +270,6 @@ def gda_forced(
     solution and their valuations count toward the objective.  ``forced`` and
     ``pool`` must be disjoint, and the forced set must fit the capacity on
     its own.
-
-    Both orders are sorted over the whole instance and masked to the pool, so
-    a ``tie_break_rng`` permutes ties over all customers, not only the pool's.
     """
     start = time.perf_counter()
     forced, pool = frozenset(forced), frozenset(pool)
@@ -308,6 +277,6 @@ def gda_forced(
     if forced & pool:
         raise ValueError(f"forced and pool overlap: {sorted(forced & pool)}")
     limit_sq = instance.capacity_limit_sq(rel_tol)
-    streams = _item_streams(_sorted_orders(instance, SCAN_ORDERS["gda"], tie_break_rng), in_pool)
+    streams = _item_streams(_sorted_orders(instance, SCAN_ORDERS["gda"]), in_pool)
     retained, objective = _best_of_scans(instance, np.flatnonzero(in_forced), streams, limit_sq)
     return solution_from_indices(instance, retained, objective, "gda", time.perf_counter() - start)

@@ -8,12 +8,15 @@ vector sum of their demands stays within that capacity.
 
 An instance stores its customers as one ``InstanceColumns``: read-only
 numpy arrays of id, active and reactive demand, valuation, compensation and
-demand magnitude, in storage order.  The loader and the scenario generator
-build those columns directly, and a restriction to a capacity takes rows of
-them; the ``Customer`` objects of ``Instance.customers`` are built on first
-read.  Each demand's magnitude is computed once, as
-``ComplexDemand.magnitude`` does, when the columns are built, and every
-capacity check and magnitude-keyed order reads that one column.
+demand magnitude, in storage order.  The carrier checks its own rows as
+``Customer`` does, so no column is trusted unchecked.  Every instance is
+built by ``Instance(...)``, from ``Customer`` objects or from a carrier: the
+loader and the scenario generator build the columns directly, and a
+restriction to a capacity takes rows of them; the ``Customer`` objects of
+``Instance.customers`` are built on first read.  Each demand's magnitude is
+computed once, as ``ComplexDemand.magnitude`` does, when the columns are
+built, and every capacity check and magnitude-keyed order reads that one
+column.
 
 All types are immutable after construction and all operations are pure,
 so everything in this module is safe to share across threads.
@@ -134,11 +137,14 @@ class Customer:
 class Instance:
     """A customer set plus an apparent-power capacity; the unit of solving.
 
-    The customers are stored as one ``InstanceColumns``, ``columns``: id,
+    ``Instance(customers, capacity)`` is the one constructor; ``customers``
+    is an iterable of ``Customer`` objects or an ``InstanceColumns``.  The
+    customers are stored as one ``InstanceColumns``, ``columns``: id,
     active and reactive demand, valuation, compensation and the demand
     magnitudes (the ``ComplexDemand.magnitude`` values, computed once when
-    the columns are built), read-only and in storage order.  ``customers``
-    builds ``Customer`` objects from them on first read, which is slow for
+    the columns are built), read-only and in storage order.  A carrier
+    passed in is stored as it is, without a copy.  ``customers`` builds
+    ``Customer`` objects from the columns on first read, which is slow for
     large instances.  Instances are immutable: attribute assignment raises
     ``AttributeError``.  Two instances are equal when they hold the same
     customers in the same order and the same capacity.
@@ -150,36 +156,24 @@ class Instance:
 
     capacity: float
 
-    def __init__(self, customers: Iterable[Customer], capacity: float):
-        customers = tuple(customers)
-        columns = InstanceColumns.build(
-            [c.id for c in customers],
-            [c.demand.active_p for c in customers],
-            [c.demand.reactive_q for c in customers],
-            [c.valuation for c in customers],
-            [c.compensation for c in customers],
-        )
-        self._init(columns, capacity)
-        self.__dict__["customers"] = customers
-
-    @classmethod
-    def _from_columns(cls, columns: "InstanceColumns", capacity: float) -> "Instance":
-        """Build an instance straight from the columns of customers that are already valid.
-
-        Every row must pass the ``Customer`` checks (``check_customer_columns``),
-        and ``columns.mag`` must hold the rows' ``hypot_magnitudes``.  The
-        instance stores ``columns`` itself.
-        """
-        instance = cls.__new__(cls)
-        instance._init(columns, capacity)
-        return instance
-
-    def _init(self, columns: "InstanceColumns", capacity: float) -> None:
-        """Store the columns, then run the instance checks in order.
+    def __init__(self, customers: Iterable[Customer] | "InstanceColumns", capacity: float):
+        """Store the customers' columns, then run the instance checks in order.
 
         The checks: capacity finite and > 0, no duplicate ids, no lone demand
         magnitude above the capacity.
         """
+        if isinstance(customers, InstanceColumns):
+            columns = customers
+        else:
+            customers = tuple(customers)
+            columns = InstanceColumns.build(
+                [c.id for c in customers],
+                [c.demand.active_p for c in customers],
+                [c.demand.reactive_q for c in customers],
+                [c.valuation for c in customers],
+                [c.compensation for c in customers],
+            )
+            self.__dict__["customers"] = customers
         self.__dict__.update(_columns=columns, capacity=float(capacity))
         if not math.isfinite(self.capacity) or self.capacity <= 0:
             raise InstanceError(f"capacity must be finite and > 0, got {capacity}")
@@ -267,23 +261,6 @@ def capacity_limit_sq(capacity: float, rel_tol: float = CAPACITY_REL_TOL) -> flo
     return limit_sq
 
 
-def _nonnegative_finite(*columns: np.ndarray) -> bool:
-    """Whether every entry of every column is finite and >= 0."""
-    return all(np.isfinite(c).all() and (c >= 0).all() for c in columns)
-
-
-def check_customer_columns(columns: "InstanceColumns") -> None:
-    """Raise the InstanceError that building the first invalid row's Customer raises.
-
-    Valid columns pass a column-wise test and build nothing.
-    """
-    numbers = (columns.p, columns.q, columns.valuation, columns.compensation)
-    if (columns.id >= 0).all() and _nonnegative_finite(*numbers):
-        return
-    for cid, p, q, u, comp in _rows(columns):
-        Customer(id=cid, demand=ComplexDemand(p, q), valuation=u, compensation=comp)
-
-
 @dataclass(frozen=True)
 class InstanceColumns:
     """Parallel read-only arrays over an instance's customers, in storage order.
@@ -292,6 +269,11 @@ class InstanceColumns:
     converts an array of another dtype (copying only then) and makes every
     array read-only, so callers hand over arrays they own.  ``mag`` holds the
     ``hypot_magnitudes`` of ``p`` and ``q``, which ``build`` computes.
+
+    Construction also checks every row as ``Customer`` does: ids >= 0 (int64
+    bounds them above), and ``p``, ``q``, valuation and compensation finite
+    and >= 0.  It raises the ``InstanceError`` that building the first
+    failing row's ``Customer`` raises; valid rows build no objects.
     """
 
     id: np.ndarray
@@ -307,6 +289,11 @@ class InstanceColumns:
             array = np.asarray(getattr(self, field.name), dtype=dtype)
             array.flags.writeable = False
             object.__setattr__(self, field.name, array)
+        numbers = (self.p, self.q, self.valuation, self.compensation)
+        if (self.id >= 0).all() and all(np.isfinite(c).all() and (c >= 0).all() for c in numbers):
+            return
+        for cid, p, q, u, comp in _rows(self):
+            Customer(id=cid, demand=ComplexDemand(p, q), valuation=u, compensation=comp)
 
     @classmethod
     def build(cls, ids, p, q, valuation, compensation) -> "InstanceColumns":
@@ -319,7 +306,10 @@ class InstanceColumns:
         return tuple(getattr(self, field.name) for field in fields(self))
 
     def take(self, rows: np.ndarray) -> "InstanceColumns":
-        """The rows at storage indices ``rows``, in that order, of every column."""
+        """The rows at storage indices ``rows``, in that order, of every column.
+
+        The kept rows are checked again, as every construction checks them.
+        """
         return InstanceColumns(*(array[rows] for array in self.arrays()))
 
 
@@ -617,15 +607,10 @@ def _customer_columns(raw: list[dict]) -> InstanceColumns | None:
         return None
     if not (_only(ids, int) and all(_only(column, (int, float)) for column in numbers)):
         return None
-    if ids and not (0 <= min(ids) and max(ids) <= MAX_CUSTOMER_ID):
-        return None
     try:
-        arrays = [np.array(column, dtype=np.float64) for column in numbers]
-    except OverflowError:
+        return InstanceColumns.build(ids, *numbers)
+    except (OverflowError, InstanceError):
         return None
-    if not _nonnegative_finite(*arrays):
-        return None
-    return InstanceColumns.build(np.array(ids, dtype=np.int64), *arrays)
 
 
 def _raise_customer_error(raw: list) -> None:
@@ -673,7 +658,7 @@ def instance_from_dict(doc: Mapping) -> Instance:
     columns = _customer_columns(raw)
     if columns is None:
         _raise_customer_error(raw)
-    return Instance._from_columns(columns, capacity)
+    return Instance(columns, capacity)
 
 
 def read_json(path: str):

@@ -26,7 +26,6 @@ from .model import (
     InstanceColumns,
     LinearValue,
     QuadraticValue,
-    check_customer_columns,
     hypot_magnitudes,
 )
 
@@ -90,6 +89,8 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.capacity > 0:
             raise ValueError(f"capacity must be > 0, got {self.capacity}")
         if not 0.0 <= self.max_theta <= math.pi / 2:
@@ -158,8 +159,6 @@ def generate(spec: ScenarioSpec) -> Instance:
         phases = spec.phase_anchor + rng.random(n) * spec.max_theta
     p = mags * np.cos(phases)
     q = mags * np.sin(phases)
-    if spec.power is PowerKind.ACTIVE_ONLY:
-        q = np.zeros(n)
     demand_mags = hypot_magnitudes(p, q)
 
     if spec.correlation is ValueCorrelation.UNCORRELATED:
@@ -183,13 +182,12 @@ def generate(spec: ScenarioSpec) -> Instance:
     columns = InstanceColumns(
         np.arange(n, dtype=np.int64), p, q, valuations, compensations, demand_mags
     )
-    check_customer_columns(columns)
-    return Instance._from_columns(columns, spec.capacity)
+    return Instance(columns, spec.capacity)
 
 
 def with_capacity(instance: Instance, capacity: float) -> Instance:
     """Same customers, different capacity. Fails if a customer no longer fits."""
-    return Instance._from_columns(instance.columns, capacity)
+    return Instance(instance.columns, capacity)
 
 
 def restrict_to_capacity(instance: Instance, capacity: float) -> Instance:
@@ -200,4 +198,4 @@ def restrict_to_capacity(instance: Instance, capacity: float) -> Instance:
     simply be curtailed when capacity dips below their demand.
     """
     cols = instance.columns
-    return Instance._from_columns(cols.take(np.flatnonzero(cols.mag <= capacity)), capacity)
+    return Instance(cols.take(np.flatnonzero(cols.mag <= capacity)), capacity)

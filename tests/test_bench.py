@@ -316,6 +316,11 @@ class TestDynamicCapacity:
         with pytest.raises(ValueError):
             run_dynamic_capacity(spec, algorithm="nope")
 
+    def test_negative_event_seed_rejected(self):
+        spec = spec_from_acronym("ACR", 5, 2e6, seed=1)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            run_dynamic_capacity(spec, seed=-1)
+
     @pytest.mark.parametrize("floor", [5e6, 0.0, -1.0, float("nan")])
     def test_floor_outside_zero_to_full_rejected(self, floor):
         spec = spec_from_acronym("ACR", 5, 2e6, seed=1)

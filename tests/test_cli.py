@@ -407,6 +407,40 @@ class TestBenchCommand:
         assert not out.exists()
 
 
+class TestNegativeSeedsAndCounts:
+    """A negative seed or customer count is refused where it enters, naming its field."""
+
+    def test_generate_seed(self, capsys):
+        argv = ["generate", "--scenario", "FCR", "--n", "5", "--capacity", "1e5", "--seed", "-1"]
+        assert dispatch(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+
+    def test_simulate_seed(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        argv = ["simulate", "--dynamic", "--scenario", "ACR", "--n", "12", "--seed", "-1",
+                "-o", str(out)]
+        assert dispatch(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("scenario.seed", -5, "seed must be >= 0, got -5"),
+         ("n_values", [4, -1, -3], "n_values must be >= 0, got [-1, -3]")],
+        ids=["seed", "n_values"],
+    )
+    def test_plan_field(self, tmp_path, capsys, field, value, message):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan_doc(field, value)))
+        out = tmp_path / "r.csv"
+        assert dispatch(["bench", "--plan", str(plan_path), "-o", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: {plan_path}: malformed benchmark plan: {message}\n"
+        assert not out.exists()
+
+
 DEEP = "[" * 200_000 + "]" * 200_000
 
 

@@ -129,25 +129,27 @@ class TestGda:
         assert sol.objective == 2.0
         assert sol.retained_ids == gra(build_instance(rows, 2.0)).retained_ids
 
-    def test_random_tie_break_draws_efficiency_order_first(self):
-        # gda draws the efficiency order's permutation, then the valuation
-        # order's, and keeps the efficiency set on equal objectives
+    def test_keeps_efficiency_set_on_equal_objectives(self):
+        # small integer rows make equal keys and equal objectives common;
+        # gda keeps gra's set unless gva's is worth strictly more
         rng = np.random.default_rng(8)
-        for seed in range(40):
+        split_ties = 0
+        for _ in range(40):
             n = int(rng.integers(1, 12))
             rows = [
                 (k, float(rng.integers(1, 4)), float(rng.integers(0, 2)), float(rng.integers(1, 4)))
                 for k in range(n)
             ]
             inst = build_instance(rows, max(4.0, float(rng.integers(2, 12))))
-            draws = np.random.default_rng(seed)
-            ratio = gra(inst, tie_break_rng=draws)
-            value = gva(inst, tie_break_rng=draws)
+            ratio, value = gra(inst), gva(inst)
             want = ratio if ratio.objective >= value.objective else value
-            got = gda(inst, tie_break_rng=np.random.default_rng(seed))
+            got = gda(inst)
             assert got.retained_ids == want.retained_ids
             assert got.objective == want.objective
             assert got.aggregate_demand == want.aggregate_demand
+            if ratio.objective == value.objective:
+                split_ties += ratio.retained_ids != value.retained_ids
+        assert split_ties >= 5  # equal objectives reached by different sets
 
     def test_objective_at_least_max_single_valuation(self):
         rng = np.random.default_rng(5)
@@ -301,11 +303,6 @@ class TestInvariants:
         small = gva(build_instance(rows, 8.0)).retained_ids
         large = gva(build_instance(rows, 9.0)).retained_ids
         assert small == {0, 2} and large == {0, 1}
-
-    def test_random_tie_break_mode_is_seeded(self, magnitude_trap):
-        a = gra(magnitude_trap, tie_break_rng=np.random.default_rng(1))
-        b = gra(magnitude_trap, tie_break_rng=np.random.default_rng(1))
-        assert a.retained_ids == b.retained_ids
 
     def test_matches_reference_on_generous_capacity(self):
         # when everything fits, every solver returns the whole set

@@ -205,7 +205,7 @@ class TestAgainstPerSeedReference:
             inst = tied_instance(rng, n) if rng.random() < 0.5 else random_instance(rng, n)
             pool = np.flatnonzero(rng.random(n) < 0.6)
             members = pool.tolist()
-            sub = Instance._from_columns(inst.columns.take(pool), inst.capacity)
+            sub = Instance(inst.columns.take(pool), inst.capacity)
             for key in SortKey:
                 filtered = [j for j in scan_order(inst, key) if j in members]
                 assert filtered == [members[k] for k in scan_order(sub, key)]

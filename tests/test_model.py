@@ -536,6 +536,67 @@ class TestColumnStorage:
         # tracing wraps the computing access of Instance.__dict__["columns"]
         assert isinstance(Instance.__dict__["columns"], cached_property)
 
+    def test_instance_stores_the_carrier_it_is_given(self, valuation_trap):
+        customers = valuation_trap.customers
+        cols = InstanceColumns.build(
+            [c.id for c in customers],
+            [c.demand.active_p for c in customers],
+            [c.demand.reactive_q for c in customers],
+            [c.valuation for c in customers],
+            [c.compensation for c in customers],
+        )
+        inst = Instance(cols, 10.0)
+        assert inst.columns is cols
+        assert inst == Instance(customers, 10.0)
+        assert inst.customers == customers
+
+    def test_every_build_path_calls_the_constructor_once(self, valuation_trap, monkeypatch):
+        calls = []
+        constructor = Instance.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            constructor(self, *args, **kwargs)
+
+        monkeypatch.setattr(Instance, "__init__", counting)
+        doc = instance_to_dict(valuation_trap)
+        paths = {
+            "instance_from_dict": lambda: instance_from_dict(doc),
+            "generate": lambda: generate(spec_from_acronym("FUM", 20, 2e6, seed=5)),
+            "with_capacity": lambda: with_capacity(valuation_trap, 11.0),
+            "restrict_to_capacity": lambda: restrict_to_capacity(valuation_trap, 5.0),
+        }
+        for path, build in paths.items():
+            calls.clear()
+            build()
+            assert len(calls) == 1, path
+
+
+# (field, bad value) pairs that a customer row can hold in columns
+BAD_ROW_VALUES = [("id", -1)] + [
+    (field, value)
+    for field in ("p", "q", "valuation", "compensation")
+    for value in (math.nan, math.inf, -math.inf, -1.0)
+]
+
+
+class TestColumnRowChecks:
+    """``InstanceColumns`` checks its rows as ``Customer`` does."""
+
+    @pytest.mark.parametrize("field, value", BAD_ROW_VALUES)
+    def test_first_bad_row_raises_its_customer_error(self, field, value):
+        good = {"id": 0, "p": 3.0, "q": 4.0, "valuation": 2.0, "compensation": 1.0}
+        bad = {**good, "id": 5, field: value}
+        later = {**good, "id": 7, "q": -2.0}  # a different error, which must not win
+        with pytest.raises(InstanceError) as want:
+            Customer(bad["id"], ComplexDemand(bad["p"], bad["q"]), bad["valuation"],
+                     bad["compensation"])
+        rows = (good, bad, later)
+        with pytest.raises(InstanceError) as got:
+            InstanceColumns.build(*([row[key] for row in rows] for key in COLUMN_NAMES[:5]))
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
 
 NUMBER_FIELDS = ("p", "q", "valuation", "compensation")
 TINY = st.one_of(st.just(-0.0), st.floats(0.0, 1e-300))
