@@ -10,8 +10,6 @@ from .model import (
     FormatError,
     Instance,
     InstanceError,
-    LinearValue,
-    QuadraticValue,
     Solution,
     UnknownCustomerError,
     aggregate_demand,
@@ -22,7 +20,6 @@ from .model import (
     is_feasible,
     load_instance,
     dump_instance,
-    magnitude,
     magnitude_sum_ratio,
     magnitude_sum_ratio_bound,
     max_phase_spread,
@@ -52,11 +49,9 @@ from .scenario import (
     parse_acronym,
     restrict_to_capacity,
     spec_from_acronym,
-    with_capacity,
 )
 from .bench import (
     BenchRow,
-    BenchmarkReport,
     TracePoint,
     TrialPlan,
     emit_csv,

@@ -5,6 +5,8 @@ many trials per count, which algorithms to run and which yardstick (the
 exhaustive optimum, the LP relaxation bound, or none).  Every trial's
 instance seed is derived from (plan seed, n, trial index), so any trial can
 be regenerated in isolation and results never depend on execution order.
+``run_benchmark`` returns one ``BenchRow`` per (n, algorithm), and
+``emit_csv`` writes those rows.
 
 Ratios are oriented so that 1.0 means optimal for both objectives: achieved
 over optimal when maximising valuation, optimal over achieved when
@@ -111,11 +113,6 @@ class BenchRow:
     ci95_elapsed: float | None
 
 
-@dataclass(frozen=True)
-class BenchmarkReport:
-    rows: tuple[BenchRow, ...]
-
-
 def trial_seed(plan: TrialPlan, n: int, trial: int) -> int:
     """Instance seed for one trial, independent of any other trial."""
     seq = np.random.SeedSequence((plan.scenario.seed, n, trial))
@@ -178,7 +175,7 @@ def _mean_ci(values: Sequence[float]) -> tuple[float, float]:
     return mean, 1.96 * math.sqrt(var) / math.sqrt(t)
 
 
-def run_benchmark(plan: TrialPlan) -> BenchmarkReport:
+def run_benchmark(plan: TrialPlan) -> tuple[BenchRow, ...]:
     """Execute the plan's trials in order on the calling thread."""
     n_values = sorted(set(plan.n_values))  # a repeated n runs once, like a repeated algorithm
     outcomes = {
@@ -215,7 +212,7 @@ def run_benchmark(plan: TrialPlan) -> BenchmarkReport:
                     ci95_elapsed=ci_el,
                 )
             )
-    return BenchmarkReport(rows=tuple(rows))
+    return tuple(rows)
 
 
 def _write_csv(path: str, what: str, header: Sequence[str], rows: Iterable) -> None:
@@ -234,9 +231,9 @@ def _write_csv(path: str, what: str, header: Sequence[str], rows: Iterable) -> N
         raise OSError(f"could not write {what} to {path}: {exc}") from exc
 
 
-def emit_csv(report: BenchmarkReport, path: str) -> None:
-    """Write the report as RFC 4180 CSV, one column per ``BenchRow`` field."""
-    _write_csv(path, "benchmark CSV", [f.name for f in fields(BenchRow)], report.rows)
+def emit_csv(rows: Iterable[BenchRow], path: str) -> None:
+    """Write the rows as RFC 4180 CSV, one column per ``BenchRow`` field."""
+    _write_csv(path, "benchmark CSV", [f.name for f in fields(BenchRow)], rows)
 
 
 _PLAN_KEYS = {

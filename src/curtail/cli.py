@@ -262,10 +262,7 @@ def dispatch(argv: list[str]) -> int:
     except ValueError as exc:  # FormatError, bad spec/plan/flag values
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except CurtailError as exc:
+    except (OSError, CurtailError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

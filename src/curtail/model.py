@@ -8,8 +8,10 @@ vector sum of their demands stays within that capacity.
 
 An instance stores its customers as one ``InstanceColumns``: read-only
 numpy arrays of id, active and reactive demand, valuation, compensation and
-demand magnitude, in storage order.  The carrier checks its own rows as
-``Customer`` does, so no column is trusted unchecked.  Every instance is
+demand magnitude, in storage order.  The carrier checks that its columns
+have one length and that its rows pass ``Customer``'s checks, but takes
+``mag`` as given: a carrier built by hand must hold the magnitudes of its
+``p`` and ``q``, as ``InstanceColumns.build`` computes them.  Every instance is
 built by ``Instance(...)``, from ``Customer`` objects or from a carrier: the
 loader and the scenario generator build the columns directly, and a
 restriction to a capacity takes rows of them; the ``Customer`` objects of
@@ -107,11 +109,6 @@ class ComplexDemand:
         if self.active_p == 0.0 and self.reactive_q == 0.0:
             return 0.0
         return math.atan2(self.reactive_q, self.active_p)
-
-
-def magnitude(demand: ComplexDemand) -> float:
-    """Apparent power magnitude of a demand."""
-    return demand.magnitude()
 
 
 @dataclass(frozen=True)
@@ -268,9 +265,11 @@ class InstanceColumns:
     ``id`` is int64 and the other five columns are float64; construction
     converts an array of another dtype (copying only then) and makes every
     array read-only, so callers hand over arrays they own.  ``mag`` holds the
-    ``hypot_magnitudes`` of ``p`` and ``q``, which ``build`` computes.
+    ``hypot_magnitudes`` of ``p`` and ``q``, which ``build`` computes; it is
+    taken as given, not checked against them.
 
-    Construction also checks every row as ``Customer`` does: ids >= 0 (int64
+    Construction raises ``InstanceError`` when the six columns differ in
+    length.  It then checks every row as ``Customer`` does: ids >= 0 (int64
     bounds them above), and ``p``, ``q``, valuation and compensation finite
     and >= 0.  It raises the ``InstanceError`` that building the first
     failing row's ``Customer`` raises; valid rows build no objects.
@@ -289,6 +288,9 @@ class InstanceColumns:
             array = np.asarray(getattr(self, field.name), dtype=dtype)
             array.flags.writeable = False
             object.__setattr__(self, field.name, array)
+        lengths = {field.name: len(getattr(self, field.name)) for field in fields(self)}
+        if len(set(lengths.values())) > 1:
+            raise InstanceError(f"columns differ in length: {lengths}")
         numbers = (self.p, self.q, self.valuation, self.compensation)
         if (self.id >= 0).all() and all(np.isfinite(c).all() and (c >= 0).all() for c in numbers):
             return
@@ -503,42 +505,6 @@ def alignment_factor(theta: float) -> float:
     modules; it is 1 at theta=0 and sqrt(1/2) at theta=pi/2.
     """
     return math.sqrt((math.cos(theta) + 1.0) / 2.0)
-
-
-# --- valuation / compensation models ----------------------------------------
-
-
-@dataclass(frozen=True)
-class QuadraticValue:
-    """Strictly convex increasing value of demand magnitude: a*m^2 + b*m + c."""
-
-    a: float
-    b: float = 0.0
-    c: float = 0.0
-
-    def __post_init__(self):
-        if not self.a > 0:
-            raise InstanceError(f"quadratic coefficient a must be > 0, got {self.a}")
-        if self.b < 0 or self.c < 0:
-            raise InstanceError("quadratic coefficients b and c must be >= 0")
-
-    def value_of(self, mag: float | np.ndarray) -> float | np.ndarray:
-        return self.a * mag * mag + self.b * mag + self.c
-
-
-@dataclass(frozen=True)
-class LinearValue:
-    """Affine value of demand magnitude: slope*m + intercept."""
-
-    slope: float
-    intercept: float
-
-    def __post_init__(self):
-        if not self.slope > 0 or not self.intercept > 0:
-            raise InstanceError("linear model needs slope > 0 and intercept > 0")
-
-    def value_of(self, mag: float | np.ndarray) -> float | np.ndarray:
-        return self.slope * mag + self.intercept
 
 
 # --- JSON interchange ---------------------------------------------------------

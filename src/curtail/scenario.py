@@ -1,9 +1,10 @@
 """Seeded random instance generation over a scenario taxonomy.
 
 A scenario is a three-letter acronym: power kind (F full complex power,
-A active-only), valuation correlation (C correlated quadratic, U
-uncorrelated draws, L linear), and load type (R residential, I industrial,
-M mixed).  "AUM" is active-only power, uncorrelated values, mixed loads.
+A active-only), valuation correlation (C quadratic and L linear in the
+demand magnitude, by the fixed formulas that ``generate`` gives; U
+uncorrelated draws), and load type (R residential, I industrial, M mixed).
+"AUM" is active-only power, uncorrelated values, mixed loads.
 
 Demand magnitudes are drawn uniformly from a per-load-type range and phases
 uniformly from a band of configurable width anchored in the first quadrant;
@@ -20,14 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    FormatError,
-    Instance,
-    InstanceColumns,
-    LinearValue,
-    QuadraticValue,
-    hypot_magnitudes,
-)
+from .model import FormatError, Instance, InstanceColumns, hypot_magnitudes
 
 MAX_THETA_DEFAULT = math.radians(36.0)  # keeps every power factor >= cos 36 deg = 0.81
 
@@ -62,12 +56,6 @@ class LoadRanges:
 WIDE_LOAD_RANGES = LoadRanges()
 NARROW_LOAD_RANGES = LoadRanges(residential=(500.0, 5_000.0), industrial=(300_000.0, 1_000_000.0))
 
-LINEAR_DEFAULTS = {
-    LoadType.RESIDENTIAL: LinearValue(slope=1.0, intercept=1.0),
-    LoadType.INDUSTRIAL: LinearValue(slope=1.5, intercept=10.0),
-}
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Everything needed to generate one instance deterministically."""
@@ -82,9 +70,6 @@ class ScenarioSpec:
     phase_anchor: float = 0.0
     industrial_fraction: float = 0.2
     load_ranges: LoadRanges = WIDE_LOAD_RANGES
-    quadratic: QuadraticValue = QuadraticValue(a=1.0, b=0.0, c=0.0)
-    linear_residential: LinearValue = LINEAR_DEFAULTS[LoadType.RESIDENTIAL]
-    linear_industrial: LinearValue = LINEAR_DEFAULTS[LoadType.INDUSTRIAL]
 
     def __post_init__(self):
         if self.n < 0:
@@ -136,6 +121,10 @@ def generate(spec: ScenarioSpec) -> Instance:
     for uncorrelated scenarios), so a given (seed, spec) always produces the
     same instance.  Construction fails if a drawn demand magnitude exceeds
     the capacity, mirroring the instance invariant.
+
+    Correlated and linear scenarios set valuation = compensation from the
+    demand magnitude m: m * m for C, and for L 1.5 * m + 10 for industrial
+    customers and m + 1 for residential ones.
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.n
@@ -171,23 +160,16 @@ def generate(spec: ScenarioSpec) -> Instance:
             compensations[zero] = comp_cap[zero] * rng.random(zero.size)
             zero = zero[compensations[zero] == 0.0]
     elif spec.correlation is ValueCorrelation.CORRELATED:
-        valuations = compensations = spec.quadratic.value_of(demand_mags)
+        valuations = compensations = demand_mags * demand_mags
     else:
         valuations = compensations = np.where(
-            industrial,
-            spec.linear_industrial.value_of(demand_mags),
-            spec.linear_residential.value_of(demand_mags),
+            industrial, 1.5 * demand_mags + 10.0, demand_mags + 1.0
         )
 
     columns = InstanceColumns(
         np.arange(n, dtype=np.int64), p, q, valuations, compensations, demand_mags
     )
     return Instance(columns, spec.capacity)
-
-
-def with_capacity(instance: Instance, capacity: float) -> Instance:
-    """Same customers, different capacity. Fails if a customer no longer fits."""
-    return Instance(instance.columns, capacity)
 
 
 def restrict_to_capacity(instance: Instance, capacity: float) -> Instance:

@@ -157,9 +157,9 @@ class TestSeedDerivation:
 
 class TestRunBenchmark:
     def test_ratios_at_most_one_and_worst_below_mean(self):
-        report = run_benchmark(small_plan())
-        assert report.rows
-        for row in report.rows:
+        rows = run_benchmark(small_plan())
+        assert rows
+        for row in rows:
             assert row.mean_ratio_vs_oracle <= 1.0 + 1e-12
             assert row.worst_ratio <= row.mean_ratio_vs_oracle + 1e-12
             assert 0.0 <= row.worst_ratio
@@ -167,8 +167,8 @@ class TestRunBenchmark:
             assert row.mean_elapsed is None  # timings off by default
 
     def test_cmin_ratios_oriented_to_one(self):
-        report = run_benchmark(small_plan(objective="cmin", algorithms=("gda", "gma")))
-        for row in report.rows:
+        rows = run_benchmark(small_plan(objective="cmin", algorithms=("gda", "gma")))
+        for row in rows:
             assert 0.0 <= row.worst_ratio <= row.mean_ratio_vs_oracle <= 1.0 + 1e-12
 
     def test_deterministic_across_runs_and_threads(self, tmp_path):
@@ -189,8 +189,8 @@ class TestRunBenchmark:
             "curtail.bench.instance_for_trial", lambda *a: built.append(a) or instance_for_trial(*a)
         )
         monkeypatch.setitem(VMAX_ALGORITHMS, "gda", lambda inst: solved.append(inst) or gda(inst))
-        report = run_benchmark(small_plan(n_values=(8, 8), algorithms=("gda", "gda")))
-        emit_csv(report, str(paths[1]))
+        rows = run_benchmark(small_plan(n_values=(8, 8), algorithms=("gda", "gda")))
+        emit_csv(rows, str(paths[1]))
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert len(built) == len(solved) == 30
 
@@ -202,9 +202,9 @@ class TestRunBenchmark:
             algorithms=("gda",),
             budget=OracleBudget(max_n=18),
         )
-        report = run_benchmark(plan)
-        assert len(report.rows) == 3
-        for row in report.rows:
+        rows = run_benchmark(plan)
+        assert len(rows) == 3
+        for row in rows:
             assert row.worst_ratio >= 0.4755 - 1e-9
 
     def test_gsa_against_gda_mean_ratios(self):
@@ -214,28 +214,28 @@ class TestRunBenchmark:
             algorithms=("gda", "gsa"),
             gsa_epsilon=1 / 3,
         )
-        report = run_benchmark(plan)
-        by_alg = {row.algorithm: row for row in report.rows}
+        rows = run_benchmark(plan)
+        by_alg = {row.algorithm: row for row in rows}
         gsa_mean = by_alg["gsa"].mean_ratio_vs_oracle
         gda_mean = by_alg["gda"].mean_ratio_vs_oracle
         assert gsa_mean >= gda_mean - 0.05
         assert gsa_mean >= (2 / 3) * 0.95
 
     def test_measure_time_populates_elapsed(self):
-        report = run_benchmark(small_plan(measure_time=True, n_values=(8,)))
-        for row in report.rows:
+        rows = run_benchmark(small_plan(measure_time=True, n_values=(8,)))
+        for row in rows:
             assert row.mean_elapsed > 0.0
             assert row.ci95_elapsed >= 0.0
 
     def test_lp_bound_yardstick(self):
         # the relaxation dominates the optimum, so ratios still top out at 1
-        report = run_benchmark(small_plan(oracle="lp_bound", n_values=(10,)))
-        for row in report.rows:
+        rows = run_benchmark(small_plan(oracle="lp_bound", n_values=(10,)))
+        for row in rows:
             assert 0.0 <= row.worst_ratio <= row.mean_ratio_vs_oracle <= 1.0 + 1e-12
 
     def test_no_yardstick_leaves_ratio_columns_empty(self):
-        report = run_benchmark(small_plan(oracle="none", n_values=(8,)))
-        for row in report.rows:
+        rows = run_benchmark(small_plan(oracle="none", n_values=(8,)))
+        for row in rows:
             assert row.mean_ratio_vs_oracle is None
             assert row.ci95_halfwidth is None
             assert row.worst_ratio is None
@@ -244,26 +244,24 @@ class TestRunBenchmark:
 
 class TestCsv:
     def test_header_only_for_empty_report(self, tmp_path):
-        from curtail import BenchmarkReport
-
         path = tmp_path / "empty.csv"
-        emit_csv(BenchmarkReport(rows=()), str(path))
+        emit_csv((), str(path))
         raw = path.read_bytes()
         assert raw.count(b"\r\n") == 1  # RFC 4180 line ending
         assert raw.startswith(b"scenario,n,algorithm,")
 
     def test_row_count_and_reemission(self, tmp_path):
-        report = run_benchmark(small_plan(n_values=(8,)))
+        rows = run_benchmark(small_plan(n_values=(8,)))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(report, str(p1))
-        emit_csv(report, str(p2))
+        emit_csv(rows, str(p1))
+        emit_csv(rows, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
-        assert len(p1.read_text().strip().splitlines()) == 1 + len(report.rows)
+        assert len(p1.read_text().strip().splitlines()) == 1 + len(rows)
 
     def test_write_failure_carries_path(self, tmp_path):
-        report = run_benchmark(small_plan(n_values=(8,)))
+        rows = run_benchmark(small_plan(n_values=(8,)))
         with pytest.raises(OSError, match="no/such/dir"):
-            emit_csv(report, str(tmp_path / "no/such/dir/x.csv"))
+            emit_csv(rows, str(tmp_path / "no/such/dir/x.csv"))
 
 
 class TestDynamicCapacity:

@@ -1,4 +1,4 @@
-"""Core model: demand arithmetic, feasibility, phase geometry, value models."""
+"""Core model: demand arithmetic, feasibility, phase geometry, columns, JSON."""
 
 import dataclasses
 import importlib
@@ -21,8 +21,6 @@ from curtail import (
     GsaConfig,
     Instance,
     InstanceError,
-    LinearValue,
-    QuadraticValue,
     Solution,
     UnknownCustomerError,
     aggregate_demand,
@@ -37,7 +35,6 @@ from curtail import (
     instance_to_dict,
     is_feasible,
     load_instance,
-    magnitude,
     magnitude_sum_ratio,
     magnitude_sum_ratio_bound,
     max_phase_spread,
@@ -45,7 +42,6 @@ from curtail import (
     retained_valuation,
     spec_from_acronym,
     storage_sum,
-    with_capacity,
 )
 from curtail.model import MAX_CUSTOMER_ID, InstanceColumns
 from conftest import build_instance, reference_instance_from_dict
@@ -55,15 +51,15 @@ model_module = importlib.import_module("curtail.model")
 
 class TestComplexDemand:
     def test_zero_magnitude(self):
-        assert magnitude(ComplexDemand(0.0, 0.0)) == 0.0
+        assert ComplexDemand(0.0, 0.0).magnitude() == 0.0
 
     def test_pythagorean_triple(self):
-        assert magnitude(ComplexDemand(3.0, 4.0)) == 5.0
+        assert ComplexDemand(3.0, 4.0).magnitude() == 5.0
 
     def test_large_demand_magnitude(self):
         # frozen via exact integer sqrt: sqrt(564899^2 + 42741^2)
         expected = 566513.6126184436
-        got = magnitude(ComplexDemand(564899.0, 42741.0))
+        got = ComplexDemand(564899.0, 42741.0).magnitude()
         assert abs(got - expected) / expected < 1e-6
 
     def test_rejects_negative_components(self):
@@ -264,36 +260,6 @@ class TestMagnitudeSumRatio:
             assert magnitude_sum_ratio_bound(theta) * alignment_factor(theta) == pytest.approx(1.0)
 
 
-class TestValuationModels:
-    def test_quadratic_zero_demand_zero_value(self):
-        assert QuadraticValue(1.0).value_of(ComplexDemand(0, 0).magnitude()) == 0.0
-
-    def test_quadratic_square_of_magnitude(self):
-        assert QuadraticValue(1.0).value_of(ComplexDemand(3, 4).magnitude()) == 25.0
-
-    def test_linear(self):
-        assert LinearValue(2.0, 1.0).value_of(ComplexDemand(3, 4).magnitude()) == 11.0
-
-    def test_model_validation(self):
-        with pytest.raises(InstanceError):
-            QuadraticValue(0.0)
-        with pytest.raises(InstanceError):
-            LinearValue(0.0, 1.0)
-
-    @given(
-        st.floats(min_value=0.0, max_value=100.0),
-        st.floats(min_value=0.0, max_value=100.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_quadratic_strictly_increasing_and_midpoint_convex(self, x, y):
-        model = QuadraticValue(2.0, 1.0, 0.5)
-        lo, hi = sorted((x, y))
-        if hi - lo > 1e-6:
-            assert model.value_of(lo) < model.value_of(hi)
-            mid = model.value_of((lo + hi) / 2)
-            assert mid < (model.value_of(lo) + model.value_of(hi)) / 2
-
-
 class TestSerde:
     def test_round_trip(self, valuation_trap):
         doc = instance_to_dict(valuation_trap)
@@ -473,7 +439,7 @@ class TestColumnStorage:
             "instance_from_dict": instance_from_dict(instance_to_dict(valuation_trap)),
             "generate": generate(spec_from_acronym("FUM", 20, 2e6, seed=5)),
             "restrict_to_capacity": restrict_to_capacity(valuation_trap, 5.0),
-            "with_capacity": with_capacity(valuation_trap, 11.0),
+            "Instance(columns)": Instance(valuation_trap.columns, 11.0),
         }
         for path, inst in built.items():
             for name in COLUMN_NAMES:
@@ -495,7 +461,7 @@ class TestColumnStorage:
         same = Instance(list(valuation_trap.customers), 10)
         assert same == valuation_trap
         assert hash(same) == hash(valuation_trap)
-        assert with_capacity(valuation_trap, 11.0) != valuation_trap
+        assert Instance(valuation_trap.columns, 11.0) != valuation_trap
         reordered = Instance(reversed(valuation_trap.customers), 10.0)
         assert reordered != valuation_trap
         first = valuation_trap.customers[0]
@@ -529,7 +495,7 @@ class TestColumnStorage:
         brute_force_vmax(inst)
         max_phase_spread(inst)
         instance_to_dict(inst)
-        restrict_to_capacity(with_capacity(inst, 40.0), 6.0)
+        restrict_to_capacity(Instance(inst.columns, 40.0), 6.0)
         assert "customers" not in inst.__dict__
 
     def test_columns_stay_a_class_level_cached_property(self):
@@ -563,7 +529,7 @@ class TestColumnStorage:
         paths = {
             "instance_from_dict": lambda: instance_from_dict(doc),
             "generate": lambda: generate(spec_from_acronym("FUM", 20, 2e6, seed=5)),
-            "with_capacity": lambda: with_capacity(valuation_trap, 11.0),
+            "Instance(columns)": lambda: Instance(valuation_trap.columns, 11.0),
             "restrict_to_capacity": lambda: restrict_to_capacity(valuation_trap, 5.0),
         }
         for path, build in paths.items():
@@ -596,6 +562,11 @@ class TestColumnRowChecks:
             InstanceColumns.build(*([row[key] for row in rows] for key in COLUMN_NAMES[:5]))
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
+
+    def test_columns_of_different_lengths_are_rejected(self):
+        # checked before the rows, whose walk would zip the columns to one length
+        with pytest.raises(InstanceError, match="columns differ in length: {'id': 2, 'p': 1"):
+            Instance(InstanceColumns([0, 1], [1.0], [0.0], [1.0], [1.0], [1.0]), 5.0)
 
 
 NUMBER_FIELDS = ("p", "q", "valuation", "compensation")

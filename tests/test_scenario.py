@@ -1,5 +1,6 @@
 """Scenario taxonomy: acronyms, draws, determinism, range and fraction checks."""
 
+import hashlib
 import json
 import math
 
@@ -7,10 +8,10 @@ import pytest
 
 from curtail import (
     FormatError,
+    Instance,
     LoadType,
     NARROW_LOAD_RANGES,
     PowerKind,
-    QuadraticValue,
     ScenarioSpec,
     ValueCorrelation,
     WIDE_LOAD_RANGES,
@@ -20,10 +21,9 @@ from curtail import (
     parse_acronym,
     restrict_to_capacity,
     spec_from_acronym,
-    with_capacity,
 )
 from curtail.model import InstanceError
-from curtail.scenario import LINEAR_DEFAULTS, LoadRanges
+from curtail.scenario import LoadRanges
 
 
 class TestAcronyms:
@@ -122,22 +122,18 @@ class TestGenerate:
         assert abs(industrial - n * frac) <= 3 * sigma
 
     def test_correlated_values_recompute_exactly(self):
-        spec = spec_from_acronym("FCR", 200, 1e5, seed=9, quadratic=QuadraticValue(1.0))
-        inst = generate(spec)
+        inst = generate(spec_from_acronym("FCR", 200, 1e5, seed=9))
         for c in inst.customers:
-            v = QuadraticValue(1.0).value_of(c.demand.magnitude())
-            assert c.valuation == v
-            assert c.compensation == v
+            mag = c.demand.magnitude()
+            assert c.valuation == c.compensation == mag * mag
 
     def test_linear_values_recompute_exactly(self):
         inst = generate(spec_from_acronym("FLM", 300, 5e6, seed=11))
-        industrial = LINEAR_DEFAULTS[LoadType.INDUSTRIAL]
-        residential = LINEAR_DEFAULTS[LoadType.RESIDENTIAL]
         lo_i = WIDE_LOAD_RANGES.industrial[0]
         for c in inst.customers:
             mag = c.demand.magnitude()
-            model = industrial if mag >= lo_i else residential
-            assert c.valuation == c.compensation == model.value_of(mag)
+            value = 1.5 * mag + 10.0 if mag >= lo_i else mag + 1.0
+            assert c.valuation == c.compensation == value
 
     def test_linear_values_positive_and_equal(self):
         inst = generate(spec_from_acronym("ALR", 100, 1e5, seed=10))
@@ -166,10 +162,44 @@ class TestGenerate:
             generate(spec_from_acronym("FCI", 50, 400_000.0, seed=12))
 
 
+# SHA-256 of ``json.dumps(instance_to_dict(generate(spec)), sort_keys=True)``
+# for every acronym at n = 200, capacity 5e6 and seed 7, recorded while the
+# C and L valuations still came from configurable coefficient objects; bytes
+# that move mean some draw or valuation formula changed a float.
+GENERATED_SHA256 = {
+    "FCR": "7ba7632b8aee849e3aa6ce6c147449f2c9fb967e5b8e1a238befffff278efbb3",
+    "FCI": "36153204c6410134f1a39697fc02dd267f795fae10d1c37d56da25ca22a6d983",
+    "FCM": "185ec9163d73576862bdd96b47631fc848d5d401369dadbd209c0d8e97f4caac",
+    "FUR": "86bd33ea788fb2e34835e9861f6e5acbf6c45d448b4ef205ee146a822c067f54",
+    "FUI": "b32d520973f4b4fa7fc371e728991710ad94433db6bf0b20ec2e62cd97565bbe",
+    "FUM": "0b71cfe1ff37da9bb9acfc98c1246226e774ce124b1f2aadbe2e109dc4e3afbe",
+    "FLR": "c82811823fa26d92d16db06ba4dd3ab6be672de82f2a586050e885b5b6212d8c",
+    "FLI": "952e72d6d5bc0ed158d98f2ff1795f120e60ab2f3ff71014d8941be659b5a144",
+    "FLM": "af212f22307ea162b776afe4102585fbdef2787872ae41cfd237d9e77f69eb82",
+    "ACR": "10d73248b1bf66b55ab34f257317e6c6b4520747e28d30d566e4b37b0140c88c",
+    "ACI": "7b08d465be69e73837c4d8ddc9e2379c7a2c45218b806800b1a5823b74d9549d",
+    "ACM": "9764c989231d6cc310db25b659783c3cb493d4db3b16b0edced300feeaac929a",
+    "AUR": "8d418d00bf258d6eb778e24db25b06423cc3fb7d0de6bc80ee749f8ab5c2beaf",
+    "AUI": "29d10905cf6a535db4f221d11b3162cb158526f6750b76a6395c98f18515a43e",
+    "AUM": "1b8a35e731f2360a7de4e5ec349c7c3eef47ac67a1035fdd7e0bf08482a15707",
+    "ALR": "e45ada2862188fba7c900e61640daf432800d8462e2ae36c7f9f42afdd6bd436",
+    "ALI": "571787eb3afa15d4b4a1ea35fd46e64d0f96c065e1dfda00542be1255282fb14",
+    "ALM": "64c6a5ed623509ce37582e6f2b077a68022a501a8aa7bbdfef63732be31c51d7",
+}
+
+
+class TestGeneratedBytes:
+    @pytest.mark.parametrize("acronym", GENERATED_SHA256)
+    def test_generated_bytes_are_pinned(self, acronym):
+        doc = instance_to_dict(generate(spec_from_acronym(acronym, 200, 5e6, seed=7)))
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == GENERATED_SHA256[acronym]
+
+
 class TestRebinding:
     def test_with_capacity_keeps_customers(self):
         inst = generate(spec_from_acronym("FCR", 20, 1e5, seed=13))
-        rebound = with_capacity(inst, 5e4)
+        rebound = Instance(inst.columns, 5e4)
         assert rebound.capacity == 5e4
         assert rebound.customers == inst.customers
 
