@@ -11,21 +11,39 @@ m = min(ceil(1/epsilon) - 2, n) and runs two phases:
 
 The best candidate across both phases is returned.  The objective is at
 least ``(1 - epsilon) * alignment_factor(theta)`` times the optimum, at the
-cost of examining O(n^m) subsets; small epsilon buys accuracy with runtime.
-The two greedy orders are sorted once per instance.  The seeds of a phase
-are scanned together, a block of rows at a time: one row-wise canonical sum
-tells which seeds fit on their own, and each order is walked once for the
-whole block, one vector step per customer, so a seed's work is O(n) and the
-whole search O(n log n + n^(m+1)), with memory bounded by the block.
+cost of enumerating O(n^m) subsets; small epsilon buys accuracy with runtime.
+
+Every subset is enumerated and tested for fit, a block of rows at a time
+(one row-wise canonical sum per block), and every feasible Phase 2 seed is
+bounded, but only a few are completed.  The bound of a seed S is
+``oracle._projected_bounds``: u(S) plus the fractional knapsack over S's
+pool, with each demand projected on the unit vector at the demands'
+mid-phase and the budget the capacity left after S's projected sizes.  By
+Cauchy–Schwarz no completion that fits is worth more, and a relative margin
+of 16 (n + 4) 2^-53 covers the float rounding of the fit test, the sums and
+the walk (the helper's docstring counts the roundings).  A block's
+feasible seeds are visited by descending bound and the visit stops at the
+first bound strictly below the incumbent, the best objective so far, so a
+seed that could tie the winner is always completed.  The first
+``_SOLO_SEEDS`` survivors are completed one at a time by the greedy pair's
+own scans (``greedy._best_of_scans``); any further ones go to one batch
+call that walks each order once for all of them, one vector step per
+customer.  The two greedy orders are sorted once per instance.  Bounding a
+seed costs O(n) vector work, so the search stays O(n log n + n^(m+1)) at
+worst (every seed ties, as when all customers are identical), with memory
+bounded by the block.  On FCR instances at n = 18 and epsilon = 1/4 about
+3% of the feasible seeds are completed.
 
 With epsilon >= 1/2 the derived m is 0 and the enumeration degenerates; the
 solver then falls back to a single unforced greedy-pair run, whose 1/2
 guarantee already dominates 1 - epsilon.
 
-Determinism: subsets are enumerated lexicographically by customer id;
-a Phase 2 candidate replaces the incumbent on ties only if the incumbent
-came from Phase 1, so equal-objective winners resolve to the
-lexicographically smallest Phase 2 seed regardless of evaluation order.
+Determinism: subsets are enumerated lexicographically by customer id, and
+each Phase 2 seed is ranked by its place in that enumeration.  A Phase 2
+candidate replaces the incumbent on a tie if the incumbent came from
+Phase 1 or from a seed of larger rank, so equal-objective winners resolve
+to the lexicographically smallest Phase 2 seed regardless of the order in
+which seeds are completed.
 
 The package re-exports the function ``gsa`` over this submodule, so
 ``curtail.gsa`` names the function, also after ``import curtail.gsa``;
@@ -37,12 +55,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from typing import Iterator
 
 import numpy as np
 
-from .greedy import SCAN_ORDERS, _sorted_orders, gda
+from .greedy import SCAN_ORDERS, _best_of_scans, _item_streams, _sorted_orders, gda
 from .model import (
     CAPACITY_REL_TOL,
     Instance,
@@ -51,6 +69,7 @@ from .model import (
     _running_sums,
     solution_from_indices,
 )
+from .oracle import _projected_bounds
 
 
 @dataclass(frozen=True)
@@ -74,10 +93,13 @@ class GsaConfig:
 
 
 def gsa_subset_count(n: int, epsilon: float) -> int:
-    """Number of subsets the solver will examine: sum of C(n, s) for s <= m.
+    """Number of subsets the solver enumerates: sum of C(n, s) for s <= m.
 
-    Python integers do not overflow, so the count is exact at any size; the
-    CLI uses it to warn before runs that would take hours.
+    Every one of them is tested for fit and every feasible size-m seed is
+    bounded; only the seeds whose bound can reach the incumbent are completed
+    by the greedy pair, so the count bounds the work from above.  Python
+    integers do not overflow, so the count is exact at any size; the CLI
+    uses it to warn before runs that would take hours.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -85,31 +107,37 @@ def gsa_subset_count(n: int, epsilon: float) -> int:
     return sum(math.comb(n, s) for s in range(m + 1))
 
 
-# Most seeds x customers cells in one block of seeds scanned together; a block's
-# masks and sums take about 30 bytes a cell.
+# Most seeds x customers cells in one block of seeds, tested and bounded
+# together; a block's masks and sums take about 30 bytes a cell.
 _SEED_BLOCK_CELLS = 1 << 19
+
+# Surviving seeds of a block that ``_best_of_scans`` completes one at a time;
+# any further survivors go to one ``_fill_seeds`` call.  One call costs about
+# as much as four solo completions at n = 18 but grows slowly with its rows,
+# so it pays only when many seeds survive, as when every seed ties.
+_SOLO_SEEDS = 8
 
 
 def _seed_blocks(by_id: list[int], size: int) -> Iterator[np.ndarray]:
     """The size-``size`` seeds in id-lexicographic order, as blocks of rows of
     ascending storage indices, at most ``_SEED_BLOCK_CELLS`` seeds x customers each."""
     combos = combinations(by_id, size)
-    while block := list(islice(combos, max(1, _SEED_BLOCK_CELLS // len(by_id)))):
-        yield np.sort(np.array(block, dtype=np.int64).reshape(len(block), size), axis=1)
+    rows = max(1, _SEED_BLOCK_CELLS // len(by_id))
+    while (block := np.fromiter(chain.from_iterable(islice(combos, rows)), np.int64)).size:
+        yield np.sort(block.reshape(-1, size), axis=1)
 
 
 def _fill_seeds(cols: InstanceColumns, seeds: np.ndarray, orders: list, limit_sq: float) -> tuple:
     """Each seed's greedy-pair completion: (retained masks, objectives).
 
-    A seed that does not fit on its own scores -inf.  Each order walks its
-    customers once for all seeds, with the per-item loop's float operations
-    on every row; the efficiency order wins a seed's ties.
+    Every seed must fit on its own.  Each order walks its customers once for
+    all seeds, with the per-item loop's float operations on every row; the
+    efficiency order wins a seed's ties.
     """
     base_p, base_q = _running_sums(cols.p[seeds])[:, -1], _running_sums(cols.q[seeds])[:, -1]
-    fits = base_p * base_p + base_q * base_q <= limit_sq
     forced = np.zeros((len(seeds), len(cols.id)), dtype=bool)
     forced[np.arange(len(seeds))[:, None], seeds] = True
-    floor = np.where(fits, cols.valuation[seeds].min(axis=1), -np.inf)
+    floor = cols.valuation[seeds].min(axis=1)
     best, best_objective = forced, np.full(len(seeds), -np.inf)
     for order, p, q in orders:
         # pool[j]: the seeds whose pool holds the customer j-th in this order
@@ -124,7 +152,7 @@ def _fill_seeds(cols: InstanceColumns, seeds: np.ndarray, orders: list, limit_sq
         retained[:, order] |= taken.T
         # +0.0 for an untaken customer leaves a sum from 0.0 unchanged
         objective = _running_sums(np.where(retained, cols.valuation, 0.0))[:, -1]
-        better = fits & (objective > best_objective)
+        better = objective > best_objective
         best = np.where(better[:, None], retained, best)
         best_objective = np.where(better, objective, best_objective)
     return best, best_objective
@@ -134,15 +162,16 @@ def _fill_seeds(cols: InstanceColumns, seeds: np.ndarray, orders: list, limit_sq
 def _search(instance: Instance, config: GsaConfig, rel_tol: float) -> tuple[np.ndarray, float]:
     """Best retained set, as ascending storage indices, and its objective.
 
-    A block's first seed at the block's best stands for the block, so the
-    winner is the one a walk over the seeds in id-lexicographic order keeps.
+    A Phase 2 candidate carries its seed's enumeration position (``rank``),
+    so the winner is the one a walk over all seeds in id-lexicographic order
+    would keep, whatever order the survivors are completed in.
     """
     cols = instance.columns
     m = config.max_subset_size(len(instance))
     limit_sq = instance.capacity_limit_sq(rel_tol)
     # positions in ascending id order, so combinations() is id-lexicographic
     by_id = np.lexsort((cols.id,)).tolist()
-    best, best_objective, seeded = np.empty(0, dtype=np.int64), 0.0, False
+    best, best_objective, rank = np.empty(0, dtype=np.int64), 0.0, None
 
     # Phase 1: plain best valuation over feasible subsets smaller than m;
     # the first strict improvement wins.
@@ -157,13 +186,39 @@ def _search(instance: Instance, config: GsaConfig, rel_tol: float) -> tuple[np.n
     # Phase 2: force each feasible size-m subset, fill up with the greedy pair
     # over the customers it dominates by valuation.  Each seed's pool masks the
     # instance-wide orders: ids are unique, so the (key, id) order restricted to
-    # the pool is its own scan order.  Phase 2 wins ties against Phase 1.
+    # the pool is its own scan order.  A block's feasible seeds are visited by
+    # descending bound until a bound falls strictly below the incumbent; the
+    # first ``_SOLO_SEEDS`` are completed one at a time, the rest in one batch.
+    # Phase 2 wins ties against Phase 1, and the smaller rank among Phase 2 seeds.
     orders = _sorted_orders(instance, SCAN_ORDERS["gda"])
+    first = 0  # rank of the block's first seed
     for seeds in _seed_blocks(by_id, m) if m > 0 else ():
-        retained, objective = _fill_seeds(cols, seeds, orders, limit_sq)
-        k = int(objective.argmax())
-        if objective[k] > best_objective or (objective[k] == best_objective and not seeded):
-            best, best_objective, seeded = np.flatnonzero(retained[k]), float(objective[k]), True
+        p, q = (_running_sums(a[seeds])[:, -1] for a in (cols.p, cols.q))
+        feasible = np.flatnonzero(p * p + q * q <= limit_sq)
+        bounds = _projected_bounds(instance, seeds[feasible], limit_sq)
+        visit = np.argsort(-bounds, kind="stable")
+        rows, bounds = feasible[visit], bounds[visit]
+        for i, (row, bound) in enumerate(zip(rows.tolist(), bounds.tolist())):
+            if bound < best_objective:
+                break
+            if i < _SOLO_SEEDS:
+                seed = seeds[row]
+                pool = cols.valuation <= cols.valuation[seed].min()
+                pool[seed] = False
+                streams = _item_streams(orders, pool)
+                retained, objective = _best_of_scans(instance, seed, streams, limit_sq)
+            else:
+                rest = np.sort(rows[i:][bounds[i:] >= best_objective])
+                masks, objectives = _fill_seeds(cols, seeds[rest], orders, limit_sq)
+                j = int(objectives.argmax())  # the first maximum: the smallest rank
+                row, retained, objective = int(rest[j]), np.flatnonzero(masks[j]), float(objectives[j])
+            if objective > best_objective or (
+                objective == best_objective and (rank is None or first + row < rank)
+            ):
+                best, best_objective, rank = retained, objective, first + row
+            if i == _SOLO_SEEDS:
+                break
+        first += len(seeds)
 
     return best, best_objective
 

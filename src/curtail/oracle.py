@@ -19,12 +19,13 @@ above and the sum of the two greedy branch objectives bounds it in turn.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .greedy import SortKey, scan_order
+from .greedy import SortKey, _per_va, scan_order
 from .model import (
     CAPACITY_REL_TOL,
     CurtailError,
@@ -258,3 +259,66 @@ def lp_upper_bound(instance: Instance) -> float:
     # break customer: its magnitude is > 0, since zero-magnitude demands always fit
     room = instance.capacity - float(taken_mag[k])
     return float(value[k]) + room * float(valuation[k]) / float(mag[k])
+
+
+def _projected_bounds(instance: Instance, seeds: np.ndarray, limit_sq: float) -> np.ndarray:
+    """Per row S of ``seeds``, a bound on the float valuation of S plus any completion.
+
+    ``seeds`` holds rows of distinct storage indices, possibly with no columns.
+    A row's pool is every customer outside S whose valuation is at most S's
+    smallest (everyone, for no columns).  The bound of a row is at least the
+    storage-order float sum of the valuations over S ∪ T, for every T in the
+    pool such that S ∪ T passes the float fit test ``P^2 + Q^2 <= limit_sq``.
+
+    Each demand is projected on w = (cos φ, sin φ), with φ the mid-phase of
+    the nonzero demands: s_k = max(p_k cos φ + q_k sin φ, 0).  w lies in the
+    first quadrant, so s_k >= 0 and, by Cauchy–Schwarz, every set that fits
+    has Σ s_k <= sqrt(limit_sq).  So T is worth at most the fractional
+    knapsack over the pool with sizes s and budget sqrt(limit_sq) − Σ_S s.
+    The walk in projected-efficiency order (rate u/s descending, s = 0 first,
+    ties by id) solves it: whole customers while the budget lasts, then the
+    fitting fraction of the next one.  A customer whose rate is infinite (s
+    is 0, or u/s overflows) takes no budget, which can only loosen the bound.
+    The bound is u(S) plus that value.  φ sets only the tightness, never the
+    validity: at the mid-phase, s_k >= |d_k| cos(θ/2) for phase spread θ.
+
+    Rounding.  The fit test, the rounding of w, of the sizes and of the rates,
+    Σ_S s, the budget, the prefix sums, the break fraction and the float sum
+    of the objective itself each move the result by a relative 2^-53 per
+    rounding, and there are at most about 4n + 20 of them: the fit test's
+    sums, the sizes of S and its pool, their valuations and the objective
+    each add at most n nonnegative terms, in whatever order numpy adds
+    them.  The budget is a difference, but its errors are multiples of
+    sqrt(limit_sq), so widening its capacity first covers them.  The
+    relative margin 16 (n + 4) 2^-53 covers all of them more than three
+    times over; it widens the capacity and then the bound.  A bound past
+    the float range is inf.
+    """
+    cols = instance.columns
+    n = len(instance)
+    p, q, u = cols.p, cols.q, cols.valuation
+    phases = np.arctan2(q, p)[(p != 0.0) | (q != 0.0)]
+    phi = float(phases.min() + phases.max()) / 2.0 if phases.size else 0.0
+    s = np.maximum(p * math.cos(phi) + q * math.sin(phi), 0.0)
+    rate = _per_va(u, s)  # inf where s is 0 or u/s overflows
+    order = np.lexsort((cols.id, -rate))
+    walk_rate, walk_u = rate[order], u[order]
+    # customers of infinite rate ride free, in any order: that only loosens the bound
+    walk_s = np.where(walk_rate == np.inf, 0.0, s[order])
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    rows = np.arange(len(seeds))
+    margin = (n + 4) * 2.0**-49  # see Rounding above
+    with np.errstate(over="ignore"):  # a sum past the float range is inf
+        seed_u = u[seeds]
+        pool = walk_u <= seed_u.min(axis=1, initial=np.inf)[:, None]
+        pool[rows[:, None], position[seeds]] = False
+        budget = np.maximum(math.sqrt(limit_sq) * (1.0 + margin) - s[seeds].sum(axis=1), 0.0)
+        # a prefix of sizes never shrinks, so the whole customers are those before
+        # the first prefix past the budget, which ends at the break customer
+        taken = _running_sums(np.where(pool, walk_s, 0.0))
+        k = np.count_nonzero(taken[:, 1:] <= budget[:, None], axis=1)
+        pool &= np.arange(n) < k[:, None]
+        # past the last customer the rate is 0: a walk that takes everyone adds nothing
+        part = (budget - taken[rows, k]) * np.append(walk_rate, 0.0)[k]
+        return (seed_u.sum(axis=1) + pool @ walk_u + part) * (1.0 + margin)

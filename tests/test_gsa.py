@@ -3,11 +3,13 @@
 import importlib
 import math
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from curtail import (
+    CAPACITY_REL_TOL,
     ComplexDemand,
     Customer,
     GsaConfig,
@@ -25,6 +27,7 @@ from curtail import (
     spec_from_acronym,
     generate,
 )
+from curtail.bench import instance_for_trial, plan_from_dict
 from curtail.greedy import scan_order
 from curtail.gsa import _search
 
@@ -33,9 +36,9 @@ gsa_module = importlib.import_module("curtail.gsa")
 from conftest import build_instance, random_instance, reference_gsa_search
 
 
-def search_ids(inst: Instance, config: GsaConfig):
+def search_ids(inst: Instance, config: GsaConfig, rel_tol: float = 1e-9):
     """``_search`` with its storage indices mapped to ids, as the reference returns them."""
-    retained, objective = _search(inst, config, 1e-9)
+    retained, objective = _search(inst, config, rel_tol)
     return frozenset(inst.columns.id[retained].tolist()), objective
 
 
@@ -241,3 +244,140 @@ class TestSeedBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2**20
+
+
+def all_tied_instance(n: int) -> Instance:
+    """n identical customers, ten of which fit: every seed completes to 10.0."""
+    return build_instance([(k, 1.0, 0.0, 1.0) for k in range(n)], 10.0)
+
+
+def bound_cases():
+    """(label, instance, rel_tol) cases that stress the Phase 2 seed bound."""
+    rng = np.random.default_rng(229)
+    cases = [(f"integer ties n={n}", tied_instance(rng, n), 1e-9) for n in (6, 9, 12)]
+    cases.append(("all-zero demands", build_instance(
+        [(k, 0.0, 0.0, float(rng.integers(0, 4))) for k in range(9)], 1.0), 1e-9))
+    rows = []
+    for k in range(11):
+        p, q = (0.0, 0.0) if k % 3 == 0 else (float(rng.integers(1, 5)), float(rng.integers(0, 3)))
+        rows.append((k, p, q, float(rng.integers(0, 6))))
+    cases.append(("some-zero demands", build_instance(rows, 7.0), 1e-9))
+    rows = [(k, float(rng.uniform(0.5, 4.0)), 0.0, float(rng.uniform(1, 9))) for k in range(11)]
+    cases.append(("theta 0", build_instance(rows, 9.0), 1e-9))
+    rows = [
+        (k, *((float(rng.integers(1, 4)), 0.0) if k % 2 else (0.0, float(rng.integers(1, 4)))),
+         float(rng.integers(1, 5)))
+        for k in range(11)
+    ]
+    cases.append(("theta pi/2", build_instance(rows, 6.0), 1e-9))
+    for rel_tol in (0.0, 1e-9):
+        inst = random_instance(rng, 11, magnitude_range=(1.0, 2.0))
+        chosen = [0, 2, 3, 7]  # four demands of 1-2 VA outweigh any single one
+        sum_p = sum_q = 0.0
+        for k in chosen:
+            sum_p += float(inst.columns.p[k])
+            sum_q += float(inst.columns.q[k])
+        cases.append((f"capacity on a subset rel_tol={rel_tol}",
+                      Instance(inst.columns, math.hypot(sum_p, sum_q)), rel_tol))
+    rows = [
+        (k, float(rng.choice([0.0, 1e153, 3e153])), float(rng.choice([0.0, 2e153])),
+         float(rng.choice([0.0, 1e307, 8e307, 1.7976931348623157e308])))
+        for k in range(10)
+    ]
+    cases.append(("near the float range", build_instance(rows, 1.3e154), 1e-9))
+    cases.append(("all tied n=14", all_tied_instance(14), 1e-9))
+    return cases
+
+
+class TestSeedBound:
+    """Phase 2 completes only the seeds whose projected bound can reach the
+    incumbent; the first ``_SOLO_SEEDS`` survivors of a block one at a time."""
+
+    @pytest.mark.parametrize("epsilon", [1 / 3, 1 / 4, 1 / 5])
+    @pytest.mark.parametrize("case", bound_cases(), ids=lambda case: case[0])
+    def test_every_cut_over_matches_the_reference(self, case, epsilon):
+        label, inst, rel_tol = case
+        expected = reference_gsa_search(inst, GsaConfig(epsilon), rel_tol)
+        for solo in (0, 1, gsa_module._SOLO_SEEDS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(gsa_module, "_SOLO_SEEDS", solo)
+                got = search_ids(inst, GsaConfig(epsilon), rel_tol)
+            assert got == expected[:2], (label, solo)
+
+    def test_a_tie_completed_later_wins_by_rank(self):
+        # seed {1} has the higher bound (3 against 2), so it is completed
+        # first; seed {0} then ties its objective with another set, and wins
+        inst = build_instance([(0, 2.0, 0.0, 2.0), (1, 1.0, 0.0, 2.0)], 2.0)
+        expected = reference_gsa_search(inst, GsaConfig(1 / 3))
+        assert expected == (frozenset({0}), 2.0, (0,))
+        for solo in (0, 1, gsa_module._SOLO_SEEDS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(gsa_module, "_SOLO_SEEDS", solo)
+                assert search_ids(inst, GsaConfig(1 / 3)) == expected[:2]
+
+    def test_all_tied_matches_the_reference_at_n_40(self):
+        inst = all_tied_instance(40)
+        expected = reference_gsa_search(inst, GsaConfig(1 / 5))
+        for solo in (0, 1, gsa_module._SOLO_SEEDS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(gsa_module, "_SOLO_SEEDS", solo)
+                assert search_ids(inst, GsaConfig(1 / 5)) == expected[:2]
+        assert expected[1] == 10.0 and expected[2] == (0, 1, 2)
+
+
+def count_completions(monkeypatch) -> dict:
+    """Count the seeds that ``_search`` completes, by ``_best_of_scans`` or ``_fill_seeds``."""
+    counts = {"seeds": 0}
+    best_of_scans, fill_seeds = gsa_module._best_of_scans, gsa_module._fill_seeds
+
+    def counting_best_of_scans(*args):
+        counts["seeds"] += 1
+        return best_of_scans(*args)
+
+    def counting_fill_seeds(cols, seeds, *args):
+        counts["seeds"] += len(seeds)
+        return fill_seeds(cols, seeds, *args)
+
+    monkeypatch.setattr(gsa_module, "_best_of_scans", counting_best_of_scans)
+    monkeypatch.setattr(gsa_module, "_fill_seeds", counting_fill_seeds)
+    return counts
+
+
+def feasible_seed_count(inst: Instance, m: int) -> int:
+    """Size-m subsets that pass the fit test, summed left to right in storage order."""
+    p, q = inst.columns.p.tolist(), inst.columns.q.tolist()
+    limit_sq = inst.capacity_limit_sq(CAPACITY_REL_TOL)
+    count = 0
+    for seed in combinations(range(len(inst)), m):
+        sum_p = sum_q = 0.0
+        for k in seed:
+            sum_p += p[k]
+            sum_q += q[k]
+        count += sum_p * sum_p + sum_q * sum_q <= limit_sq
+    return count
+
+
+class TestSeedWork:
+    """Work counts, not times: how many Phase 2 seeds are completed."""
+
+    def test_sweep_instances_complete_few_seeds(self, monkeypatch):
+        # the perfbench sweep plan's n = 18 trials: FCR, 25 kVA, eps = 1/4
+        plan = plan_from_dict({
+            "scenario": {"acronym": "FCR", "capacity": 25_000.0, "seed": 123},
+            "n_values": [18], "trials_per_n": 30, "algorithms": ["gsa"],
+            "oracle": "none", "gsa_epsilon": 0.25,
+        })
+        instances = [instance_for_trial(plan, 18, trial) for trial in range(30)]
+        feasible = sum(feasible_seed_count(inst, 2) for inst in instances)
+        counts = count_completions(monkeypatch)
+        for inst in instances:
+            gsa(inst, GsaConfig(0.25))
+        assert feasible > 3_000
+        assert counts["seeds"] < 0.1 * feasible
+
+    def test_all_tied_seeds_are_all_completed(self, monkeypatch):
+        # every seed ties the best objective, and a tied seed is never pruned
+        inst = all_tied_instance(40)
+        counts = count_completions(monkeypatch)
+        assert gsa(inst, GsaConfig(1 / 5)).objective == 10.0
+        assert counts["seeds"] == math.comb(40, 3)

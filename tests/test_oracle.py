@@ -3,6 +3,7 @@
 import importlib
 import math
 import tracemalloc
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -37,6 +38,7 @@ from conftest import (
     reference_best_feasible_mask,
     reference_best_vmax,
 )
+from curtail.oracle import subset_sums
 
 oracle_module = importlib.import_module("curtail.oracle")
 
@@ -150,7 +152,7 @@ _HUGE_WEIGHTS = st.sampled_from([0.0, 1e307, 8e307, 1.7976931348623157e308])
 
 
 @st.composite
-def _mask_search_cases(draw):
+def _mask_search_cases(draw, max_n=13):
     """An instance, its weights, a slack and a full-table size for the mask search.
 
     The value kinds give ties (small integers), zero demands, all-zero
@@ -158,7 +160,7 @@ def _mask_search_cases(draw):
     either the exact magnitude of a drawn subset's sums or a fraction of the
     total, and the table size falls on both sides of n.
     """
-    n = draw(st.integers(0, 13))
+    n = draw(st.integers(0, max_n))
     kind = draw(st.sampled_from(["floats", "integers", "zero weights", "near overflow"]))
     if kind == "near overflow":
         demand, weight = _HUGE_DEMANDS, _HUGE_WEIGHTS
@@ -227,6 +229,47 @@ class TestMaskSearch:
         assert peak < 100 * 2**20
         assert is_feasible(inst, sol.retained_ids)
         assert sol.objective >= gda(inst).objective
+
+
+class TestProjectedBounds:
+    """``_projected_bounds`` against every completion, by brute force."""
+
+    @given(case=_mask_search_cases(max_n=12), size=st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_bound_covers_every_fitting_completion(self, case, size):
+        # the instance's valuations are the drawn weights; every size-``size``
+        # seed S is checked against every T in its pool whose S ∪ T fits
+        inst, _, rel_tol, _ = case
+        n = len(inst)
+        cols = inst.columns
+        limit_sq = inst.capacity_limit_sq(rel_tol)
+        seeds = np.array(list(combinations(range(n), min(size, n))), dtype=np.int64)
+        seeds = seeds.reshape(len(seeds), min(size, n))
+        bounds = oracle_module._projected_bounds(inst, seeds, limit_sq)
+        assert bounds.shape == (len(seeds),)
+        with np.errstate(over="ignore"):
+            # storage-order sums of every selection, as the solvers add them
+            p, q, worth = subset_sums(np.stack((cols.p, cols.q, cols.valuation)))
+            fits = p * p + q * q <= limit_sq
+        masks = np.arange(1 << n)
+        for seed, bound in zip(seeds.tolist(), bounds.tolist()):
+            seed_mask = sum(1 << k for k in seed)
+            floor = min((cols.valuation[k] for k in seed), default=math.inf)
+            pool_mask = sum(1 << k for k in range(n) if cols.valuation[k] <= floor) & ~seed_mask
+            valid = fits & (masks & seed_mask == seed_mask) & (masks & ~(seed_mask | pool_mask) == 0)
+            assert bound >= worth[valid].max(initial=-math.inf), (seed, bound)
+
+    def test_walk_takes_zero_sizes_then_the_best_rates(self):
+        # the two zero-demand customers ride free; the walk then takes the
+        # rate-3 customer whole and 1 VA of the rate-2 one: 5 + 1 + 6 + 2.
+        # Seeded with that rate-3 customer, it is out of the pool, and its
+        # 2 VA leave 1 VA for the rate-2 one: 6 + (5 + 1) + 2.
+        rows = [(0, 0.0, 0.0, 5.0), (1, 2.0, 0.0, 6.0), (2, 3.0, 0.0, 6.0), (3, 0.0, 0.0, 1.0)]
+        inst = build_instance(rows, 3.0)
+        limit_sq = inst.capacity_limit_sq(0.0)
+        for seeds in (np.zeros((1, 0), dtype=np.int64), np.array([[1]])):
+            bound = oracle_module._projected_bounds(inst, seeds, limit_sq)
+            assert 14.0 <= bound[0] <= 14.0 * (1 + 1e-12)
 
 
 class TestBruteForceCmin:
