@@ -334,7 +334,9 @@ def run_dynamic_capacity(
     Every point equals solving ``restrict_to_capacity(base, capacity)`` with
     the public solver.  The greedy algorithms sort their scan orders once per
     simulation; an event masks them with ``mag <= capacity``, the comparison
-    ``restrict_to_capacity`` makes, and scans each once.  ``gsa`` solves each
+    ``restrict_to_capacity`` makes, and scans each distinct order once.  With
+    capacity a small share of the demand, most of an event's scan is rejects,
+    which the scan drops by sifting.  ``gsa`` solves each
     restricted instance afresh.  Either way an event at a capacity already
     solved (every resumption, and repeated floor hits) reuses that answer.
     """

@@ -16,11 +16,13 @@ Ties are broken by ascending customer id, so runs are reproducible.
 ``scan_order`` orders customers for every heuristic in the package, the
 ``curtail.cmin`` shedding ones too (``SHED_ORDERS``).  A solve over part of
 an instance (``gda_forced``, ``gsa`` seeds, simulation events) masks orders
-sorted once over all of it.
+sorted once over all of it.  Equal orders are scanned once: under correlated
+valuations (u = |d|^2) ``gda``'s two orders are one permutation.
 
 A scan runs in ``_greedy_scan``, an array kernel that keeps exactly what the
-per-item loop ``_scan_items`` keeps; ``gsa`` runs the same scan for a whole
-block of seeds at once, one vector step per customer.
+per-item loop ``_scan_items`` keeps, and drops the items that can no longer
+fit after a reject; ``gsa`` runs the same scan for a whole block of seeds at
+once, one vector step per customer.
 """
 
 from __future__ import annotations
@@ -100,10 +102,20 @@ def scan_order(instance: Instance, key: SortKey) -> np.ndarray:
 def _sorted_orders(
     instance: Instance, keys: Sequence[SortKey]
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Each key's ``scan_order`` as storage index, p and q arrays, so that a scan
-    reads memory sequentially instead of chasing storage order."""
+    """Each distinct ``scan_order`` of ``keys`` as storage index, p and q arrays, so
+    that a scan reads memory sequentially instead of chasing storage order.
+
+    An order equal to an earlier one is dropped: it would scan to the same set,
+    and the best of the scans keeps the first on ties.  Under correlated
+    valuations (u = |d|^2) efficiency and valuation sort alike, so ``gda`` scans
+    once.
+    """
     cols = instance.columns
-    orders = [scan_order(instance, key) for key in keys]
+    orders: list[np.ndarray] = []
+    for key in keys:
+        order = scan_order(instance, key)
+        if not any(np.array_equal(order, seen) for seen in orders):
+            orders.append(order)
     return [(order, cols.p[order], cols.q[order]) for order in orders]
 
 
@@ -134,6 +146,16 @@ def _scan_items(
 # First block of a vectorised piece of ``_greedy_scan``; blocks double from it.
 _SCAN_BLOCK = 64
 
+# A sift tests at most this many first blocks of items at once: over a longer
+# rest, allocating its temporaries costs more than the doubling walk it saves.
+_SIFT_BLOCKS = 256
+
+
+def _sift(p: np.ndarray, q: np.ndarray, acc_p: float, acc_q: float, limit_sq: float) -> np.ndarray:
+    """Mask of the items ``(p, q)`` that fit on top of the aggregate ``(acc_p, acc_q)``."""
+    new_p, new_q = p + acc_p, q + acc_q
+    return new_p * new_p + new_q * new_q <= limit_sq
+
 
 def _greedy_scan(
     stream: tuple[np.ndarray, np.ndarray, np.ndarray], acc_p: float, acc_q: float, limit_sq: float
@@ -147,6 +169,17 @@ def _greedy_scan(
     a piece shorter than two first blocks, too short to pay for its numpy calls,
     the loop takes a block that doubles while the pieces stay short; it takes
     all of a stream shorter than two first blocks.
+
+    When an accept piece ends at a reject, a sift tests every later item against
+    the aggregate and drops those that miss it.  Demands are non-negative and
+    rounding is monotone, so the aggregate only grows, component by component,
+    and so does each rounded step of an item's fit test: an item that misses
+    the aggregate now misses it at its turn.  Sifting goes on while a sift keeps
+    at most half of the items it tests; the first that keeps more is not
+    applied and ends sifting for the scan.  Each sift thus tests at most half
+    as many items as the one before, so all of them together test fewer than
+    2n, and the scan stays O(n).  A rest longer than ``_SIFT_BLOCKS`` first
+    blocks is walked, not sifted.
     """
     index, p, q = stream
     n = len(index)
@@ -155,7 +188,7 @@ def _greedy_scan(
     taken: list[int] = []
     k = piece = 0
     size = loop_size = _SCAN_BLOCK
-    filling = True
+    filling = sifting = True
     with np.errstate(over="ignore", invalid="ignore"):
         while k < n:
             stop = min(k + size, n)
@@ -175,6 +208,15 @@ def _greedy_scan(
             if k == stop:
                 size *= 2
                 continue
+            if filling and sifting and n - k <= _SIFT_BLOCKS * _SCAN_BLOCK:
+                keep = _sift(p[k:], q[k:], acc_p, acc_q, limit_sq)
+                left = int(np.count_nonzero(keep))
+                if 2 * left <= n - k:
+                    # every item left fits now, so the next piece accepts
+                    index, p, q = index[k:][keep], p[k:][keep], q[k:][keep]
+                    n, k, piece, size = left, 0, 0, _SCAN_BLOCK
+                    continue
+                sifting = False
             filling, size = not filling, _SCAN_BLOCK
             if 0 < k - piece < 2 * _SCAN_BLOCK:
                 stop = min(k + loop_size, n)
@@ -270,6 +312,11 @@ def gda_forced(
     solution and their valuations count toward the objective.  ``forced`` and
     ``pool`` must be disjoint, and the forced set must fit the capacity on
     its own.
+
+    No solver in the package calls it (``gsa`` completes its seeds over
+    storage indices), but it stays public: it is the id-level form of a
+    forced-pool completion, the tests' reference for ``gsa``'s seeds, and a
+    name that perfbench traces.
     """
     start = time.perf_counter()
     forced, pool = frozenset(forced), frozenset(pool)

@@ -28,7 +28,8 @@ seed that could tie the winner is always completed.  The first
 ``_SOLO_SEEDS`` survivors are completed one at a time by the greedy pair's
 own scans (``greedy._best_of_scans``); any further ones go to one batch
 call that walks each order once for all of them, one vector step per
-customer.  The two greedy orders are sorted once per instance.  Bounding a
+customer.  The greedy orders are sorted once per instance, and one equal
+to the other (as under correlated valuations) is scanned once.  Bounding a
 seed costs O(n) vector work, so the search stays O(n log n + n^(m+1)) at
 worst (every seed ties, as when all customers are identical), with memory
 bounded by the block.  On FCR instances at n = 18 and epsilon = 1/4 about

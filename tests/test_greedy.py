@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from curtail import (
@@ -22,6 +22,7 @@ from curtail import (
     cmin_gva,
     gda,
     gda_forced,
+    generate,
     gma,
     gra,
     gsa,
@@ -29,7 +30,9 @@ from curtail import (
     is_feasible,
     lp_upper_bound,
     max_phase_spread,
+    restrict_to_capacity,
     retained_valuation,
+    spec_from_acronym,
 )
 from curtail import greedy
 from conftest import (
@@ -38,6 +41,7 @@ from conftest import (
     reference_best_vmax,
     reference_greedy,
     reference_greedy_scan,
+    reference_gsa_search,
 )
 
 
@@ -370,15 +374,29 @@ _COMPONENT = st.one_of(
 )
 
 
+# Demands of zero magnitude, or so small that their squares underflow.
+_ZERO_DEMAND = st.tuples(st.sampled_from([0.0, -0.0, 1e-320]), st.sampled_from([0.0, -0.0, 1e-320]))
+
+
 @st.composite
 def scan_inputs(draw):
     """(index, p, q, base_p, base_q, limit_sq) for one scan.
 
     The base is zero or a forced set's aggregate; the limit is the squared
     aggregate of some prefix (so a fit is an equality), one ulp either side
-    of it, or a fraction of the total demand.
+    of it, or a fraction of the total demand.  Or the limit lies one ulp above
+    the first item's aggregate with the base, and the other items follow mixed
+    with up to 200 copies of a demand of at least 1 VA and up to 200 of a zero
+    one: after the first reject a sift keeps only items of (near) zero
+    magnitude, at most half of those it tests or more than half.
     """
     demands = draw(st.lists(st.tuples(_COMPONENT, _COMPONENT), max_size=80))
+    sifted = draw(st.booleans())
+    if sifted:
+        large, zero = draw(st.tuples(st.floats(1.0, 10.0), _COMPONENT)), draw(_ZERO_DEMAND)
+        rest = demands[1:] + [large] * draw(st.integers(0, 200)) + [zero] * draw(st.integers(0, 200))
+        mix = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(len(rest))
+        demands = demands[:1] + [rest[k] for k in mix.tolist()]
     n = len(demands)
     index = np.array(draw(st.permutations(range(n))), dtype=np.int64)
     p = np.array([d[0] for d in demands], dtype=np.float64)
@@ -393,7 +411,10 @@ def scan_inputs(draw):
         acc_p += a
         acc_q += b
         prefixes.append((acc_p, acc_q))
-    if draw(st.booleans()):
+    if sifted:
+        pp, pq = prefixes[min(n, 1)]
+        limit_sq = math.nextafter(pp * pp + pq * pq, math.inf)
+    elif draw(st.booleans()):
         pp, pq = prefixes[draw(st.integers(0, n))]
         limit_sq = math.nextafter(pp * pp + pq * pq, draw(st.sampled_from([0.0, math.inf])))
         if draw(st.booleans()):
@@ -402,6 +423,20 @@ def scan_inputs(draw):
         limit = draw(st.floats(0.0, 1.2)) * math.hypot(acc_p, acc_q)
         limit_sq = limit * limit
     return index, p, q, base_p, base_q, limit_sq
+
+
+def log_sifts(mp: pytest.MonkeyPatch) -> list[tuple[int, int]]:
+    """Record (items tested, items kept) of every ``greedy._sift`` call from now on."""
+    log = []
+    sift = greedy._sift
+
+    def logged(p, *args):
+        keep = sift(p, *args)
+        log.append((len(p), int(np.count_nonzero(keep))))
+        return keep
+
+    mp.setattr(greedy, "_sift", logged)
+    return log
 
 
 class TestScanKernel:
@@ -440,6 +475,57 @@ class TestScanKernel:
         assert taken == index[::2].tolist()
         assert_scan_matches_reference(index, p, q, 0.0, 0.0, 1e12)
 
+    def test_sift_keeps_items_that_fit_with_equality(self):
+        # after (3, 4) the aggregate sits on the limit, so the first (1, 0) ends the
+        # piece; the sift must keep the later zero demands, which fit with
+        # equality, and must not bring back the zero the piece already took
+        demands = [(0.0, 0.0), (3.0, 4.0), (0.0, 0.0), (1.0, 0.0)] + [(1.0, 0.0), (1.0, 0.0), (0.0, 0.0)] * 70
+        index = np.arange(len(demands), dtype=np.int64)
+        p = np.array([d[0] for d in demands])
+        q = np.array([d[1] for d in demands])
+        expected = [0, 1, 2] + index[6::3].tolist()
+        for block in SCAN_BLOCKS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(greedy, "_SCAN_BLOCK", block)
+                log = log_sifts(mp)
+                assert greedy._greedy_scan((index, p, q), 0.0, 0.0, 25.0) == (expected, 3.0, 4.0)
+            assert log and 2 * log[0][1] <= log[0][0]  # the first sift compacts
+        assert_scan_matches_reference(index, p, q, 0.0, 0.0, 25.0)
+
+    def test_sifting_stops_when_a_sift_keeps_most_items(self):
+        # tiny demands alternate with demands that each overflow by half a tiny
+        # one at their turn but fit every earlier aggregate: a sift after every
+        # reject would keep all but one item each time, quadratic work
+        n = 30_000
+        tiny = 2.0**-20
+        half = np.arange(n) // 2
+        p = np.where(np.arange(n) % 2 == 0, tiny, 1.0 - (half + 0.5) * tiny)
+        q = np.zeros(n)
+        index = np.arange(n, dtype=np.int64)
+        with pytest.MonkeyPatch.context() as mp:
+            log = log_sifts(mp)
+            taken, _, _ = greedy._greedy_scan((index, p, q), 0.0, 0.0, 1.0)
+        assert taken == index[::2].tolist()
+        assert log, "no sift ran"
+        assert sum(tested for tested, _ in log) <= 2 * greedy._SIFT_BLOCKS * greedy._SCAN_BLOCK
+        assert_scan_matches_reference(index, p, q, 0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("compacts", [True, False], ids=["compact", "stop"])
+    @pytest.mark.parametrize("block", SCAN_BLOCKS)
+    def test_scan_inputs_reach_both_sift_outcomes(self, block, compacts):
+        # some sift of a scan_inputs case keeps at most half the items it tests
+        # (the stream is compacted), and some keeps more (sifting stops)
+        def reaches(case):
+            index, p, q, base_p, base_q, limit_sq = case
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(greedy, "_SCAN_BLOCK", block)
+                log = log_sifts(mp)
+                greedy._greedy_scan((index, p, q), base_p, base_q, limit_sq)
+            return any((2 * kept <= tested) == compacts for tested, kept in log)
+
+        quick = settings(max_examples=2_000, database=None, derandomize=True, phases=[Phase.generate])
+        find(scan_inputs(), reaches, settings=quick)
+
     def test_gda_forced_matches_reference_greedy(self):
         rng = np.random.default_rng(2024)
         for _ in range(60):
@@ -472,3 +558,46 @@ class TestScanKernel:
             sol = solver(inst)
             assert sol.retained_ids == set(inst.columns.id[expected].tolist())
             assert sol.objective == objective
+
+
+class TestDistinctOrders:
+    """``_sorted_orders`` drops an order equal to an earlier one.  Under correlated
+    valuations (u = |d|^2) efficiency and valuation sort alike, so ``gda`` scans once."""
+
+    @pytest.mark.parametrize("acronym, streams", [
+        ("FCR", 1), ("FCM", 1), ("FCI", 1), ("ACR", 1), ("FUM", 2), ("FLM", 2),
+    ])
+    def test_gda_streams_per_scenario(self, acronym, streams):
+        for n, seed in ((12, 0), (2_000, 5)):
+            inst = generate(spec_from_acronym(acronym, n, 2e6, seed))
+            assert len(greedy._sorted_orders(inst, greedy.SCAN_ORDERS["gda"])) == streams
+
+    def test_orders_one_tie_swap_apart_are_both_scanned(self):
+        # ids 1 and 2 tie at 2 per VA, so efficiency takes 1 first by id and
+        # valuation takes 2 first; only the valuation scan reaches 34
+        inst = build_instance([(0, 3.0, 4.0, 30.0), (1, 1.0, 0.0, 2.0), (2, 2.0, 0.0, 4.0)], 7.0)
+        streams = greedy._sorted_orders(inst, greedy.SCAN_ORDERS["gda"])
+        assert [order.tolist() for order, _, _ in streams] == [[0, 1, 2], [0, 2, 1]]
+        sol = gda(inst)
+        assert sol.retained_ids == {0, 2} and sol.objective == 34.0
+        assert gra(inst).retained_ids == {0, 1}
+
+    @pytest.mark.parametrize("acronym", ["FCM", "FCR", "FUM"])
+    def test_solvers_match_references_on_generated_instances(self, acronym):
+        rng = np.random.default_rng(41)
+        for seed in range(4):
+            base = generate(spec_from_acronym(acronym, 40, 1e12, seed))
+            inst = restrict_to_capacity(base, 0.3 * float(base.columns.mag.sum()))
+            expected, objective = reference_greedy(inst, "gda")
+            sol = gda(inst)
+            assert sol.retained_ids == set(inst.columns.id[expected].tolist())
+            assert sol.objective == objective
+            forced, pool = [0, 1], rng.permutation(np.arange(2, len(inst)))[:30].tolist()
+            expected, objective = reference_greedy(inst, "gda", forced, pool)
+            ids = inst.columns.id.tolist()
+            sol = gda_forced(inst, [ids[i] for i in forced], [ids[i] for i in pool])
+            assert sol.retained_ids == {ids[i] for i in expected}
+            assert sol.objective == objective
+            ids, objective, _ = reference_gsa_search(inst, GsaConfig(0.25))
+            sol = gsa(inst, GsaConfig(0.25))
+            assert sol.retained_ids == ids and sol.objective == objective
