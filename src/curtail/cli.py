@@ -33,7 +33,7 @@ from .model import (
     DemandExceedsCapacityError,
     FormatError,
     dump_instance,
-    instance_to_dict,
+    instance_json,
     load_instance,
     read_json,
 )
@@ -86,6 +86,18 @@ _epsilon = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _threads = _checked(int, lambda v: v >= 1, ">= 1")
 
 
+def _warn_of_long_gsa(n: int, epsilon: float) -> None:
+    """Warn on stderr when a ``gsa`` solve of ``n`` customers may enumerate
+    more than ``GSA_SUBSET_WARN_THRESHOLD`` subsets."""
+    count = gsa_subset_count(n, epsilon)
+    if count > GSA_SUBSET_WARN_THRESHOLD:
+        print(
+            f"warning: gsa may examine up to {count} subsets per solve at "
+            f"epsilon={epsilon}; this may take a long time",
+            file=sys.stderr,
+        )
+
+
 def _cmd_generate(args) -> int:
     spec = spec_from_acronym(
         args.scenario,
@@ -100,7 +112,7 @@ def _cmd_generate(args) -> int:
     if args.output:
         dump_instance(instance, args.output)
     else:
-        _emit(instance_to_dict(instance), None)
+        sys.stdout.write(instance_json(instance) + "\n")
     return EXIT_OK
 
 
@@ -119,13 +131,8 @@ def _cmd_solve(args) -> int:
             raise FormatError("there is no compensation-minimising variant of gsa")
         solution = CMIN_ALGORITHMS[tag](instance, rel_tol)
     elif tag == "gsa":
-        count = gsa_subset_count(len(instance), args.epsilon)
-        if count > GSA_SUBSET_WARN_THRESHOLD and not args.quiet:
-            print(
-                f"warning: gsa will examine {count} subsets at epsilon={args.epsilon}; "
-                f"this may take a long time",
-                file=sys.stderr,
-            )
+        if not args.quiet:
+            _warn_of_long_gsa(len(instance), args.epsilon)
         solution = gsa(instance, GsaConfig(args.epsilon), rel_tol)
     else:
         solution = VMAX_ALGORITHMS[tag](instance, rel_tol)
@@ -149,6 +156,8 @@ def _cmd_simulate(args) -> int:
     spec = spec_from_acronym(
         args.scenario, n=args.n, capacity=args.capacity, seed=args.seed
     )
+    if args.algorithm == "gsa":  # every event re-solves at most n customers
+        _warn_of_long_gsa(spec.n, args.epsilon)
     trace = run_dynamic_capacity(
         spec,
         horizon=args.horizon,

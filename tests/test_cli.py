@@ -470,6 +470,30 @@ class TestDeeplyNestedJson:
 
 
 class TestSimulateCommand:
+    @pytest.mark.parametrize("algorithm, warned", [("gsa", True), ("gda", False)])
+    def test_simulate_warns_before_long_gsa_runs(self, algorithm, warned, tmp_path, capsys,
+                                                 monkeypatch):
+        # at the default epsilon (m = 2) gsa enumerates about 2e6 subsets of
+        # 2000 customers per event; the stub keeps any solve from running
+        import curtail.cli as cli_mod
+
+        calls = []
+
+        def simulation(spec, **kwargs):
+            calls.append(kwargs)
+            return []
+
+        monkeypatch.setattr(cli_mod, "run_dynamic_capacity", simulation)
+        argv = ["simulate", "--dynamic", "--scenario", "FCM", "--n", "2000",
+                "--algorithm", algorithm, "-o", str(tmp_path / "t.csv")]
+        assert dispatch(argv) == EXIT_OK
+        assert calls[0]["algorithm"] == algorithm
+        err = capsys.readouterr().err
+        if warned:
+            assert "warning: gsa may examine up to 2001001 subsets" in err
+        else:
+            assert err == ""
+
     def test_dynamic_trace(self, tmp_path):
         out = tmp_path / "trace.csv"
         code = dispatch(

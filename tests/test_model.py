@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curtail import (
@@ -43,7 +43,7 @@ from curtail import (
     spec_from_acronym,
     storage_sum,
 )
-from curtail.model import MAX_CUSTOMER_ID, InstanceColumns
+from curtail.model import MAX_CUSTOMER_ID, InstanceColumns, instance_json
 from conftest import build_instance, reference_instance_from_dict
 
 model_module = importlib.import_module("curtail.model")
@@ -331,6 +331,48 @@ class TestSerde:
             "aggregate": {"p": 100.0, "q": 0.0},
             "elapsed_us": 500000,
         }
+
+
+# Customer numbers for the instance writer: ordinary values, signed zeros,
+# the smallest subnormal, and integral floats from 1e16 on, whose repr has an
+# exponent.  Demands stay below 1e300 so that every magnitude is finite.
+_WRITTEN_NUMBER = st.one_of(
+    st.floats(0.0, 1e6),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e16, 2.0**60, 1e22, 1e300]),
+    st.integers(10**16, 10**30).map(float),
+)
+
+
+@st.composite
+def written_instances(draw):
+    """Instances built from ``InstanceColumns``: ids up to 2**63 - 1, and a
+    capacity that often equals the largest demand magnitude exactly."""
+    n = draw(st.integers(0, 5))
+    ids = draw(st.lists(st.integers(0, MAX_CUSTOMER_ID), min_size=n, max_size=n, unique=True))
+    demand = st.lists(_WRITTEN_NUMBER, min_size=n, max_size=n)
+    value = st.lists(st.one_of(_WRITTEN_NUMBER, st.just(1.7976931348623157e308)),
+                     min_size=n, max_size=n)
+    columns = InstanceColumns.build(ids, draw(demand), draw(demand), draw(value), draw(value))
+    largest = float(columns.mag.max(initial=0.0))
+    capacity = draw(st.one_of(
+        st.just(largest), st.floats(largest, 1e301), st.sampled_from([1e16, 5e-324, 1e300])
+    ).filter(lambda c: c >= largest and c > 0.0))
+    return Instance(columns, capacity)
+
+
+def _one_customer(cid, number):
+    return Instance(InstanceColumns.build([cid], [number], [0.0], [number], [-0.0]), 1e300)
+
+
+class TestInstanceJson:
+    @given(written_instances())
+    @example(Instance(InstanceColumns.build([], [], [], [], []), 5e6))
+    @example(_one_customer(MAX_CUSTOMER_ID, 1e16))
+    @example(_one_customer(0, 5e-324))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_json_encoder(self, inst):
+        expected = json.dumps(instance_to_dict(inst), indent=2, sort_keys=True)
+        assert instance_json(inst) == expected
 
 
 COLUMN_NAMES = ("id", "p", "q", "valuation", "compensation", "mag")

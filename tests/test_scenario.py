@@ -15,13 +15,16 @@ from curtail import (
     ScenarioSpec,
     ValueCorrelation,
     WIDE_LOAD_RANGES,
+    dump_instance,
     generate,
     instance_to_dict,
+    load_instance,
     max_phase_spread,
     parse_acronym,
     restrict_to_capacity,
     spec_from_acronym,
 )
+from curtail.cli import dispatch
 from curtail.model import InstanceError
 from curtail.scenario import LoadRanges
 
@@ -194,6 +197,59 @@ class TestGeneratedBytes:
         doc = instance_to_dict(generate(spec_from_acronym(acronym, 200, 5e6, seed=7)))
         digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
         assert digest == GENERATED_SHA256[acronym]
+
+
+# SHA-256 of the file that ``curtail generate --scenario <acronym> --n 200
+# --capacity 5e6 --seed 7 -o <file>`` writes, recorded while ``dump_instance``
+# still went through ``json.dump(..., indent=2, sort_keys=True)``.  Unlike
+# GENERATED_SHA256 these cover the file layout: indent, key order, newlines.
+GENERATED_FILE_SHA256 = {
+    "FCR": "bead154988d82992ab7aae79fce7aa82ec49d86087633bce8511eac2b725b948",
+    "FCI": "3b7466fc6aaa0f2cc3c683edb3321781a12680d2ef7a88b0e1f3fdce1931c3a4",
+    "FCM": "efea27dd945feff1a69753ec42e9ee93694eb9f3b14e43eba82d6e65d2501b8b",
+    "FUR": "739a95c5ba426687ae10cf0e279c6ad9034d55fc9bed905f9aee75dbfe71d3e2",
+    "FUI": "556163b134d542f10ea33c9d8bed76697c74289d1ec67d3652d3f1a88eeb4cbb",
+    "FUM": "44ef8994ae3804163d170d87b74820c51341c346fe246eb07cdd2717322b95f8",
+    "FLR": "1abfcfdb52e319a88f05050c0506b878448068fefa64db4a887db7542bdde7d3",
+    "FLI": "fe3fb4476e712d5634b3c37866ae724eb35fb283d742609f5f21e67239384c49",
+    "FLM": "756526789642c3545c8173645129b188c4546f921199ef04d49e218e42a46f9e",
+    "ACR": "c75c7fde4daa5317757fbd6338022cbd844cb4641c5953ffdf2b2dfd91dd20b0",
+    "ACI": "99a5b2f04f1be138c592121d1d62577d8759128844bc0f9f1f1585d3900f6b12",
+    "ACM": "13b2465b10777462f302827bdafd389b166acd026b8f487db2841e4369bd33ee",
+    "AUR": "da84dbd4f74fa4339bb0706387b2d5974ef61498de34cec154cb44eeaa627aaa",
+    "AUI": "b3374c209c8b994d0b90eb577c9c31e1fcb5c0969e3d884f78ca90b6a7407571",
+    "AUM": "c660ce3ebb686476f7b99fb2d1aaa46e40fbbed5cda63240d2298f941d874420",
+    "ALR": "281169010e1c99e27d69a4f1c695870ca89eacfb45c6c7b37da3ac899955199b",
+    "ALI": "00dbe15307c3ffe332d1d48a6d32015bce299e6c47e927c46b18bb5b097e3b4c",
+    "ALM": "825375b2e311f77354a989a09ec4b8ef5bed422e4c90462de9362db245ef6688",
+}
+
+_GENERATE_ARGV = ["generate", "--n", "200", "--capacity", "5e6", "--seed", "7"]
+
+
+class TestGeneratedFiles:
+    @pytest.mark.parametrize("acronym", GENERATED_FILE_SHA256)
+    def test_file_bytes_are_pinned_and_printed_alike(self, acronym, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        assert dispatch(_GENERATE_ARGV + ["--scenario", acronym, "-o", str(path)]) == 0
+        written = path.read_bytes()
+        assert hashlib.sha256(written).hexdigest() == GENERATED_FILE_SHA256[acronym]
+        capsys.readouterr()
+        assert dispatch(_GENERATE_ARGV + ["--scenario", acronym]) == 0
+        assert capsys.readouterr().out.encode() == written
+
+    def test_no_customers_are_an_empty_list(self, tmp_path):
+        path = tmp_path / "empty.json"
+        argv = ["generate", "--scenario", "FCR", "--n", "0", "--capacity", "5e6", "-o", str(path)]
+        assert dispatch(argv) == 0
+        assert path.read_text() == '{\n  "capacity": 5000000.0,\n  "customers": []\n}\n'
+
+    @pytest.mark.parametrize("acronym", ["FCR", "FUM", "ALI"])
+    def test_dumped_file_loads_back(self, acronym, tmp_path):
+        inst = generate(spec_from_acronym(acronym, 200, 5e6, seed=7))
+        path = str(tmp_path / "instance.json")
+        dump_instance(inst, path)
+        assert load_instance(path) == inst
 
 
 class TestRebinding:
