@@ -38,13 +38,10 @@ from .oracle import (
 )
 from .cmin import cmin_gda, cmin_gma, cmin_gra, cmin_gva
 from .scenario import (
-    LoadRanges,
     LoadType,
-    NARROW_LOAD_RANGES,
     PowerKind,
     ScenarioSpec,
     ValueCorrelation,
-    WIDE_LOAD_RANGES,
     generate,
     parse_acronym,
     restrict_to_capacity,

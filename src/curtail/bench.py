@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .cmin import cmin_gda, cmin_gma, cmin_gra, cmin_gva
-from .greedy import SCAN_ORDERS, _best_of_scans, _item_streams, _sorted_orders, gda, gma, gra, gva
+from .greedy import SCAN_ORDERS, _best_of_scans, _sorted_orders, gda, gma, gra, gva
 from .gsa import GsaConfig, gsa
 from .model import (
     FormatError,
@@ -333,11 +333,11 @@ def run_dynamic_capacity(
     from that re-solve; they could never be part of a feasible supply set.
     Every point equals solving ``restrict_to_capacity(base, capacity)`` with
     the public solver.  The greedy algorithms sort their scan orders once per
-    simulation; an event masks them with ``mag <= capacity``, the comparison
-    ``restrict_to_capacity`` makes, and scans each distinct order once.  With
-    capacity a small share of the demand, most of an event's scan is rejects,
-    which the scan drops by sifting.  ``gsa`` solves each
-    restricted instance afresh.  Either way an event at a capacity already
+    simulation; an event passes ``mag <= capacity``, the comparison
+    ``restrict_to_capacity`` makes, as the pool that masks them, and scans
+    each distinct order once.  With capacity a small share of the demand,
+    most of an event's scan is rejects, which the scan drops by sifting.
+    ``gsa`` solves each restricted instance afresh.  Either way an event at a capacity already
     solved (every resumption, and repeated floor hits) reuses that answer.
     """
     if seed < 0:
@@ -374,8 +374,8 @@ def run_dynamic_capacity(
         orders = _sorted_orders(base, SCAN_ORDERS[algorithm])
 
         def solve_at(capacity: float) -> tuple[float, int]:
-            streams = _item_streams(orders, base.columns.mag <= capacity)
-            retained, objective = _best_of_scans(base, (), streams, capacity_limit_sq(capacity))
+            limit_sq, pool = capacity_limit_sq(capacity), base.columns.mag <= capacity
+            retained, objective = _best_of_scans(base, (), orders, limit_sq, pool)
             return objective, len(retained)
 
     solve_at = functools.cache(solve_at)

@@ -7,14 +7,17 @@ customers.  Since demands sit in the first quadrant, every removal shrinks
 both components of the aggregate, so feasibility is monotone in the number
 shed, the empty set always fits, and that first state is found by bisection.
 
-Removal orders mirror the valuation-maximising greedy family (their keys
-are ``curtail.greedy.SHED_ORDERS``, sorted by ``scan_order``):
+Removal orders mirror the valuation-maximising greedy family.  Their keys
+are ``curtail.greedy.SHED_ORDERS``, sorted by ``greedy._sorted_orders``, the
+builder the greedies use, which keeps each distinct order once:
 
 * ``cmin_gva`` - compensation ascending (shed the cheapest-to-pay first)
 * ``cmin_gma`` - demand magnitude descending (shed the largest loads first)
 * ``cmin_gra`` - compensation per VA ascending; zero-magnitude customers are
   never shed (removing them frees no capacity)
-* ``cmin_gda`` - the cheaper of the ``cmin_gva`` and ``cmin_gra`` answers
+* ``cmin_gda`` - the cheaper of the ``cmin_gva`` and ``cmin_gra`` answers;
+  it sheds once when their orders coincide, as whenever compensation is
+  |d|^2 (every correlated scenario)
 
 No worst-case guarantee is claimed for these adaptations; benchmarks track
 their gap to the exhaustive optimum instead.
@@ -27,7 +30,7 @@ import time
 
 import numpy as np
 
-from .greedy import SHED_ORDERS, scan_order
+from .greedy import SHED_ORDERS, _sorted_orders
 from .model import CAPACITY_REL_TOL, Instance, Solution, solution_from_indices, storage_sum
 
 
@@ -53,10 +56,11 @@ def _shed(instance: Instance, order: np.ndarray, limit_sq: float) -> tuple[np.nd
 
 
 def _shed_solve(instance: Instance, tag: str, rel_tol: float) -> Solution:
-    """Cheapest of the sheddings in ``SHED_ORDERS[tag]``; the first order wins ties."""
+    """Cheapest shedding over the distinct orders of ``SHED_ORDERS[tag]``; the first wins ties."""
     start = time.perf_counter()
     limit_sq = instance.capacity_limit_sq(rel_tol)
-    sheddings = [_shed(instance, scan_order(instance, key), limit_sq) for key in SHED_ORDERS[tag]]
+    orders = _sorted_orders(instance, SHED_ORDERS[tag])
+    sheddings = [_shed(instance, order, limit_sq) for order in orders]
     retained, objective = min(sheddings, key=lambda shed: shed[1])  # min keeps the first of ties
     return solution_from_indices(instance, retained, objective, tag, time.perf_counter() - start)
 

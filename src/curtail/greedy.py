@@ -14,10 +14,12 @@ remaining apparent-power capacity.
 Ties are broken by ascending customer id, so runs are reproducible.
 
 ``scan_order`` orders customers for every heuristic in the package, the
-``curtail.cmin`` shedding ones too (``SHED_ORDERS``).  A solve over part of
-an instance (``gda_forced``, ``gsa`` seeds, simulation events) masks orders
-sorted once over all of it.  Equal orders are scanned once: under correlated
-valuations (u = |d|^2) ``gda``'s two orders are one permutation.
+``curtail.cmin`` shedding ones too (``SHED_ORDERS``), and ``_sorted_orders``
+keeps each distinct order of an algorithm once: under correlated valuations
+(u = |d|^2) ``gda``'s two orders are one permutation, and so are
+``cmin_gda``'s.  A solve over part of an instance (``gda_forced``, ``gsa``
+seeds, simulation events) hands ``_best_of_scans`` orders sorted once over
+all of it and a boolean pool that masks them.
 
 A scan runs in ``_greedy_scan``, an array kernel that keeps exactly what the
 per-item loop ``_scan_items`` keeps, and drops the items that can no longer
@@ -99,33 +101,21 @@ def scan_order(instance: Instance, key: SortKey) -> np.ndarray:
     return np.lexsort((cols.id, _PRIMARY_KEYS[key](cols)))
 
 
-def _sorted_orders(
-    instance: Instance, keys: Sequence[SortKey]
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Each distinct ``scan_order`` of ``keys`` as storage index, p and q arrays, so
-    that a scan reads memory sequentially instead of chasing storage order.
+def _sorted_orders(instance: Instance, keys: Sequence[SortKey]) -> list[np.ndarray]:
+    """Each distinct ``scan_order`` of ``keys``, first occurrences in ``keys`` order.
 
-    An order equal to an earlier one is dropped: it would scan to the same set,
-    and the best of the scans keeps the first on ties.  Under correlated
-    valuations (u = |d|^2) efficiency and valuation sort alike, so ``gda`` scans
-    once.
+    An order equal to an earlier one is dropped: it would scan or shed to the
+    same set, and the best of the scans keeps the first on ties.  Under
+    correlated valuations (u = |d|^2) efficiency and valuation sort alike, and
+    so do compensation and compensation per VA: ``gda`` scans once and
+    ``cmin_gda`` sheds once.
     """
-    cols = instance.columns
     orders: list[np.ndarray] = []
     for key in keys:
         order = scan_order(instance, key)
         if not any(np.array_equal(order, seen) for seen in orders):
             orders.append(order)
-    return [(order, cols.p[order], cols.q[order]) for order in orders]
-
-
-def _item_streams(
-    orders: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]], keep: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``_sorted_orders`` kept to the storage indices that the boolean ``keep`` marks;
-    ids are unique, so a kept order is the order of sorting just those customers."""
-    kept = [keep[order] for order, _, _ in orders]
-    return [(order[k], p[k], q[k]) for (order, p, q), k in zip(orders, kept)]
+    return orders
 
 
 def _scan_items(
@@ -233,18 +223,22 @@ def _greedy_scan(
 def _best_of_scans(
     instance: Instance,
     forced: Sequence[int] | np.ndarray,
-    streams: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    orders: Iterable[np.ndarray],
     limit_sq: float,
+    pool: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Retain ``forced`` and fill up with the best of one or more greedy scans.
 
-    ``forced`` holds storage indices (it may be empty); each stream is the
-    pool in one scan order, as ``(index, p, q)`` arrays.  Each stream is
-    scanned from the forced set's aggregate demand; the scan whose retained
-    set has the largest total valuation wins, the earliest stream on ties.
-    Returns the winning retained indices in ascending order and their total
-    valuation, a ``storage_sum``.  Raises ValueError when the forced set does
-    not fit on its own.
+    ``forced`` holds storage indices (it may be empty); each order, a
+    ``scan_order`` over the whole instance, is kept to the storage indices
+    that the boolean ``pool`` marks (every customer without one).  Ids are
+    unique, so a kept order is the order of sorting just the pool.  Each order
+    is scanned, its p and q read in order so that the scan walks memory
+    sequentially, from the forced set's aggregate demand; the scan whose
+    retained set has the largest total valuation wins, the earliest order on
+    ties.  Returns the winning retained indices in ascending order and their
+    total valuation, a ``storage_sum``.  Raises ValueError when the forced set
+    does not fit on its own.
     """
     cols = instance.columns
     forced = np.sort(np.asarray(forced, dtype=np.int64))
@@ -255,7 +249,10 @@ def _best_of_scans(
         raise ValueError("forced set is infeasible on its own")
     best = forced
     best_objective = -np.inf
-    for stream in streams:
+    for order in orders:
+        if pool is not None:
+            order = order[pool[order]]
+        stream = (order, cols.p[order], cols.q[order])
         taken = np.array(_greedy_scan(stream, base_p, base_q, limit_sq)[0], dtype=np.int64)
         retained = np.sort(np.concatenate((forced, taken)))
         objective = storage_sum(cols.valuation, retained)
@@ -268,8 +265,8 @@ def _greedy_solve(instance: Instance, tag: str, rel_tol: float) -> Solution:
     """Best of the scans in ``SCAN_ORDERS[tag]`` over the whole instance."""
     start = time.perf_counter()
     limit_sq = instance.capacity_limit_sq(rel_tol)
-    streams = _sorted_orders(instance, SCAN_ORDERS[tag])
-    retained, objective = _best_of_scans(instance, (), streams, limit_sq)
+    orders = _sorted_orders(instance, SCAN_ORDERS[tag])
+    retained, objective = _best_of_scans(instance, (), orders, limit_sq)
     return solution_from_indices(instance, retained, objective, tag, time.perf_counter() - start)
 
 
@@ -324,6 +321,7 @@ def gda_forced(
     if forced & pool:
         raise ValueError(f"forced and pool overlap: {sorted(forced & pool)}")
     limit_sq = instance.capacity_limit_sq(rel_tol)
-    streams = _item_streams(_sorted_orders(instance, SCAN_ORDERS["gda"]), in_pool)
-    retained, objective = _best_of_scans(instance, np.flatnonzero(in_forced), streams, limit_sq)
+    orders = _sorted_orders(instance, SCAN_ORDERS["gda"])
+    forced_at = np.flatnonzero(in_forced)
+    retained, objective = _best_of_scans(instance, forced_at, orders, limit_sq, in_pool)
     return solution_from_indices(instance, retained, objective, "gda", time.perf_counter() - start)

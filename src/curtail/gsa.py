@@ -26,14 +26,15 @@ feasible seeds are visited by descending bound and the visit stops at the
 first bound strictly below the incumbent, the best objective so far, so a
 seed that could tie the winner is always completed.  The first
 ``_SOLO_SEEDS`` survivors are completed one at a time by the greedy pair's
-own scans (``greedy._best_of_scans``); any further ones go to one batch
-call that walks each order once for all of them, one vector step per
-customer.  The greedy orders are sorted once per instance, and one equal
-to the other (as under correlated valuations) is scanned once.  Bounding a
-seed costs O(n) vector work, so the search stays O(n log n + n^(m+1)) at
-worst (every seed ties, as when all customers are identical), with memory
-bounded by the block.  On FCR instances at n = 18 and epsilon = 1/4 about
-3% of the feasible seeds are completed.
+own scans (``greedy._best_of_scans``, with the seed's pool as its mask);
+any further ones go to one batch call that walks each order once for all
+of them, one vector step per customer.  The greedy orders are sorted once
+per instance by ``greedy._sorted_orders``, and one equal to the other (as
+under correlated valuations) is scanned once.  Bounding a seed costs O(n)
+vector work, so the search stays O(n log n + n^(m+1)) at worst (every seed
+ties, as when all customers are identical), with memory bounded by the
+block.  On FCR instances at n = 18 and epsilon = 1/4 about 3% of the
+feasible seeds are completed.
 
 With epsilon >= 1/2 the derived m is 0 and the enumeration degenerates; the
 solver then falls back to a single unforced greedy-pair run, whose 1/2
@@ -61,7 +62,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .greedy import SCAN_ORDERS, _best_of_scans, _item_streams, _sorted_orders, gda
+from .greedy import SCAN_ORDERS, _best_of_scans, _sorted_orders, gda
 from .model import (
     CAPACITY_REL_TOL,
     Instance,
@@ -140,7 +141,8 @@ def _fill_seeds(cols: InstanceColumns, seeds: np.ndarray, orders: list, limit_sq
     forced[np.arange(len(seeds))[:, None], seeds] = True
     floor = cols.valuation[seeds].min(axis=1)
     best, best_objective = forced, np.full(len(seeds), -np.inf)
-    for order, p, q in orders:
+    for order in orders:
+        p, q = cols.p[order], cols.q[order]
         # pool[j]: the seeds whose pool holds the customer j-th in this order
         pool = (cols.valuation[order][:, None] <= floor) & ~forced.T[order]
         taken = np.zeros_like(pool)
@@ -206,8 +208,7 @@ def _search(instance: Instance, config: GsaConfig, rel_tol: float) -> tuple[np.n
                 seed = seeds[row]
                 pool = cols.valuation <= cols.valuation[seed].min()
                 pool[seed] = False
-                streams = _item_streams(orders, pool)
-                retained, objective = _best_of_scans(instance, seed, streams, limit_sq)
+                retained, objective = _best_of_scans(instance, seed, orders, limit_sq, pool)
             else:
                 rest = np.sort(rows[i:][bounds[i:] >= best_objective])
                 masks, objectives = _fill_seeds(cols, seeds[rest], orders, limit_sq)

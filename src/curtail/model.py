@@ -104,12 +104,6 @@ class ComplexDemand:
         """Apparent power magnitude sqrt(P^2 + Q^2) in volt-amperes."""
         return math.hypot(self.active_p, self.reactive_q)
 
-    def phase(self) -> float:
-        """Phase angle in radians, in [0, pi/2]. Zero-magnitude demands carry phase 0."""
-        if self.active_p == 0.0 and self.reactive_q == 0.0:
-            return 0.0
-        return math.atan2(self.reactive_q, self.active_p)
-
 
 @dataclass(frozen=True)
 class Customer:

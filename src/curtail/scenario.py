@@ -43,18 +43,10 @@ class LoadType(enum.Enum):
     MIXED = "M"
 
 
-@dataclass(frozen=True)
-class LoadRanges:
-    """Demand magnitude ranges in VA per customer class."""
+# Demand magnitude range, in VA, of each customer class.
+_RESIDENTIAL_RANGE = (500.0, 8_000.0)
+_INDUSTRIAL_RANGE = (500_000.0, 2_000_000.0)
 
-    residential: tuple[float, float] = (500.0, 8_000.0)
-    industrial: tuple[float, float] = (500_000.0, 2_000_000.0)
-
-
-# Default wide ranges; a narrower preset (small microgrid studies cap
-# residential at 5 KVA and industrial at 1 MVA) is available for comparison.
-WIDE_LOAD_RANGES = LoadRanges()
-NARROW_LOAD_RANGES = LoadRanges(residential=(500.0, 5_000.0), industrial=(300_000.0, 1_000_000.0))
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -69,7 +61,6 @@ class ScenarioSpec:
     max_theta: float = MAX_THETA_DEFAULT
     phase_anchor: float = 0.0
     industrial_fraction: float = 0.2
-    load_ranges: LoadRanges = WIDE_LOAD_RANGES
 
     def __post_init__(self):
         if self.n < 0:
@@ -136,8 +127,8 @@ def generate(spec: ScenarioSpec) -> Instance:
     else:
         industrial = rng.random(n) < spec.industrial_fraction
 
-    res_lo, res_hi = spec.load_ranges.residential
-    ind_lo, ind_hi = spec.load_ranges.industrial
+    res_lo, res_hi = _RESIDENTIAL_RANGE
+    ind_lo, ind_hi = _INDUSTRIAL_RANGE
     lo = np.where(industrial, ind_lo, res_lo)
     hi = np.where(industrial, ind_hi, res_hi)
     mags = rng.uniform(lo, hi)

@@ -9,7 +9,6 @@ import pytest
 
 from conftest import COERCIBLE_PLAN_FIELDS, plan_doc, reference_dynamic_capacity
 from curtail.bench import VMAX_ALGORITHMS, _mean_ci
-from curtail.scenario import NARROW_LOAD_RANGES
 from curtail import (
     ComplexDemand,
     Customer,
@@ -284,12 +283,12 @@ class TestDynamicCapacity:
             assert 100_000.0 <= point.capacity <= 2e6
 
     def test_full_capacity_is_the_scenario_capacity(self):
-        # the narrow preset keeps every industrial demand below 1 MVA
-        spec = spec_from_acronym("FCM", 16, 1e6, seed=2, load_ranges=NARROW_LOAD_RANGES)
+        # every industrial demand is at most 2e6 VA; the trace runs at 3e6
+        spec = spec_from_acronym("FCM", 16, 3e6, seed=2)
         trace = run_dynamic_capacity(spec, seed=7)
-        assert trace[0].capacity == 1e6
-        assert max(point.capacity for point in trace) == 1e6
-        assert min(point.capacity for point in trace) < 1e6
+        assert trace[0].capacity == 3e6
+        assert max(point.capacity for point in trace) == 3e6
+        assert min(point.capacity for point in trace) < 3e6
 
     def test_customers_above_the_scenario_capacity_are_refused(self):
         # generated at the scenario capacity, not at some larger one

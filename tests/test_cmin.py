@@ -15,9 +15,12 @@ from curtail import (
     cmin_gra,
     cmin_gva,
     curtailed_compensation,
+    generate,
     is_feasible,
     retained_valuation,
+    spec_from_acronym,
 )
+from curtail import cmin
 from curtail.greedy import SHED_ORDERS, scan_order
 from conftest import build_instance, random_instance, reference_cmin
 
@@ -98,6 +101,16 @@ class TestCminGda:
 
     def test_magnitude_trap(self, magnitude_trap):
         assert cmin_gda(magnitude_trap).objective == 1.0
+
+    @pytest.mark.parametrize("acronym, sheds", [("FCM", 1), ("FUM", 2)])
+    def test_sheds_each_distinct_order_once(self, acronym, sheds, monkeypatch):
+        # compensation and compensation per VA sort alike when u = |d|^2
+        calls = []
+        shed = cmin._shed
+        monkeypatch.setattr(cmin, "_shed", lambda *args: calls.append(1) or shed(*args))
+        inst = generate(spec_from_acronym(acronym, 200, 5e6, seed=3))
+        cmin_gda(inst)
+        assert len(calls) == sheds
 
     def test_equals_min_of_branches_everywhere(self):
         rng = np.random.default_rng(67)

@@ -562,7 +562,8 @@ class TestScanKernel:
 
 class TestDistinctOrders:
     """``_sorted_orders`` drops an order equal to an earlier one.  Under correlated
-    valuations (u = |d|^2) efficiency and valuation sort alike, so ``gda`` scans once."""
+    valuations (u = |d|^2) efficiency and valuation sort alike, so ``gda`` scans once,
+    and so do compensation and compensation per VA, so ``cmin_gda`` sheds once."""
 
     @pytest.mark.parametrize("acronym, streams", [
         ("FCR", 1), ("FCM", 1), ("FCI", 1), ("ACR", 1), ("FUM", 2), ("FLM", 2),
@@ -571,13 +572,14 @@ class TestDistinctOrders:
         for n, seed in ((12, 0), (2_000, 5)):
             inst = generate(spec_from_acronym(acronym, n, 2e6, seed))
             assert len(greedy._sorted_orders(inst, greedy.SCAN_ORDERS["gda"])) == streams
+            assert len(greedy._sorted_orders(inst, greedy.SHED_ORDERS["cmin_gda"])) == streams
 
     def test_orders_one_tie_swap_apart_are_both_scanned(self):
         # ids 1 and 2 tie at 2 per VA, so efficiency takes 1 first by id and
         # valuation takes 2 first; only the valuation scan reaches 34
         inst = build_instance([(0, 3.0, 4.0, 30.0), (1, 1.0, 0.0, 2.0), (2, 2.0, 0.0, 4.0)], 7.0)
-        streams = greedy._sorted_orders(inst, greedy.SCAN_ORDERS["gda"])
-        assert [order.tolist() for order, _, _ in streams] == [[0, 1, 2], [0, 2, 1]]
+        orders = greedy._sorted_orders(inst, greedy.SCAN_ORDERS["gda"])
+        assert [order.tolist() for order in orders] == [[0, 1, 2], [0, 2, 1]]
         sol = gda(inst)
         assert sol.retained_ids == {0, 2} and sol.objective == 34.0
         assert gra(inst).retained_ids == {0, 1}

@@ -74,11 +74,6 @@ class TestComplexDemand:
         with pytest.raises(InstanceError):
             ComplexDemand(0.0, math.nan)
 
-    def test_phase_range_and_zero_convention(self):
-        assert ComplexDemand(0.0, 0.0).phase() == 0.0
-        assert ComplexDemand(1.0, 0.0).phase() == 0.0
-        assert ComplexDemand(0.0, 1.0).phase() == pytest.approx(math.pi / 2)
-
 
 class TestInstance:
     def test_rejects_duplicate_ids(self):

@@ -10,11 +10,9 @@ from curtail import (
     FormatError,
     Instance,
     LoadType,
-    NARROW_LOAD_RANGES,
     PowerKind,
     ScenarioSpec,
     ValueCorrelation,
-    WIDE_LOAD_RANGES,
     dump_instance,
     generate,
     instance_to_dict,
@@ -25,8 +23,7 @@ from curtail import (
     spec_from_acronym,
 )
 from curtail.cli import dispatch
-from curtail.model import InstanceError
-from curtail.scenario import LoadRanges
+from curtail.scenario import _INDUSTRIAL_RANGE, _RESIDENTIAL_RANGE
 
 
 class TestAcronyms:
@@ -100,26 +97,20 @@ class TestGenerate:
 
     def test_residential_magnitudes_in_range(self):
         inst = generate(spec_from_acronym("FCR", 300, 1e5, seed=5))
-        lo, hi = WIDE_LOAD_RANGES.residential
+        lo, hi = _RESIDENTIAL_RANGE
         for c in inst.customers:
             assert lo <= c.demand.magnitude() <= hi * (1 + 1e-12)
 
     def test_industrial_magnitudes_in_range(self):
         inst = generate(spec_from_acronym("FCI", 300, 2e6, seed=6))
-        lo, hi = WIDE_LOAD_RANGES.industrial
+        lo, hi = _INDUSTRIAL_RANGE
         for c in inst.customers:
             assert lo <= c.demand.magnitude() <= hi * (1 + 1e-12)
-
-    def test_narrow_ranges_preset(self):
-        spec = spec_from_acronym("FCI", 100, 1e6, seed=7, load_ranges=NARROW_LOAD_RANGES)
-        inst = generate(spec)
-        for c in inst.customers:
-            assert 300_000.0 <= c.demand.magnitude() <= 1_000_000.0
 
     def test_mixed_fraction_within_binomial_bounds(self):
         n, frac = 4000, 0.2
         inst = generate(spec_from_acronym("FCM", n, 2e6, seed=8, industrial_fraction=frac))
-        lo_i, _ = WIDE_LOAD_RANGES.industrial
+        lo_i, _ = _INDUSTRIAL_RANGE
         industrial = sum(1 for c in inst.customers if c.demand.magnitude() >= lo_i)
         sigma = math.sqrt(n * frac * (1 - frac))
         assert abs(industrial - n * frac) <= 3 * sigma
@@ -132,7 +123,7 @@ class TestGenerate:
 
     def test_linear_values_recompute_exactly(self):
         inst = generate(spec_from_acronym("FLM", 300, 5e6, seed=11))
-        lo_i = WIDE_LOAD_RANGES.industrial[0]
+        lo_i = _INDUSTRIAL_RANGE[0]
         for c in inst.customers:
             mag = c.demand.magnitude()
             value = 1.5 * mag + 10.0 if mag >= lo_i else mag + 1.0
@@ -145,18 +136,10 @@ class TestGenerate:
 
     def test_uncorrelated_values_in_open_intervals(self):
         inst = generate(spec_from_acronym("FUR", 500, 1e5, seed=11))
-        _, hi = WIDE_LOAD_RANGES.residential
+        _, hi = _RESIDENTIAL_RANGE
         for c in inst.customers:
             assert 0.0 < c.valuation <= hi
             assert 0.0 < c.compensation < hi
-
-    def test_invalid_customers_keep_their_error(self):
-        # negative magnitude ranges give demands outside the first quadrant
-        spec = spec_from_acronym(
-            "ACR", 5, 1e5, seed=1, load_ranges=LoadRanges(residential=(-5.0, -1.0))
-        )
-        with pytest.raises(InstanceError, match="first quadrant"):
-            generate(spec)
 
     def test_capacity_too_small_for_industrial_rejects(self):
         from curtail import DemandExceedsCapacityError
