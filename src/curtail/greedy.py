@@ -23,8 +23,7 @@ all of it and a boolean pool that masks them.
 
 A scan runs in ``_greedy_scan``, an array kernel that keeps exactly what the
 per-item loop ``_scan_items`` keeps, and drops the items that can no longer
-fit after a reject; ``gsa`` runs the same scan for a whole block of seeds at
-once, one vector step per customer.
+fit after a reject.
 """
 
 from __future__ import annotations

@@ -576,3 +576,37 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: could not write trace CSV to {out}: ")
+
+
+class TestEpsilonBelowTheReciprocalRange:
+    """1/epsilon overflows to inf below about 5.6e-309; gsa then enumerates
+    every subset, as it does for any epsilon small enough that m >= n."""
+
+    EPSILON = "1e-310"
+
+    def test_solve(self, tmp_path, capsys):
+        path = str(tmp_path / "i.json")
+        assert dispatch(["generate", "--scenario", "FLM", "--n", "8", "--capacity", "5e6",
+                         "--seed", "1", "-o", path]) == EXIT_OK
+        code = dispatch(["solve", path, "--algorithm", "gsa", "--epsilon", self.EPSILON])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["algorithm"] == "gsa"
+
+    def test_simulate(self, tmp_path):
+        out = tmp_path / "t.csv"
+        code = dispatch(["simulate", "--dynamic", "--scenario", "FCM", "--n", "8", "--seed", "3",
+                         "--algorithm", "gsa", "--epsilon", self.EPSILON, "-o", str(out)])
+        assert code == EXIT_OK
+        assert len(out.read_text().splitlines()) >= 2
+
+    def test_bench_plan(self, tmp_path):
+        plan = {
+            "scenario": {"acronym": "FCR", "capacity": 25000.0, "seed": 1},
+            "n_values": [8], "trials_per_n": 30, "algorithms": ["gsa"],
+            "oracle": "none", "gsa_epsilon": float(self.EPSILON),
+        }
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        out = tmp_path / "report.csv"
+        assert dispatch(["bench", "--plan", str(plan_path), "-o", str(out)]) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 2

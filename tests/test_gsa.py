@@ -65,6 +65,12 @@ class TestConfig:
         assert GsaConfig(0.01).max_subset_size(5) == 5
         assert GsaConfig(0.25).max_subset_size(1) == 1
 
+    def test_reciprocal_past_the_float_range_enumerates_everything(self):
+        # 1/epsilon overflows to inf below about 5.6e-309
+        assert GsaConfig(5e-324).max_subset_size(7) == 7
+        assert GsaConfig(5e-324).max_subset_size(0) == 0
+        assert gsa_subset_count(7, 5e-324) == 128
+
     def test_epsilon_validation(self):
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
@@ -169,6 +175,18 @@ class TestGsa:
         sol = gsa(inst, GsaConfig(1 / 3))  # m = 1: singleton seeds
         assert sol.retained_ids == {0, 1}
         assert sol.objective == 10.0
+
+    @pytest.mark.parametrize("capacity, rows, expected", [
+        # {0} fills the capacity alone; the only feasible pair {1, 2} is worth 2
+        (10.0, [(0, 10.0, 10.0), (1, 1.0, 1.0), (2, 1.0, 1.0)], (frozenset({0}), 10.0, None)),
+        # {0} and the pair {1, 2} both reach 2; the Phase 2 seed wins the tie
+        (2.0, [(0, 2.0, 2.0), (1, 1.0, 1.0), (2, 1.0, 1.0)], (frozenset({1, 2}), 2.0, (1, 2))),
+    ], ids=["phase 1 wins", "phase 2 wins a tie"])
+    def test_subsets_below_m_against_seeds_of_size_m(self, capacity, rows, expected):
+        # epsilon = 1/4: m = 2, so singletons are Phase 1 subsets and pairs are seeds
+        inst = build_instance([(k, p, 0.0, u) for k, p, u in rows], capacity)
+        assert reference_gsa_search(inst, GsaConfig(0.25)) == expected
+        assert search_ids(inst, GsaConfig(0.25)) == expected[:2]
 
     def test_equal_objective_seeds_resolve_to_smallest_ids(self):
         # four identical customers, C fits exactly two: every size-2 seed
@@ -291,18 +309,14 @@ def bound_cases():
 
 class TestSeedBound:
     """Phase 2 completes only the seeds whose projected bound can reach the
-    incumbent; the first ``_SOLO_SEEDS`` survivors of a block one at a time."""
+    incumbent, by descending bound."""
 
     @pytest.mark.parametrize("epsilon", [1 / 3, 1 / 4, 1 / 5])
     @pytest.mark.parametrize("case", bound_cases(), ids=lambda case: case[0])
     def test_every_cut_over_matches_the_reference(self, case, epsilon):
         label, inst, rel_tol = case
         expected = reference_gsa_search(inst, GsaConfig(epsilon), rel_tol)
-        for solo in (0, 1, gsa_module._SOLO_SEEDS):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(gsa_module, "_SOLO_SEEDS", solo)
-                got = search_ids(inst, GsaConfig(epsilon), rel_tol)
-            assert got == expected[:2], (label, solo)
+        assert search_ids(inst, GsaConfig(epsilon), rel_tol) == expected[:2], label
 
     def test_a_tie_completed_later_wins_by_rank(self):
         # seed {1} has the higher bound (3 against 2), so it is completed
@@ -310,36 +324,25 @@ class TestSeedBound:
         inst = build_instance([(0, 2.0, 0.0, 2.0), (1, 1.0, 0.0, 2.0)], 2.0)
         expected = reference_gsa_search(inst, GsaConfig(1 / 3))
         assert expected == (frozenset({0}), 2.0, (0,))
-        for solo in (0, 1, gsa_module._SOLO_SEEDS):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(gsa_module, "_SOLO_SEEDS", solo)
-                assert search_ids(inst, GsaConfig(1 / 3)) == expected[:2]
+        assert search_ids(inst, GsaConfig(1 / 3)) == expected[:2]
 
     def test_all_tied_matches_the_reference_at_n_40(self):
         inst = all_tied_instance(40)
         expected = reference_gsa_search(inst, GsaConfig(1 / 5))
-        for solo in (0, 1, gsa_module._SOLO_SEEDS):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(gsa_module, "_SOLO_SEEDS", solo)
-                assert search_ids(inst, GsaConfig(1 / 5)) == expected[:2]
+        assert search_ids(inst, GsaConfig(1 / 5)) == expected[:2]
         assert expected[1] == 10.0 and expected[2] == (0, 1, 2)
 
 
 def count_completions(monkeypatch) -> dict:
-    """Count the seeds that ``_search`` completes, by ``_best_of_scans`` or ``_fill_seeds``."""
+    """Count the seeds that ``_search`` completes, each by one ``_best_of_scans`` call."""
     counts = {"seeds": 0}
-    best_of_scans, fill_seeds = gsa_module._best_of_scans, gsa_module._fill_seeds
+    best_of_scans = gsa_module._best_of_scans
 
     def counting_best_of_scans(*args):
         counts["seeds"] += 1
         return best_of_scans(*args)
 
-    def counting_fill_seeds(cols, seeds, *args):
-        counts["seeds"] += len(seeds)
-        return fill_seeds(cols, seeds, *args)
-
     monkeypatch.setattr(gsa_module, "_best_of_scans", counting_best_of_scans)
-    monkeypatch.setattr(gsa_module, "_fill_seeds", counting_fill_seeds)
     return counts
 
 
