@@ -5,10 +5,10 @@ from .model import (
     CAPACITY_REL_TOL,
     ComplexDemand,
     CurtailError,
-    Customer,
     DemandExceedsCapacityError,
     FormatError,
     Instance,
+    InstanceColumns,
     InstanceError,
     Solution,
     UnknownCustomerError,

@@ -54,13 +54,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from typing import Iterator
 
 import numpy as np
 
-from .greedy import SCAN_ORDERS, _best_of_scans, _sorted_orders, gda
+from .greedy import SCAN_ORDERS, _best_of_scans, _sorted_orders
 from .model import (
     CAPACITY_REL_TOL,
     Instance,
@@ -136,6 +136,8 @@ def _search(instance: Instance, config: GsaConfig, rel_tol: float) -> tuple[np.n
     m = config.max_subset_size(len(instance))
     limit_sq = instance.capacity_limit_sq(rel_tol)
     orders = _sorted_orders(instance, SCAN_ORDERS["gda"])
+    if m == 0:  # no enumeration: the greedy pair alone, as ``gda`` runs it
+        return _best_of_scans(instance, (), orders, limit_sq)
     # positions in ascending id order, so combinations() is id-lexicographic
     by_id = np.lexsort((cols.id,)).tolist()
     best, best_objective, rank = np.empty(0, dtype=np.int64), 0.0, None
@@ -182,8 +184,5 @@ def gsa(
 ) -> Solution:
     """Enumeration-boosted valuation maximiser; see the module docstring."""
     start = time.perf_counter()
-    if config.max_subset_size(len(instance)) == 0:
-        base = gda(instance, rel_tol)
-        return replace(base, algorithm="gsa", elapsed=time.perf_counter() - start)
     retained, objective = _search(instance, config, rel_tol)
     return solution_from_indices(instance, retained, objective, "gsa", time.perf_counter() - start)

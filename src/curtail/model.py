@@ -8,14 +8,14 @@ vector sum of their demands stays within that capacity.
 
 An instance stores its customers as one ``InstanceColumns``: read-only
 numpy arrays of id, active and reactive demand, valuation, compensation and
-demand magnitude, in storage order.  The carrier checks that its columns
-have one length and that its rows pass ``Customer``'s checks, but takes
-``mag`` as given: a carrier built by hand must hold the magnitudes of its
-``p`` and ``q``, as ``InstanceColumns.build`` computes them.  Every instance is
-built by ``Instance(...)``, from ``Customer`` objects or from a carrier: the
-loader and the scenario generator build the columns directly, and a
-restriction to a capacity takes rows of them; the ``Customer`` objects of
-``Instance.customers`` are built on first read.  Each demand's magnitude is
+demand magnitude, in storage order.  ``Instance(columns, capacity)`` is the
+one way to build an instance: the loader and the scenario generator build
+the columns directly, and a restriction to a capacity takes rows of them.
+The carrier checks that its columns have one length and that every row
+holds an integer id in [0, 2**63 - 1] and finite, non-negative demand
+parts, valuation and compensation; it takes ``mag`` as given, so a
+carrier built by hand must hold the magnitudes of its ``p`` and ``q``, as
+``InstanceColumns.build`` computes them.  Each demand's magnitude is
 computed once, as ``ComplexDemand.magnitude`` does, when the columns are
 built, and every capacity check and magnitude-keyed order reads that one
 column.
@@ -105,40 +105,33 @@ class ComplexDemand:
         return math.hypot(self.active_p, self.reactive_q)
 
 
-@dataclass(frozen=True)
-class Customer:
-    """A customer: unique id, complex demand, valuation and compensation."""
+def _check_customer(cid, valuation: float, compensation: float) -> None:
+    """Check a customer's id, then its valuation, then its compensation.
 
-    id: int
-    demand: ComplexDemand
-    valuation: float
-    compensation: float
-
-    def __post_init__(self):
-        if not 0 <= self.id <= MAX_CUSTOMER_ID or self.id != int(self.id):
-            raise InstanceError(
-                f"customer id must be an integer in [0, 2**63 - 1], got {self.id}"
-            )
-        for name in ("valuation", "compensation"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise InstanceError(f"customer {self.id}: {name} must be finite and >= 0")
+    Raises ``InstanceError`` at the first that fails: the id must be an
+    integer in [0, 2**63 - 1] (an integral float or a bool passes), and the
+    numbers finite and >= 0.  Callers check the demand first, by building
+    its ``ComplexDemand``.
+    """
+    if not 0 <= cid <= MAX_CUSTOMER_ID or cid != int(cid):
+        raise InstanceError(f"customer id must be an integer in [0, 2**63 - 1], got {cid}")
+    for name, value in (("valuation", valuation), ("compensation", compensation)):
+        if not math.isfinite(value) or value < 0:
+            raise InstanceError(f"customer {cid}: {name} must be finite and >= 0")
 
 
 class Instance:
     """A customer set plus an apparent-power capacity; the unit of solving.
 
-    ``Instance(customers, capacity)`` is the one constructor; ``customers``
-    is an iterable of ``Customer`` objects or an ``InstanceColumns``.  The
-    customers are stored as one ``InstanceColumns``, ``columns``: id,
+    ``Instance(columns, capacity)`` is the one constructor, and ``columns``
+    must be an ``InstanceColumns`` (anything else raises ``TypeError``): id,
     active and reactive demand, valuation, compensation and the demand
     magnitudes (the ``ComplexDemand.magnitude`` values, computed once when
-    the columns are built), read-only and in storage order.  A carrier
-    passed in is stored as it is, without a copy.  ``customers`` builds
-    ``Customer`` objects from the columns on first read, which is slow for
-    large instances.  Instances are immutable: attribute assignment raises
-    ``AttributeError``.  Two instances are equal when they hold the same
-    customers in the same order and the same capacity.
+    the columns are built), read-only and in storage order.  The carrier is
+    stored as it is, without a copy, as ``columns``.  Instances are
+    immutable: attribute assignment raises ``AttributeError``.  Two
+    instances are equal when they hold the same customers in the same order
+    and the same capacity.
 
     Construction rejects customers whose individual demand magnitude exceeds
     the capacity (they can never be part of a feasible supply set), listing
@@ -147,24 +140,14 @@ class Instance:
 
     capacity: float
 
-    def __init__(self, customers: Iterable[Customer] | "InstanceColumns", capacity: float):
+    def __init__(self, columns: "InstanceColumns", capacity: float):
         """Store the customers' columns, then run the instance checks in order.
 
         The checks: capacity finite and > 0, no duplicate ids, no lone demand
         magnitude above the capacity.
         """
-        if isinstance(customers, InstanceColumns):
-            columns = customers
-        else:
-            customers = tuple(customers)
-            columns = InstanceColumns.build(
-                [c.id for c in customers],
-                [c.demand.active_p for c in customers],
-                [c.demand.reactive_q for c in customers],
-                [c.valuation for c in customers],
-                [c.compensation for c in customers],
-            )
-            self.__dict__["customers"] = customers
+        if not isinstance(columns, InstanceColumns):
+            raise TypeError(f"Instance takes an InstanceColumns, got {type(columns).__name__}")
         self.__dict__.update(_columns=columns, capacity=float(capacity))
         if not math.isfinite(self.capacity) or self.capacity <= 0:
             raise InstanceError(f"capacity must be finite and > 0, got {capacity}")
@@ -199,14 +182,6 @@ class Instance:
 
     def __len__(self) -> int:
         return len(self._columns.id)
-
-    @cached_property
-    def customers(self) -> tuple[Customer, ...]:
-        """The customers as objects, in storage order; built on first read."""
-        return tuple(
-            Customer(id=cid, demand=ComplexDemand(p, q), valuation=u, compensation=comp)
-            for cid, p, q, u, comp in _rows(self.columns)
-        )
 
     @cached_property
     def ids(self) -> frozenset[int]:
@@ -263,10 +238,13 @@ class InstanceColumns:
     taken as given, not checked against them.
 
     Construction raises ``InstanceError`` when the six columns differ in
-    length.  It then checks every row as ``Customer`` does: ids >= 0 (int64
-    bounds them above), and ``p``, ``q``, valuation and compensation finite
-    and >= 0.  It raises the ``InstanceError`` that building the first
-    failing row's ``Customer`` raises; valid rows build no objects.
+    length.  It then checks every row, as the loader does: a finite
+    first-quadrant demand (``ComplexDemand``), then ``_check_customer``; the
+    first failing row raises its error.  Columns that pass as arrays are not
+    walked row by row.  Ids are kept exactly: an id column that numpy does
+    not read as int64 is walked on the values given, so 1.5, 2**63 and nan
+    are refused rather than truncated, a string raises ``TypeError``, and
+    integral floats and bools are stored as the integers they equal.
     """
 
     id: np.ndarray
@@ -277,19 +255,23 @@ class InstanceColumns:
     mag: np.ndarray
 
     def __post_init__(self):
+        given = self.id
         for field in fields(self):
-            dtype = np.int64 if field.name == "id" else np.float64
-            array = np.asarray(getattr(self, field.name), dtype=dtype)
-            array.flags.writeable = False
-            object.__setattr__(self, field.name, array)
+            dtype = None if field.name == "id" else np.float64
+            object.__setattr__(self, field.name, np.asarray(getattr(self, field.name), dtype=dtype))
         lengths = {field.name: len(getattr(self, field.name)) for field in fields(self)}
         if len(set(lengths.values())) > 1:
             raise InstanceError(f"columns differ in length: {lengths}")
         numbers = (self.p, self.q, self.valuation, self.compensation)
-        if (self.id >= 0).all() and all(np.isfinite(c).all() and (c >= 0).all() for c in numbers):
-            return
-        for cid, p, q, u, comp in _rows(self):
-            Customer(id=cid, demand=ComplexDemand(p, q), valuation=u, compensation=comp)
+        if not (self.id.dtype == np.int64 and (self.id >= 0).all()
+                and all(np.isfinite(c).all() and (c >= 0).all() for c in numbers)):
+            given = np.asarray(given, dtype=object).tolist()  # numpy reads [1, 2**63] as floats
+            for cid, p, q, u, comp in zip(given, *(c.tolist() for c in numbers)):
+                ComplexDemand(p, q)
+                _check_customer(cid, u, comp)
+            object.__setattr__(self, "id", np.fromiter(map(int, given), np.int64, len(given)))
+        for array in self.arrays():
+            array.flags.writeable = False
 
     @classmethod
     def build(cls, ids, p, q, valuation, compensation) -> "InstanceColumns":
@@ -579,8 +561,9 @@ def _raise_customer_error(raw: list) -> None:
     """Raise the FormatError of the first customer in ``raw`` that fails a check.
 
     The checks run one customer at a time, in the order that words each
-    error: object and id type, then the numbers and the ``ComplexDemand``
-    and ``Customer`` invariants.  The objects built here are thrown away.
+    error: object and id type, then the demand's types and the
+    ``ComplexDemand`` invariants, then the types of the valuation and the
+    compensation, then ``_check_customer``.
     """
     for i, item in enumerate(raw):
         where = f"customers[{i}]"
@@ -588,14 +571,9 @@ def _raise_customer_error(raw: list) -> None:
             raise FormatError(f"{where}: expected an object")
         cid = _field(item, "id", int, where)
         try:
-            Customer(
-                id=cid,
-                demand=ComplexDemand(
-                    _field(item, "p", float, where), _field(item, "q", float, where)
-                ),
-                valuation=_field(item, "valuation", float, where),
-                compensation=_field(item, "compensation", float, where),
-            )
+            ComplexDemand(_field(item, "p", float, where), _field(item, "q", float, where))
+            valuation = _field(item, "valuation", float, where)
+            _check_customer(cid, valuation, _field(item, "compensation", float, where))
         except InstanceError as exc:
             raise FormatError(f"{where}: {exc}") from exc
     raise AssertionError("the column-wise customer checks rejected valid customers")

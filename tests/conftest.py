@@ -10,18 +10,16 @@ from __future__ import annotations
 import math
 import sys
 from itertools import combinations
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 import pytest
 
 from curtail import (
-    ComplexDemand,
-    Customer,
     FormatError,
     GsaConfig,
     Instance,
-    InstanceError,
+    InstanceColumns,
     SortKey,
     TracePoint,
     gda_forced,
@@ -43,17 +41,32 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+class CustomerRow(NamedTuple):
+    """One customer as Python numbers, read from an instance's columns."""
+
+    id: int
+    p: float
+    q: float
+    valuation: float
+    compensation: float
+
+    @property
+    def magnitude(self) -> float:
+        return math.hypot(self.p, self.q)
+
+
+def customer_rows(instance: Instance) -> list[CustomerRow]:
+    """The customers of ``instance`` in storage order, one record each."""
+    cols = instance.columns
+    arrays = (cols.id, cols.p, cols.q, cols.valuation, cols.compensation)
+    return [CustomerRow(*row) for row in zip(*(array.tolist() for array in arrays))]
+
+
 def build_instance(rows, capacity) -> Instance:
-    """rows: (id, p, q, valuation[, compensation]) tuples."""
-    customers = []
-    for row in rows:
-        if len(row) == 4:
-            cid, p, q, u = row
-            c = u
-        else:
-            cid, p, q, u, c = row
-        customers.append(Customer(cid, ComplexDemand(p, q), u, c))
-    return Instance(customers, capacity)
+    """rows: (id, p, q, valuation[, compensation]) tuples; the compensation
+    defaults to the valuation."""
+    rows = [tuple(row) if len(row) == 5 else (*row, row[3]) for row in rows]
+    return Instance(InstanceColumns.build(*([row[k] for row in rows] for k in range(5))), capacity)
 
 
 def _reference_number(obj: Mapping, key: str, where: str) -> float:
@@ -71,8 +84,9 @@ def _reference_number(obj: Mapping, key: str, where: str) -> float:
 def reference_instance_from_dict(doc) -> Instance:
     """Per-customer loader; the reference for ``instance_from_dict``.
 
-    Checks one customer at a time, builds its ``Customer``, then builds the
-    instance from the customer list with the public constructor.
+    Checks one customer at a time, each field in the order that words its
+    error (id type, demand, id range, valuation, compensation), then builds
+    the instance from the checked rows with the public constructor.
     """
     if not isinstance(doc, Mapping):
         raise FormatError("instance document must be a JSON object")
@@ -80,7 +94,7 @@ def reference_instance_from_dict(doc) -> Instance:
     raw = doc.get("customers")
     if not isinstance(raw, list):
         raise FormatError("instance.customers: expected a list")
-    customers = []
+    rows = []
     for i, item in enumerate(raw):
         where = f"customers[{i}]"
         if not isinstance(item, Mapping):
@@ -90,21 +104,22 @@ def reference_instance_from_dict(doc) -> Instance:
         cid = item["id"]
         if isinstance(cid, bool) or not isinstance(cid, int):
             raise FormatError(f"{where}.id: expected an integer, got {cid!r}")
-        try:
-            customers.append(
-                Customer(
-                    id=cid,
-                    demand=ComplexDemand(
-                        _reference_number(item, "p", where),
-                        _reference_number(item, "q", where),
-                    ),
-                    valuation=_reference_number(item, "valuation", where),
-                    compensation=_reference_number(item, "compensation", where),
-                )
+        p, q = _reference_number(item, "p", where), _reference_number(item, "q", where)
+        if not (math.isfinite(p) and math.isfinite(q)):
+            raise FormatError(f"{where}: demand components must be finite")
+        if p < 0 or q < 0:
+            raise FormatError(f"{where}: demand must lie in the first quadrant, got ({p}, {q})")
+        u = _reference_number(item, "valuation", where)
+        comp = _reference_number(item, "compensation", where)
+        if not 0 <= cid <= 2**63 - 1:
+            raise FormatError(
+                f"{where}: customer id must be an integer in [0, 2**63 - 1], got {cid}"
             )
-        except InstanceError as exc:
-            raise FormatError(f"{where}: {exc}") from exc
-    return Instance(customers, capacity)
+        for name, value in (("valuation", u), ("compensation", comp)):
+            if not math.isfinite(value) or value < 0:
+                raise FormatError(f"{where}: customer {cid}: {name} must be finite and >= 0")
+        rows.append((cid, p, q, u, comp))
+    return build_instance(rows, capacity)
 
 
 @pytest.fixture
@@ -129,15 +144,16 @@ def reference_best_vmax(instance: Instance, rel_tol: float = 1e-9):
 
     Returns (best_value, list of best retained-id tuples).
     """
-    ids = sorted(c.id for c in instance.customers)
-    by_id = {c.id: c for c in instance.customers}
+    customers = customer_rows(instance)
+    ids = sorted(c.id for c in customers)
+    by_id = {c.id: c for c in customers}
     limit = instance.capacity * (1.0 + rel_tol)
     best = 0.0
     winners = [()]
     for r in range(1, len(ids) + 1):
         for combo in combinations(ids, r):
-            p = sum(by_id[i].demand.active_p for i in combo)
-            q = sum(by_id[i].demand.reactive_q for i in combo)
+            p = sum(by_id[i].p for i in combo)
+            q = sum(by_id[i].q for i in combo)
             if math.hypot(p, q) > limit:
                 continue
             value = sum(by_id[i].valuation for i in combo)
@@ -173,7 +189,7 @@ def reference_best_feasible_mask(instance: Instance, weights: np.ndarray, rel_to
 def reference_cmin(instance: Instance, algorithm: str, rel_tol: float = 1e-9):
     """Per-customer shedding; the reference for ``cmin_*``.
 
-    Sorts ``Customer`` objects by the heuristic's key (ties by id), then
+    Sorts ``customer_rows`` by the heuristic's key (ties by id), then
     sheds them one at a time, re-summing the retained demands from scratch
     in storage order before each removal.  Returns (retained ids,
     compensation of the shed customers summed in storage order).
@@ -183,23 +199,20 @@ def reference_cmin(instance: Instance, algorithm: str, rel_tol: float = 1e-9):
         value = reference_cmin(instance, "gva", rel_tol)
         return ratio if ratio[1] <= value[1] else value
 
-    def mag(c):
-        return c.demand.magnitude()
-
     keys = {
         "gva": lambda c: c.compensation,
-        "gma": lambda c: -mag(c),
-        "gra": lambda c: math.inf if mag(c) == 0.0 else c.compensation / mag(c),
+        "gma": lambda c: -c.magnitude,
+        "gra": lambda c: math.inf if c.magnitude == 0.0 else c.compensation / c.magnitude,
     }
-    customers = instance.customers
+    customers = customer_rows(instance)
     limit = instance.capacity * (1.0 + rel_tol)
     retained = {c.id for c in customers}
     for c in sorted(customers, key=lambda c: (keys[algorithm](c), c.id)):
         p = q = 0.0
         for kept in customers:
             if kept.id in retained:
-                p += kept.demand.active_p
-                q += kept.demand.reactive_q
+                p += kept.p
+                q += kept.q
         if p * p + q * q <= limit * limit:
             break
         retained.discard(c.id)
@@ -275,11 +288,7 @@ def random_instance(
     # per-customer magnitudes via math.hypot, matching the Instance validator
     actual_max = max(math.hypot(float(p[k]), float(q[k])) for k in range(n))
     capacity = max(actual_max, float(rng.uniform(*capacity_fraction)) * float(mags.sum()))
-    customers = [
-        Customer(k, ComplexDemand(float(p[k]), float(q[k])), float(u[k]), float(comp[k]))
-        for k in range(n)
-    ]
-    return Instance(customers, capacity)
+    return Instance(InstanceColumns.build(np.arange(n), p, q, u, comp), capacity)
 
 
 def reference_gsa_search(instance: Instance, config: GsaConfig, rel_tol: float = 1e-9):

@@ -19,6 +19,7 @@ import pytest
 
 from curtail import cli
 from curtail import (
+    ComplexDemand,
     GsaConfig,
     Instance,
     OracleBudget,
@@ -44,7 +45,7 @@ from curtail import (
     run_dynamic_capacity,
     spec_from_acronym,
 )
-from conftest import build_instance, knapsack_dp, reference_best_vmax
+from conftest import build_instance, customer_rows, knapsack_dp, reference_best_vmax
 
 ACRONYMS = tuple(p + c + l for p in "FA" for c in "CUL" for l in "RIM")
 GDA_FLOOR = 0.4755  # (1/2) * sqrt((cos 36deg + 1)/2), rounded down
@@ -73,9 +74,9 @@ def fuzz_instance(acr_idx: int, index: int, n_lo: int, n_hi: int, salt: int) -> 
     n = int(rng.integers(n_lo, n_hi + 1))
     seed = int(rng.integers(0, 2**63))
     inst = generate(spec_from_acronym(ACRONYMS[acr_idx], n, 2.01e6, seed=seed))
-    mags = [c.demand.magnitude() for c in inst.customers]
+    mags = [c.magnitude for c in customer_rows(inst)]
     frac = float(rng.uniform(0.15, 0.75))
-    return Instance(inst.customers, max(max(mags), frac * sum(mags)))
+    return Instance(inst.columns, max(max(mags), frac * sum(mags)))
 
 
 @dataclass
@@ -217,8 +218,7 @@ class TestCriterion04:
         with criterion(4, f"scalar/vector sum ratio bound holds on {samples} random "
                           "sets and is tight for the right-angle pair"):
             assert np.all(ratio <= bound + 1e-9)
-            pair = [build_instance([(0, 1, 0, 1), (1, 0, 1, 1)], 10.0).customers[k].demand
-                    for k in range(2)]
+            pair = [ComplexDemand(1.0, 0.0), ComplexDemand(0.0, 1.0)]
             from curtail import magnitude_sum_ratio
 
             tight = magnitude_sum_ratio(pair)

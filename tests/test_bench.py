@@ -7,14 +7,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import COERCIBLE_PLAN_FIELDS, plan_doc, reference_dynamic_capacity
+from conftest import (
+    COERCIBLE_PLAN_FIELDS,
+    build_instance,
+    customer_rows,
+    plan_doc,
+    reference_dynamic_capacity,
+)
 from curtail.bench import VMAX_ALGORITHMS, _mean_ci
 from curtail import (
-    ComplexDemand,
-    Customer,
     DemandExceedsCapacityError,
     FormatError,
-    Instance,
     OracleBudget,
     TrialPlan,
     brute_force_vmax,
@@ -388,7 +391,7 @@ class TestDynamicCapacityReference:
             args = dict(horizon=4000.0, algorithm=algorithm, seed=seed, **kwargs)
             trace = run_dynamic_capacity(spec, **args)
             assert trace == reference_dynamic_capacity(spec, **args)
-            largest = max(c.demand.magnitude() for c in generate(spec).customers)
+            largest = max(c.magnitude for c in customer_rows(generate(spec)))
             masked += sum(point.capacity < largest for point in trace)
         assert masked > 0
 
@@ -399,14 +402,12 @@ class TestDynamicCapacityReference:
         # math.hypot (what restrict_to_capacity compares) gives the right set.
         p, q = _hypot_disagreement(math_below)
         floor = min(math.hypot(p, q), float(np.hypot(p, q)))
-        customers = [Customer(0, ComplexDemand(p, q), 100.0, 100.0)] + [
-            Customer(k, ComplexDemand(1e-9, 1e-9), 1.0, 1.0) for k in (1, 2, 3)
-        ]
+        rows = [(0, p, q, 100.0, 100.0)] + [(k, 1e-9, 1e-9, 1.0, 1.0) for k in (1, 2, 3)]
         monkeypatch.setattr(
-            "curtail.bench.generate", lambda spec: Instance(customers, spec.capacity)
+            "curtail.bench.generate", lambda spec: build_instance(rows, spec.capacity)
         )
         trace = run_dynamic_capacity(
-            spec_from_acronym("FCR", len(customers), 4 * floor, seed=0),
+            spec_from_acronym("FCR", len(rows), 4 * floor, seed=0),
             horizon=10.0,
             event_rate=1.0,
             fail_prob=1.0,
@@ -416,7 +417,7 @@ class TestDynamicCapacityReference:
         )
         at_floor = trace[1:]
         assert at_floor and all(point.capacity == floor for point in at_floor)
-        reduced = restrict_to_capacity(Instance(customers, 4 * floor), floor)
+        reduced = restrict_to_capacity(build_instance(rows, 4 * floor), floor)
         assert (0 in reduced.ids) == math_below
         expected = VMAX_ALGORITHMS[algorithm](reduced)
         for point in at_floor:

@@ -10,6 +10,7 @@ enumeration tables beyond 2^20 entries.
 """
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -127,7 +128,9 @@ def plan_documents(draw):
         values = PLAN_VALUES
         if field in SIZE_FIELDS:
             values = tuple(v for v in PLAN_VALUES if v not in (HUGE, 1e308))
-        value = draw(st.sampled_from(values))
+        # a copy: the drawn [] or {} is shared by every draw, and a scenario
+        # field written into it would leak into later plans, even into itself
+        value = copy.deepcopy(draw(st.sampled_from(values)))
         if field == "n_values" and draw(st.booleans()):
             value = [value]
         target = doc["scenario"] if field.startswith("scenario.") else doc
@@ -182,6 +185,7 @@ class TestCliContract:
             argv = [arg.format(**paths) for arg in argv]
             code, stdout = _run(argv)
         event(f"{argv[0]} exit {code}")
+        assert PLAN_VALUES[-2:] == ([], {}), "a drawn plan value was written into"
         assert code in (0, 2, 3, 4), (argv, code)
         if code != 0:
             assert stdout == "", argv

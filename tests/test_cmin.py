@@ -22,7 +22,7 @@ from curtail import (
 )
 from curtail import cmin
 from curtail.greedy import SHED_ORDERS, scan_order
-from conftest import build_instance, random_instance, reference_cmin
+from conftest import build_instance, customer_rows, random_instance, reference_cmin
 
 SOLVERS = {"gva": cmin_gva, "gma": cmin_gma, "gra": cmin_gra, "gda": cmin_gda}
 SHED_KEYS = tuple(dict.fromkeys(key for keys in SHED_ORDERS.values() for key in keys))
@@ -128,13 +128,13 @@ class TestRemovalInvariants:
         if solver is cmin_gva:
             key = lambda c: (c.compensation, c.id)
         elif solver is cmin_gma:
-            key = lambda c: (-c.demand.magnitude(), c.id)
+            key = lambda c: (-c.magnitude, c.id)
         else:
             key = lambda c: (
-                float("inf") if c.demand.magnitude() == 0 else c.compensation / c.demand.magnitude(),
+                float("inf") if c.magnitude == 0 else c.compensation / c.magnitude,
                 c.id,
             )
-        return [c.id for c in sorted(inst.customers, key=key)]
+        return [c.id for c in sorted(customer_rows(inst), key=key)]
 
     def test_feasible_and_minimal_prefix(self):
         # the shed set is exactly the shortest prefix of the removal order

@@ -1,5 +1,6 @@
 """Greedy solver family: worked adversarial instances, invariants, guarantees."""
 
+import dataclasses
 import math
 import warnings
 
@@ -9,7 +10,6 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from curtail import (
-    Customer,
     GsaConfig,
     Instance,
     UnknownCustomerError,
@@ -52,7 +52,7 @@ class TestGva:
         assert sol.objective == 10.0
 
     def test_empty_instance(self):
-        sol = gva(Instance([], 10.0))
+        sol = gva(build_instance([], 10.0))
         assert sol.objective == 0.0
         assert sol.retained_ids == frozenset()
 
@@ -159,7 +159,7 @@ class TestGda:
         rng = np.random.default_rng(5)
         for _ in range(60):
             inst = random_instance(rng, int(rng.integers(1, 12)))
-            u_max = max(c.valuation for c in inst.customers)
+            u_max = inst.columns.valuation.max()
             assert gda(inst).objective >= u_max - 1e-12
 
 
@@ -258,13 +258,8 @@ class TestInvariants:
     def test_valuation_scaling_leaves_retained_sets_unchanged(self, lam, seed):
         rng = np.random.default_rng(seed)
         inst = random_instance(rng, 8)
-        scaled = Instance(
-            [
-                Customer(c.id, c.demand, c.valuation * lam, c.compensation)
-                for c in inst.customers
-            ],
-            inst.capacity,
-        )
+        cols = inst.columns
+        scaled = Instance(dataclasses.replace(cols, valuation=cols.valuation * lam), inst.capacity)
         for solver in (gva, gma, gra, gda):
             assert solver(inst).retained_ids == solver(scaled).retained_ids
 

@@ -10,8 +10,6 @@ import pytest
 
 from curtail import (
     CAPACITY_REL_TOL,
-    ComplexDemand,
-    Customer,
     GsaConfig,
     Instance,
     SortKey,
@@ -120,7 +118,7 @@ class TestGsa:
             assert sol.objective == opt.objective
 
     def test_empty_instance(self):
-        sol = gsa(Instance([], 5.0), GsaConfig(0.25))
+        sol = gsa(build_instance([], 5.0), GsaConfig(0.25))
         assert sol.objective == 0.0
 
     def test_solutions_feasible_and_reproducible(self):
@@ -169,9 +167,7 @@ class TestGsa:
         # companion has valuation == the seed minimum and must stay eligible,
         # otherwise half the value is lost
         rows = [(0, 1.0, 0.0, 5.0), (1, 1.0, 0.0, 5.0)]
-        inst = Instance(
-            [Customer(i, ComplexDemand(p, q), u, u) for i, p, q, u in rows], 2.0
-        )
+        inst = build_instance(rows, 2.0)
         sol = gsa(inst, GsaConfig(1 / 3))  # m = 1: singleton seeds
         assert sol.retained_ids == {0, 1}
         assert sol.objective == 10.0
@@ -193,9 +189,7 @@ class TestGsa:
         # ties at objective 2, so the id-lexicographic smallest must win
         # regardless of customer storage order
         rows = [(3, 1.0, 0.0, 1.0), (0, 1.0, 0.0, 1.0), (2, 1.0, 0.0, 1.0), (1, 1.0, 0.0, 1.0)]
-        inst = Instance(
-            [Customer(i, ComplexDemand(p, q), u, u) for i, p, q, u in rows], 2.0
-        )
+        inst = build_instance(rows, 2.0)
         ids, objective = search_ids(inst, GsaConfig(0.25))
         assert objective == 2.0
         assert set(ids) == {0, 1}

@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 
 from curtail import (
     ComplexDemand,
-    Customer,
     DemandExceedsCapacityError,
     FormatError,
     GsaConfig,
     Instance,
+    InstanceColumns,
     InstanceError,
     Solution,
     UnknownCustomerError,
@@ -43,7 +43,7 @@ from curtail import (
     spec_from_acronym,
     storage_sum,
 )
-from curtail.model import MAX_CUSTOMER_ID, InstanceColumns, instance_json
+from curtail.model import MAX_CUSTOMER_ID, instance_json
 from conftest import build_instance, reference_instance_from_dict
 
 model_module = importlib.import_module("curtail.model")
@@ -164,7 +164,7 @@ class TestFeasibility:
             ]
             actual = [math.hypot(r[1], r[2]) for r in rows]
             inst = build_instance(rows, max(max(actual), float(mags.sum()) * 0.6))
-            ids = [c.id for c in inst.customers]
+            ids = inst.columns.id.tolist()
             feasible = [set(ids[: k + 1]) for k in range(n) if is_feasible(inst, ids[: k + 1])]
             for sel in feasible:
                 for drop in list(sel):
@@ -457,22 +457,18 @@ class TestStorageSum:
             assert storage_sum(values, indices) == loop_sum(values.tolist(), indices.tolist())
 
 
-class TestColumnStorage:
-    def test_columns_match_the_customers(self, valuation_trap):
-        cols = valuation_trap.columns
-        for k, c in enumerate(valuation_trap.customers):
-            assert cols.id[k] == c.id
-            assert cols.p[k] == c.demand.active_p
-            assert cols.q[k] == c.demand.reactive_q
-            assert cols.valuation[k] == c.valuation
-            assert cols.compensation[k] == c.compensation
+def _column_lists(inst: Instance) -> list[list]:
+    """The five given columns of ``inst`` (all but ``mag``) as Python lists."""
+    return [getattr(inst.columns, name).tolist() for name in COLUMN_NAMES[:5]]
 
+
+class TestColumnStorage:
     def test_columns_are_the_six_arrays(self, valuation_trap):
         assert tuple(f.name for f in dataclasses.fields(InstanceColumns)) == COLUMN_NAMES
 
     def test_column_arrays_are_read_only(self, valuation_trap):
         built = {
-            "Instance": Instance(valuation_trap.customers, 10.0),
+            "InstanceColumns.build": valuation_trap,  # built from Python lists
             "instance_from_dict": instance_from_dict(instance_to_dict(valuation_trap)),
             "generate": generate(spec_from_acronym("FUM", 20, 2e6, seed=5)),
             "restrict_to_capacity": restrict_to_capacity(valuation_trap, 5.0),
@@ -489,69 +485,39 @@ class TestColumnStorage:
         with pytest.raises(AttributeError):
             valuation_trap.capacity = 5.0
         with pytest.raises(AttributeError):
-            valuation_trap.customers = ()
+            valuation_trap.columns = valuation_trap.columns
         with pytest.raises(AttributeError):
             del valuation_trap.capacity
         assert valuation_trap.capacity == 10.0
 
     def test_equality_means_same_customers_and_capacity(self, valuation_trap):
-        same = Instance(list(valuation_trap.customers), 10)
+        columns = _column_lists(valuation_trap)
+        same = Instance(InstanceColumns.build(*columns), 10)
         assert same == valuation_trap
         assert hash(same) == hash(valuation_trap)
         assert Instance(valuation_trap.columns, 11.0) != valuation_trap
-        reordered = Instance(reversed(valuation_trap.customers), 10.0)
+        reordered = Instance(InstanceColumns.build(*(c[::-1] for c in columns)), 10.0)
         assert reordered != valuation_trap
-        first = valuation_trap.customers[0]
-        changed = (
-            Customer(first.id, first.demand, first.valuation, first.compensation + 1.0),
-            *valuation_trap.customers[1:],
-        )
-        assert Instance(changed, 10.0) != valuation_trap
+        compensation = [columns[4][0] + 1.0, *columns[4][1:]]
+        changed = Instance(InstanceColumns.build(*columns[:4], compensation), 10.0)
+        assert changed != valuation_trap
 
-    def test_customers_built_on_first_read(self, valuation_trap):
-        doc = instance_to_dict(valuation_trap)
-        inst = instance_from_dict(doc)
-        assert "customers" not in inst.__dict__
-        assert inst.customers == valuation_trap.customers
-        assert inst.customers is inst.customers
-
-    def test_library_paths_never_build_customers(self):
-        rng = np.random.default_rng(3)
-        doc = {
-            "capacity": 30.0,
-            "customers": [
-                {"id": k, "p": float(p), "q": float(q), "valuation": float(u),
-                 "compensation": float(u)}
-                for k, (p, q, u) in enumerate(rng.uniform(0.5, 8.0, (12, 3)))
-            ],
-        }
-        inst = instance_from_dict(doc)
-        gda(inst)
-        gsa(inst, GsaConfig(0.34))
-        cmin_gda(inst)
-        brute_force_vmax(inst)
-        max_phase_spread(inst)
-        instance_to_dict(inst)
-        restrict_to_capacity(Instance(inst.columns, 40.0), 6.0)
-        assert "customers" not in inst.__dict__
+    @pytest.mark.parametrize(
+        "customers", [[], None, ((1, 1.0, 0.0, 1.0, 1.0),)], ids=["list", "None", "rows"]
+    )
+    def test_only_a_carrier_builds_an_instance(self, customers):
+        with pytest.raises(TypeError, match="Instance takes an InstanceColumns, got"):
+            Instance(customers, 10.0)
 
     def test_columns_stay_a_class_level_cached_property(self):
         # tracing wraps the computing access of Instance.__dict__["columns"]
         assert isinstance(Instance.__dict__["columns"], cached_property)
 
     def test_instance_stores_the_carrier_it_is_given(self, valuation_trap):
-        customers = valuation_trap.customers
-        cols = InstanceColumns.build(
-            [c.id for c in customers],
-            [c.demand.active_p for c in customers],
-            [c.demand.reactive_q for c in customers],
-            [c.valuation for c in customers],
-            [c.compensation for c in customers],
-        )
+        cols = InstanceColumns.build(*_column_lists(valuation_trap))
         inst = Instance(cols, 10.0)
         assert inst.columns is cols
-        assert inst == Instance(customers, 10.0)
-        assert inst.customers == customers
+        assert inst == valuation_trap
 
     def test_every_build_path_calls_the_constructor_once(self, valuation_trap, monkeypatch):
         calls = []
@@ -575,30 +541,73 @@ class TestColumnStorage:
             assert len(calls) == 1, path
 
 
-# (field, bad value) pairs that a customer row can hold in columns
-BAD_ROW_VALUES = [("id", -1)] + [
-    (field, value)
-    for field in ("p", "q", "valuation", "compensation")
+_ID_ERROR = "customer id must be an integer in [0, 2**63 - 1], got "
+_NOT_FINITE = "demand components must be finite"
+
+# (field, bad value, error) for a customer row held in columns; the row has
+# id 5 and demand (3, 4) apart from the bad value
+BAD_ROWS = [
+    ("id", -1, _ID_ERROR + "-1"),
+    ("id", 1.5, _ID_ERROR + "1.5"),
+    ("id", 2**63, _ID_ERROR + "9223372036854775808"),
+    ("id", 2**64, _ID_ERROR + "18446744073709551616"),
+    ("id", math.nan, _ID_ERROR + "nan"),
+    ("id", math.inf, _ID_ERROR + "inf"),
+    ("p", math.nan, _NOT_FINITE),
+    ("p", math.inf, _NOT_FINITE),
+    ("p", -math.inf, _NOT_FINITE),
+    ("p", -1.0, "demand must lie in the first quadrant, got (-1.0, 4.0)"),
+    ("q", math.nan, _NOT_FINITE),
+    ("q", math.inf, _NOT_FINITE),
+    ("q", -math.inf, _NOT_FINITE),
+    ("q", -1.0, "demand must lie in the first quadrant, got (3.0, -1.0)"),
+] + [
+    ("valuation", value, "customer 5: valuation must be finite and >= 0")
+    for value in (math.nan, math.inf, -math.inf, -1.0)
+] + [
+    ("compensation", value, "customer 5: compensation must be finite and >= 0")
     for value in (math.nan, math.inf, -math.inf, -1.0)
 ]
 
 
-class TestColumnRowChecks:
-    """``InstanceColumns`` checks its rows as ``Customer`` does."""
+def _columns_with_row(changes: dict) -> InstanceColumns:
+    """Three rows: a good one, one changed by ``changes``, then one with a
+    negative ``q``, a different error, which must not win."""
+    good = {"id": 0, "p": 3.0, "q": 4.0, "valuation": 2.0, "compensation": 1.0}
+    rows = (good, {**good, "id": 5, **changes}, {**good, "id": 7, "q": -2.0})
+    return InstanceColumns.build(*([row[key] for row in rows] for key in COLUMN_NAMES[:5]))
 
-    @pytest.mark.parametrize("field, value", BAD_ROW_VALUES)
-    def test_first_bad_row_raises_its_customer_error(self, field, value):
-        good = {"id": 0, "p": 3.0, "q": 4.0, "valuation": 2.0, "compensation": 1.0}
-        bad = {**good, "id": 5, field: value}
-        later = {**good, "id": 7, "q": -2.0}  # a different error, which must not win
-        with pytest.raises(InstanceError) as want:
-            Customer(bad["id"], ComplexDemand(bad["p"], bad["q"]), bad["valuation"],
-                     bad["compensation"])
-        rows = (good, bad, later)
+
+class TestColumnRowChecks:
+    """``InstanceColumns`` checks its rows and words each error as the loader does."""
+
+    @pytest.mark.parametrize(
+        "field, value, message", BAD_ROWS, ids=[f"{field}-{value}" for field, value, _ in BAD_ROWS]
+    )
+    def test_first_bad_row_raises_its_customer_error(self, field, value, message):
         with pytest.raises(InstanceError) as got:
-            InstanceColumns.build(*([row[key] for row in rows] for key in COLUMN_NAMES[:5]))
-        assert type(got.value) is type(want.value)
-        assert str(got.value) == str(want.value)
+            _columns_with_row({field: value})
+        assert str(got.value) == message
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"id": -1, "p": -1.0}, "demand must lie in the first quadrant, got (-1.0, 4.0)"),
+        ({"id": 1.5, "valuation": math.nan}, _ID_ERROR + "1.5"),
+        ({"valuation": -1.0, "compensation": math.nan},
+         "customer 5: valuation must be finite and >= 0"),
+    ], ids=["demand before id", "id before valuation", "valuation before compensation"])
+    def test_demand_then_id_then_values(self, changes, message):
+        with pytest.raises(InstanceError) as got:
+            _columns_with_row(changes)
+        assert str(got.value) == message
+
+    @pytest.mark.parametrize("given, stored", [(2.0, 2), (True, 1)])
+    def test_integral_ids_are_stored_exactly(self, given, stored):
+        cols = InstanceColumns.build([given], [1.0], [0.0], [1.0], [1.0])
+        assert cols.id.dtype == np.int64 and cols.id.tolist() == [stored]
+
+    def test_string_ids_raise_type_error(self):
+        with pytest.raises(TypeError):
+            InstanceColumns.build(["3"], [1.0], [0.0], [1.0], [1.0])
 
     def test_columns_of_different_lengths_are_rejected(self):
         # checked before the rows, whose walk would zip the columns to one length
@@ -698,7 +707,6 @@ class TestLoaderMatchesPerCustomerReference:
         for name in COLUMN_NAMES:
             a, b = getattr(got.columns, name), getattr(want.columns, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert got.customers == want.customers
 
     @pytest.mark.parametrize("field", ("p", "valuation", "compensation"))
     def test_integer_too_large_for_a_float_is_format_error(self, field):
@@ -728,7 +736,8 @@ class TestLoaderMatchesPerCustomerReference:
 
 
 def _assert_column_is_demand_magnitude(inst: Instance) -> None:
-    magnitudes = [c.demand.magnitude() for c in inst.customers]
+    cols = inst.columns
+    magnitudes = [ComplexDemand(p, q).magnitude() for p, q in zip(cols.p.tolist(), cols.q.tolist())]
     assert inst.columns.mag.tolist() == magnitudes
 
 

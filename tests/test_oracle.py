@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curtail import (
-    Instance,
     OracleBudget,
     OracleBudgetError,
     alignment_factor,
@@ -55,7 +54,7 @@ class TestBruteForceVmax:
         assert sol.retained_ids == {2, 3, 4, 5}
 
     def test_empty_instance(self):
-        sol = brute_force_vmax(Instance([], 5.0))
+        sol = brute_force_vmax(build_instance([], 5.0))
         assert sol.objective == 0.0
         assert sol.retained_ids == frozenset()
 

@@ -24,6 +24,7 @@ from curtail import (
 )
 from curtail.cli import dispatch
 from curtail.scenario import _INDUSTRIAL_RANGE, _RESIDENTIAL_RANGE
+from conftest import customer_rows
 
 
 class TestAcronyms:
@@ -84,60 +85,60 @@ class TestGenerate:
 
     def test_active_only_has_zero_phase_spread(self):
         inst = generate(spec_from_acronym("ACR", 50, 1e5, seed=3))
-        assert all(c.demand.reactive_q == 0.0 for c in inst.customers)
+        assert all(c.q == 0.0 for c in customer_rows(inst))
         assert max_phase_spread(inst) == 0.0
 
     def test_full_power_respects_theta_and_power_factor(self):
         spec = spec_from_acronym("FCR", 400, 1e5, seed=4)
         inst = generate(spec)
         assert max_phase_spread(inst) <= math.radians(36) + 1e-9
-        for c in inst.customers:
-            pf = c.demand.active_p / c.demand.magnitude()
+        for c in customer_rows(inst):
+            pf = c.p / c.magnitude
             assert pf >= 0.8
 
     def test_residential_magnitudes_in_range(self):
         inst = generate(spec_from_acronym("FCR", 300, 1e5, seed=5))
         lo, hi = _RESIDENTIAL_RANGE
-        for c in inst.customers:
-            assert lo <= c.demand.magnitude() <= hi * (1 + 1e-12)
+        for c in customer_rows(inst):
+            assert lo <= c.magnitude <= hi * (1 + 1e-12)
 
     def test_industrial_magnitudes_in_range(self):
         inst = generate(spec_from_acronym("FCI", 300, 2e6, seed=6))
         lo, hi = _INDUSTRIAL_RANGE
-        for c in inst.customers:
-            assert lo <= c.demand.magnitude() <= hi * (1 + 1e-12)
+        for c in customer_rows(inst):
+            assert lo <= c.magnitude <= hi * (1 + 1e-12)
 
     def test_mixed_fraction_within_binomial_bounds(self):
         n, frac = 4000, 0.2
         inst = generate(spec_from_acronym("FCM", n, 2e6, seed=8, industrial_fraction=frac))
         lo_i, _ = _INDUSTRIAL_RANGE
-        industrial = sum(1 for c in inst.customers if c.demand.magnitude() >= lo_i)
+        industrial = sum(1 for c in customer_rows(inst) if c.magnitude >= lo_i)
         sigma = math.sqrt(n * frac * (1 - frac))
         assert abs(industrial - n * frac) <= 3 * sigma
 
     def test_correlated_values_recompute_exactly(self):
         inst = generate(spec_from_acronym("FCR", 200, 1e5, seed=9))
-        for c in inst.customers:
-            mag = c.demand.magnitude()
+        for c in customer_rows(inst):
+            mag = c.magnitude
             assert c.valuation == c.compensation == mag * mag
 
     def test_linear_values_recompute_exactly(self):
         inst = generate(spec_from_acronym("FLM", 300, 5e6, seed=11))
         lo_i = _INDUSTRIAL_RANGE[0]
-        for c in inst.customers:
-            mag = c.demand.magnitude()
+        for c in customer_rows(inst):
+            mag = c.magnitude
             value = 1.5 * mag + 10.0 if mag >= lo_i else mag + 1.0
             assert c.valuation == c.compensation == value
 
     def test_linear_values_positive_and_equal(self):
         inst = generate(spec_from_acronym("ALR", 100, 1e5, seed=10))
-        for c in inst.customers:
+        for c in customer_rows(inst):
             assert c.valuation == c.compensation > 0
 
     def test_uncorrelated_values_in_open_intervals(self):
         inst = generate(spec_from_acronym("FUR", 500, 1e5, seed=11))
         _, hi = _RESIDENTIAL_RANGE
-        for c in inst.customers:
+        for c in customer_rows(inst):
             assert 0.0 < c.valuation <= hi
             assert 0.0 < c.compensation < hi
 
@@ -240,12 +241,12 @@ class TestRebinding:
         inst = generate(spec_from_acronym("FCR", 20, 1e5, seed=13))
         rebound = Instance(inst.columns, 5e4)
         assert rebound.capacity == 5e4
-        assert rebound.customers == inst.customers
+        assert customer_rows(rebound) == customer_rows(inst)
 
     def test_restrict_drops_only_oversized(self):
         inst = generate(spec_from_acronym("FCM", 50, 2e6, seed=14))
         cut = 400_000.0
         reduced = restrict_to_capacity(inst, cut)
-        kept = {c.id for c in reduced.customers}
-        for c in inst.customers:
-            assert (c.id in kept) == (c.demand.magnitude() <= cut)
+        kept = {c.id for c in customer_rows(reduced)}
+        for c in customer_rows(inst):
+            assert (c.id in kept) == (c.magnitude <= cut)
