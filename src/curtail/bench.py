@@ -32,6 +32,7 @@ from .cmin import cmin_gda, cmin_gma, cmin_gra, cmin_gva
 from .greedy import SCAN_ORDERS, _best_of_scans, _sorted_orders, gda, gma, gra, gva
 from .gsa import GsaConfig, gsa
 from .model import (
+    CAPACITY_REL_TOL,
     FormatError,
     Instance,
     Solution,
@@ -41,7 +42,7 @@ from .model import (
     capacity_limit_sq,
     storage_sum,
 )
-from .oracle import OracleBudget, brute_force_cmin, brute_force_vmax, lp_upper_bound
+from .oracle import OracleBudget, _brute_force_batch, lp_upper_bound
 from .scenario import ScenarioSpec, generate, restrict_to_capacity, spec_from_acronym
 
 VMAX_ALGORITHMS: Mapping[str, Callable[[Instance], Solution]] = {
@@ -56,6 +57,11 @@ CMIN_ALGORITHMS: Mapping[str, Callable[[Instance], Solution]] = {
     "gra": cmin_gra,
     "gda": cmin_gda,
 }
+
+# Most selections, (trials) x 2^n, that one batch of brute-force yardsticks
+# spans: those of one instance at the default ``OracleBudget.max_n`` of 20.
+_BATCH_SELECTIONS = 1 << 20
+
 
 @dataclass(frozen=True)
 class TrialPlan:
@@ -132,14 +138,13 @@ def _solve(plan: TrialPlan, tag: str, instance: Instance) -> Solution:
     return VMAX_ALGORITHMS[tag](instance)
 
 
-def _yardstick(plan: TrialPlan, instance: Instance) -> float | None:
+def _yardsticks(plan: TrialPlan, instances: Sequence[Instance]) -> list[float | None]:
+    """The optimum or bound each trial's ratios are taken against, in order."""
     if plan.oracle == "none":
-        return None
+        return [None] * len(instances)
     if plan.oracle == "lp_bound":
-        return lp_upper_bound(instance)
-    if plan.objective == "cmin":
-        return brute_force_cmin(instance, plan.budget).objective
-    return brute_force_vmax(instance, plan.budget).objective
+        return [lp_upper_bound(instance) for instance in instances]
+    return _brute_force_batch(instances, plan.budget, CAPACITY_REL_TOL, plan.objective)[1]
 
 
 def _ratio(plan: TrialPlan, achieved: float, optimal: float) -> float:
@@ -153,10 +158,10 @@ def _ratio(plan: TrialPlan, achieved: float, optimal: float) -> float:
     return achieved / optimal
 
 
-def _run_trial(plan: TrialPlan, n: int, trial: int) -> dict[str, tuple[float, float | None, float]]:
-    """One trial: {algorithm: (objective, ratio, elapsed)}."""
-    instance = instance_for_trial(plan, n, trial)
-    optimal = _yardstick(plan, instance)
+def _run_trial(
+    plan: TrialPlan, instance: Instance, optimal: float | None
+) -> dict[str, tuple[float, float | None, float]]:
+    """One trial against its yardstick: {algorithm: (objective, ratio, elapsed)}."""
     out = {}
     for tag in sorted(set(plan.algorithms)):
         solution = _solve(plan, tag, instance)
@@ -176,11 +181,21 @@ def _mean_ci(values: Sequence[float]) -> tuple[float, float]:
 
 
 def run_benchmark(plan: TrialPlan) -> tuple[BenchRow, ...]:
-    """Execute the plan's trials in order on the calling thread."""
+    """Execute the plan's trials in order on the calling thread.
+
+    With the brute-force yardstick, each n's trials go to the oracle in
+    batches of ``_BATCH_SELECTIONS >> n`` (at least one), which span no more
+    selections than one instance at the oracle's default budget.
+    """
     n_values = sorted(set(plan.n_values))  # a repeated n runs once, like a repeated algorithm
-    outcomes = {
-        (n, t): _run_trial(plan, n, t) for n in n_values for t in range(plan.trials_per_n)
-    }
+    outcomes = {}
+    for n in n_values:
+        size = max(1, _BATCH_SELECTIONS >> n) if plan.oracle == "brute_force" else 1
+        for first in range(0, plan.trials_per_n, size):
+            trials = range(first, min(first + size, plan.trials_per_n))
+            instances = [instance_for_trial(plan, n, t) for t in trials]
+            for t, instance, optimal in zip(trials, instances, _yardsticks(plan, instances)):
+                outcomes[(n, t)] = _run_trial(plan, instance, optimal)
 
     rows = []
     for n in n_values:

@@ -107,14 +107,29 @@ def _sorted_orders(instance: Instance, keys: Sequence[SortKey]) -> list[np.ndarr
     same set, and the best of the scans keeps the first on ties.  Under
     correlated valuations (u = |d|^2) efficiency and valuation sort alike, and
     so do compensation and compensation per VA: ``gda`` scans once and
-    ``cmin_gda`` sheds once.
+    ``cmin_gda`` sheds once.  A key is sorted only when no earlier order is
+    already in its order (``_in_key_order``).
     """
+    cols = instance.columns
     orders: list[np.ndarray] = []
     for key in keys:
-        order = scan_order(instance, key)
-        if not any(np.array_equal(order, seen) for seen in orders):
-            orders.append(order)
+        if orders:
+            primary = _PRIMARY_KEYS[key](cols)
+            if any(_in_key_order(order, primary, cols.id) for order in orders):
+                continue
+        orders.append(scan_order(instance, key))
     return orders
+
+
+def _in_key_order(order: np.ndarray, primary: np.ndarray, ids: np.ndarray) -> bool:
+    """Whether ``order`` is the ``(primary, id)`` order, by one pass over its neighbours.
+
+    Ids are unique and the keys hold no NaN (``_per_va`` maps 0/0 to inf), so
+    exactly one permutation has every consecutive pair non-decreasing in
+    (key, id), and it is the one ``scan_order`` sorts to.
+    """
+    key, tie = primary[order], ids[order]
+    return bool(np.all((key[:-1] < key[1:]) | ((key[:-1] == key[1:]) & (tie[:-1] < tie[1:]))))
 
 
 def _scan_items(

@@ -1,16 +1,22 @@
 """Ground-truth optima by exhaustive enumeration, plus the LP relaxation bound.
 
 The enumeration is a branch and bound by prefix doubling over storage
-positions: subset-sum tables over the first ``_TABLE_BITS`` customers, then
-each later customer extends only the selections that fit and can still reach
-the best weight found so far.  Work and memory follow the number of such
-selections, not 2^n: FCR at n = 26 and 40% of the aggregate demand keeps
-about 10^6 of its 2^26 selections (some 70 MiB at the peak), while
-all-zero weights under a capacity that fits everyone keep every selection.
-``_best_feasible_mask`` argues why the pruning keeps the answer exact, ties
-included.  The budget is one limit on n, ``OracleBudget.max_n`` (at most
-``MAX_ORACLE_N`` = 30); its default keeps accidental 2^30-subset runs from
-happening.
+positions, run over a batch of instances of one size at once: subset-sum
+tables over the first few customers (``_TABLE_BITS``), then each later
+customer extends only the selections that fit and whose bound still reaches
+the best weight known for their instance.  That weight starts at the greedy pair's
+set, when it passes the enumeration's own fit test.  The bound is the
+selection's weight plus a fractional knapsack over the later positions,
+with demands projected on the unit vector at their mid-phase.  Work and
+memory follow the surviving selections, not 2^n: FCR at n = 26 and 40% of
+the aggregate demand bounds about 10^3 selections in about a millisecond,
+while all-zero weights under a capacity that fits everyone keep every
+selection.  ``_best_feasible_masks`` argues why the pruning keeps the answer
+exact, ties included, and states the memory rule for a batch.  The
+single-instance solvers are batches of one, and ``bench.run_benchmark``
+hands over each n's trials in batches.  The budget is one limit on n,
+``OracleBudget.max_n`` (at most ``MAX_ORACLE_N`` = 30); its default keeps
+accidental 2^30-subset runs from happening.
 
 ``lp_upper_bound`` solves the magnitude-relaxed fractional problem exactly by
 the efficiency-greedy rule: it upper-bounds the alignment-scaled optimum from
@@ -22,10 +28,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .greedy import SortKey, _per_va, scan_order
+from .greedy import SCAN_ORDERS, SortKey, _best_of_scans, _per_va, _sorted_orders, scan_order
 from .model import (
     CAPACITY_REL_TOL,
     CurtailError,
@@ -38,12 +45,12 @@ from .model import (
 
 MAX_ORACLE_N = 30  # 2^30 subsets; hard ceiling, not a suggestion
 
-# Storage positions that ``_best_feasible_mask`` tabulates in full before it
-# starts pruning.  11 to 14 ran about equally fast on FCR at n = 14 to 26.
-_TABLE_BITS = 12
-
-# Relative inflation of the pruning bound; see ``_best_feasible_mask``.
-_BOUND_MARGIN = 1e-12
+# A batch of ``_best_feasible_masks`` tabulates at most 2^_TABLE_BITS
+# selections in full before it starts pruning: its first
+# _TABLE_BITS - ceil(log2(batch size)) storage positions.  10 and 11 ran
+# fastest on the 90 FCR trials of a 14-to-18 sweep; 12 was about 10% slower
+# there, and about 2% faster on single instances.
+_TABLE_BITS = 11
 
 
 class OracleBudgetError(CurtailError):
@@ -89,82 +96,209 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
 
 
 def _best_feasible_mask(instance: Instance, weights: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Storage mask of the feasible selection maximising the weight sum.
+    """``_best_feasible_masks`` over a batch of one."""
+    return _best_feasible_masks([instance], weights[None, :], rel_tol)[0]
 
-    Ties are broken toward the lexicographically smallest sorted id list.
+
+def _best_feasible_masks(
+    instances: Sequence[Instance], weights: np.ndarray, rel_tol: float
+) -> np.ndarray:
+    """Per instance, the storage mask of its feasible selection of largest weight.
+
+    The instances all have the same size n, and row t of ``weights`` (b x n)
+    weighs instance t.  Ties go to the lexicographically smallest sorted id
+    list.  Returns a b x n boolean array.
 
     The search is prefix doubling over the selections that fit and can still
-    win.  ``subset_sums`` tabulates the first ``_TABLE_BITS`` storage
-    positions in full; each later position j extends every kept entry by
-    customer j (``entry + v_j`` for p, q and weight, the same floats a full
-    table holds).  The entry and its extension each survive only if they fit
-    (``p^2 + q^2 <= limit_sq``) and their bound, the weight plus all weight
-    after position j, reaches the incumbent: the largest weight among
-    fitting entries, which is a real feasible objective.  A fourth row,
-    ``2^j``, carries each entry's storage mask in the same table.  This drops
-    no selection that the full enumeration would have tied at the maximum:
+    win, for every instance at once.  An entry is a column of rows p, q,
+    weight, storage mask (a sum of distinct powers of two, exact below
+    2^``MAX_ORACLE_N``) and room, and ``trial`` holds each entry's
+    instance.  ``subset_sums`` tabulates the first few storage positions in
+    full (``_TABLE_BITS``); each later position j extends every kept entry by
+    customer j (``entry + v_j``, the same floats a full table holds).  An
+    entry and its extension each survive only if they fit (``p^2 + q^2 <=
+    limit_sq``) and their bound (``_suffix_bounds``) reaches their
+    instance's incumbent, a weight that some feasible selection of that
+    instance has.  The incumbent starts at the larger of ``_greedy_seeds``
+    and the table's best fitting weight, and rises (``np.maximum.at``) with
+    every fitting extension.  When the table holds every position there is
+    nothing to prune, and neither the seed nor the bound is computed.  This
+    drops no selection that the full enumeration would have tied at the
+    maximum:
 
     1. Fit is downward-closed, in floats too.  Demands have p, q >= 0, and
        sums are built by adding in ascending storage order, so by monotone
        rounding a superset's sums are >= those of each subset, and so is its
        squared magnitude.  Every extension of a set that does not fit fails
        to fit as well.
-    2. The bound never drops a possible winner.  ``weight + rest[j + 1]`` is
-       inflated by the relative ``_BOUND_MARGIN``, which covers the <= 2n
-       roundings of the two sums for n <= ``MAX_ORACLE_N``, so it is >= the
-       float weight of every extension.  An entry goes only when that bound
-       is strictly below the incumbent, so tied optima survive.
+    2. The incumbent never exceeds the maximum.  A seed is the weight of the
+       greedy pair's set added in storage order from 0.0, and it counts only
+       if that set's demand, added the same way, passes this fit test.  So
+       it is the very float that the enumeration holds for a feasible entry.
+       Every later raise is the weight of a fitting entry.
+    3. The bound never drops a possible winner.  An entry S whose positions
+       end before k is bounded by its weight plus the fractional knapsack
+       over positions >= k (``_suffix_tables``).  Each size is the demand
+       projected on the unit vector at the mid-phase (``_projection``), and
+       the budget, S's room, is sqrt(limit_sq) (1 + margin) minus S's sizes.
+       By Cauchy–Schwarz every extension T that fits has Σ_S s + Σ_T s <=
+       |Σ_{S ∪ T} d| <= sqrt(limit_sq), so T's weight is at most that
+       knapsack, which is never more than the later positions' total weight,
+       the plain bound it replaces.  The relative margin 16 (n + 4) 2^-53
+       widens the capacity and then the bound.  It covers the roundings of
+       the fit test, the projection, the sizes, the room, the prefix sums,
+       the break fraction and the weight sums, which ``_projected_bounds``
+       counts for the same walk.  So the bound is >= the float weight of
+       every fitting extension.  An entry goes only when its bound is
+       strictly below the incumbent, so tied optima survive.
 
     The survivors of the last position therefore hold every feasible
-    maximum, and the tie-break sees the same candidates as a full table.
+    maximum of each instance, and the tie-break sees the same candidates as
+    a full table.
+
+    Memory.  The entries of a batch are at most every selection of every
+    instance, 48 bytes each with the index, and the table stage holds at
+    most 2^``_TABLE_BITS`` in all.  ``bench.run_benchmark`` batches
+    max(1, 2^20 >> n) trials, so a batch of several instances spans at most
+    2^20 selections, those of one instance at the default budget.  Pruning
+    keeps far fewer on every generated scenario, while all-zero weights
+    under a capacity that fits everyone keep them all.
     """
-    n = len(instance)
-    cols = instance.columns
-    limit_sq = instance.capacity_limit_sq(rel_tol)
-    # sums of distinct powers of two below 2^MAX_ORACLE_N are exact masks
-    values = np.stack((cols.p, cols.q, weights, 2.0 ** np.arange(n)))
-    base = min(n, _TABLE_BITS)
+    b, n = weights.shape
+    columns = [instance.columns for instance in instances]
+    p, q, ids = (np.array([getattr(c, name) for c in columns]).reshape(b, n)
+                 for name in ("p", "q", "id"))
+    limit_sq = np.array([instance.capacity_limit_sq(rel_tol) for instance in instances])
+    # rows p, q, weight, storage mask and room: what is left of the widened
+    # capacity after the projected sizes, filled in only when pruning needs it
+    values = np.zeros((b, 5, n))
+    values[:, 0], values[:, 1], values[:, 2], values[:, 3] = p, q, weights, 2.0 ** np.arange(n)
+    base = min(n, max(0, _TABLE_BITS - (b - 1).bit_length()))
     # a sum or square that overflows to inf is simply infeasible, and a bound
     # that overflows keeps its entry
     with np.errstate(over="ignore"):
-        rest = _running_sums(weights[::-1])[::-1]  # rest[j]: weight of positions j..n-1
-        entries = subset_sums(values[:, :base])
-        keep = _fits(entries, limit_sq)
-        incumbent = entries[2].compress(keep).max()  # the empty selection always fits
-        keep &= _reaches(entries[2], rest[base], incumbent)
-        entries = entries.compress(keep, axis=1)
-        for j in range(base, n):
-            tail = rest[j + 1]
-            grown = entries + values[:, j, None]
-            fit = _fits(grown, limit_sq)
-            incumbent = grown[2].compress(fit).max(initial=incumbent)
-            new = fit & _reaches(grown[2], tail, incumbent)
-            old = _reaches(entries[2], tail, incumbent)
-            entries = np.concatenate(
-                (entries.compress(old, axis=1), grown.compress(new, axis=1)), axis=1
-            )
-    wsum = entries[2]
-    best = _lexicographic_first(cols.id, entries[3, wsum == wsum.max()].astype(np.int64))
-    return (best >> np.arange(n)) & 1 == 1
+        if base < n:
+            s, rate, order = _projection(p, q, weights, ids)
+            values[:, 4] = -s
+        table = subset_sums(values[:, :, :base])
+        fit = _fits(table[:, 0], table[:, 1], limit_sq[:, None])
+        # the empty selection always fits
+        incumbent = np.where(fit, table[:, 2], -np.inf).max(axis=1)
+        trial = np.nonzero(fit)[0]
+        entries = table.transpose(1, 0, 2)[:, fit]
+        if base < n:
+            incumbent = np.maximum(incumbent, _greedy_seeds(instances, weights, limit_sq))
+            margin = _rounding_margin(n)
+            entries[4] += (np.sqrt(limit_sq) * (1.0 + margin))[trial]
+            tables = _suffix_tables(s, weights, rate, order)
+            steps = values.transpose(2, 1, 0).copy()  # steps[j]: customer j of each instance
+            keep = _suffix_bounds(entries, trial, base, tables, margin) >= incumbent[trial]
+            entries, trial = entries.compress(keep, axis=1), trial[keep]
+            for j in range(base, n):
+                grown = entries + np.take(steps[j], trial, axis=1)
+                fit = _fits(grown[0], grown[1], limit_sq[trial])
+                grown, grown_trial = grown.compress(fit, axis=1), trial[fit]
+                np.maximum.at(incumbent, grown_trial, grown[2])
+                entries = np.concatenate((entries, grown), axis=1)
+                trial = np.concatenate((trial, grown_trial))
+                keep = _suffix_bounds(entries, trial, j + 1, tables, margin) >= incumbent[trial]
+                entries, trial = entries.compress(keep, axis=1), trial[keep]
+    # every kept entry fits, and every feasible maximum is kept: the incumbent is it
+    winners = entries[2] == incumbent[trial]
+    trial, masks = trial[winners], entries[3, winners].astype(np.int64)
+    best = np.zeros(b, dtype=np.int64)
+    best[trial] = masks
+    for t in np.flatnonzero(np.bincount(trial, minlength=b) > 1).tolist():
+        best[t] = _lexicographic_first(ids[t], masks[trial == t])
+    return (best[:, None] >> np.arange(n)) & 1 == 1
 
 
-def _fits(entries: np.ndarray, limit_sq: float) -> np.ndarray:
-    """Which columns of ``entries`` (rows p, q, ...) have ``p^2 + q^2 <= limit_sq``."""
-    p, q = entries[0], entries[1]
+def _greedy_seeds(
+    instances: Sequence[Instance], weights: np.ndarray, limit_sq: np.ndarray
+) -> np.ndarray:
+    """Per instance, a weight that one of its feasible selections has, or -inf.
+
+    The selection is the greedy pair's (``SCAN_ORDERS["gda"]``).  Its weight
+    and demand are added in storage order from 0.0, as the enumeration adds
+    them, and the weight counts only if that demand passes the enumeration's
+    fit test.  The scans add in their own orders, so near the capacity the
+    set they keep can fail it.
+    """
+    seeds = np.full(len(instances), -np.inf)
+    for t, (instance, limit) in enumerate(zip(instances, limit_sq.tolist())):
+        cols = instance.columns
+        orders = _sorted_orders(instance, SCAN_ORDERS["gda"])
+        retained, _ = _best_of_scans(instance, (), orders, limit)
+        if _fits(storage_sum(cols.p, retained), storage_sum(cols.q, retained), limit):
+            seeds[t] = storage_sum(weights[t], retained)
+    return seeds
+
+
+def _suffix_tables(
+    s: np.ndarray, weights: np.ndarray, rate: np.ndarray, order: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The fractional-knapsack walks over every suffix of storage positions.
+
+    For each suffix start k from 0 to n and each instance t (a row of the
+    b x n inputs), the walk runs along ``order`` over the customers at
+    storage positions >= k; the others add nothing.  ``walks[k]`` has rows
+    taken weight, taken size and rate: at t (n + 1) + i, the weight and
+    size of the walk's first i customers and the rate of its next one (0
+    past the last).  A customer of infinite rate takes no size, as in
+    ``_projected_bounds``.  ``keys[k]`` holds t + i x at t n + i - 1 for
+    each size prefix x after the first; complex numbers order by real part,
+    then imaginary part, so the keys are sorted.
+    """
+    b, n = s.shape
+    walk_rate = np.take_along_axis(rate, order, axis=1)
+    walk_s = np.where(walk_rate == np.inf, 0.0, np.take_along_axis(s, order, axis=1))
+    walk_w = np.take_along_axis(weights, order, axis=1)
+    member = order >= np.arange(n + 1)[:, None, None]
+    taken_s = _running_sums(np.where(member, walk_s, 0.0))
+    taken_w = _running_sums(np.where(member, walk_w, 0.0))
+    keys = np.empty((n + 1, b, n), dtype=complex)
+    keys.real, keys.imag = np.arange(b)[:, None], taken_s[:, :, 1:]
+    walk_rate = np.concatenate((walk_rate, np.zeros((b, 1))), axis=1)
+    walks = np.stack((taken_w, taken_s, np.broadcast_to(walk_rate, taken_s.shape)), axis=1)
+    return keys.reshape(n + 1, b * n), walks.reshape(n + 1, 3, b * (n + 1))
+
+
+def _suffix_bounds(
+    entries: np.ndarray,
+    trial: np.ndarray,
+    k: int,
+    tables: tuple[np.ndarray, np.ndarray],
+    margin: float,
+) -> np.ndarray:
+    """Per entry, its weight plus the fractional knapsack over positions >= ``k``.
+
+    ``entries`` has rows p, q, weight, mask and room, and ``trial`` holds each
+    entry's instance; ``tables`` are that batch's ``_suffix_tables``.  The
+    walk takes whole customers while their sizes fit the room (or 0, if it
+    is negative) and then the fitting fraction of the next one, whose rate
+    is 0 past the last customer.  The sum is widened by the relative
+    ``margin``.
+    """
+    keys, walks = tables
+    budget = np.maximum(entries[4], 0.0)
+    # prefixes of sizes never shrink, so the break customer follows the last
+    # prefix within the budget: t + i budget sorts after t n keys plus those
+    # prefixes, and adding t gives its place in instance t's walk
+    query = np.empty(len(trial), dtype=complex)
+    query.real, query.imag = trial, budget
+    at = np.searchsorted(keys[k], query, side="right") + trial
+    taken_w, taken_s, rate = np.take(walks[k], at, axis=1)
+    bound = entries[2] + taken_w
+    bound += (budget - taken_s) * rate
+    bound *= 1.0 + margin
+    return bound
+
+
+def _fits(p: np.ndarray, q: np.ndarray, limit_sq: np.ndarray | float) -> np.ndarray:
+    """Where ``p^2 + q^2 <= limit_sq``, squares added as a Python float expression adds them."""
     square = p * p
     square += q * q
     return square <= limit_sq
-
-
-def _reaches(wsum: np.ndarray, tail: float, incumbent: float) -> np.ndarray:
-    """Which weights can still reach ``incumbent`` with ``tail`` more weight.
-
-    The bound ``wsum + tail`` is inflated by ``_BOUND_MARGIN``, so that an
-    entry is dropped only when every extension falls strictly short.
-    """
-    bound = wsum + tail
-    bound *= 1.0 + _BOUND_MARGIN
-    return bound >= incumbent
 
 
 def _lexicographic_first(ids: np.ndarray, masks: np.ndarray) -> int:
@@ -192,26 +326,35 @@ def _lexicographic_first(ids: np.ndarray, masks: np.ndarray) -> int:
     return int(masks[0])
 
 
+def _brute_force_batch(
+    instances: Sequence[Instance], budget: OracleBudget, rel_tol: float, objective: str
+) -> tuple[np.ndarray, list[float]]:
+    """Per instance (all of one size), its optimal retained mask and objective.
+
+    ``objective`` is "vmax" (the objective is the retained valuation) or
+    "cmin" (the objective is the compensation of everyone else); either way
+    the retained set is the feasible one of largest retained weight.  The
+    objective is a ``storage_sum``, as in the solution of each instance.
+    """
+    for instance in instances:
+        budget.check(len(instance))
+    column = "compensation" if objective == "cmin" else "valuation"
+    weights = np.array([getattr(instance.columns, column) for instance in instances])
+    weights = weights.reshape(len(instances), -1)
+    kept = _best_feasible_masks(instances, weights, rel_tol)
+    counted = ~kept if objective == "cmin" else kept
+    return kept, [storage_sum(w, c) for w, c in zip(weights, counted)]
+
+
 def _brute_force(
     instance: Instance, budget: OracleBudget, rel_tol: float, objective: str
 ) -> Solution:
-    """The feasible selection with the largest retained valuation or compensation.
-
-    ``objective`` is "vmax" (the objective is that retained valuation) or
-    "cmin" (the objective is the compensation of everyone else).
-    """
-    budget.check(len(instance))
+    """``_brute_force_batch`` over one instance, as a ``Solution``."""
     start = time.perf_counter()
-    cols = instance.columns
-    if objective == "cmin":
-        weights, algorithm = cols.compensation, "cmin_oracle"
-    else:
-        weights, algorithm = cols.valuation, "oracle"
-    kept = _best_feasible_mask(instance, weights, rel_tol)
-    counted = ~kept if objective == "cmin" else kept
+    kept, (value,) = _brute_force_batch([instance], budget, rel_tol, objective)
+    algorithm = "cmin_oracle" if objective == "cmin" else "oracle"
     return solution_from_indices(
-        instance, np.flatnonzero(kept), storage_sum(weights, counted), algorithm,
-        time.perf_counter() - start,
+        instance, np.flatnonzero(kept[0]), value, algorithm, time.perf_counter() - start
     )
 
 
@@ -261,6 +404,33 @@ def lp_upper_bound(instance: Instance) -> float:
     return float(value[k]) + room * float(valuation[k]) / float(mag[k])
 
 
+def _rounding_margin(n: int) -> float:
+    """16 (n + 4) 2^-53: the relative widening that covers a projected bound's roundings."""
+    return (n + 4) * 2.0**-49
+
+
+def _projection(
+    p: np.ndarray, q: np.ndarray, weights: np.ndarray, ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Projected sizes, rates and walk order of the customers along the last axis.
+
+    Each demand is projected on w = (cos φ, sin φ), with φ the mid-phase of
+    the nonzero demands: s_k = max(p_k cos φ + q_k sin φ, 0).  The rate is
+    weight / s (inf where s is 0 or the quotient overflows), and the order
+    is by rate descending, ties by ascending id.  ``_projected_bounds`` and
+    ``_suffix_tables`` walk it.
+    """
+    # phases lie in [0, π/2]; with no nonzero demand every s is 0 whatever φ is
+    nonzero = (p != 0.0) | (q != 0.0)
+    phases = np.arctan2(q, p)
+    low = np.where(nonzero, phases, np.pi / 2).min(axis=-1, initial=np.pi / 2)
+    high = np.where(nonzero, phases, 0.0).max(axis=-1, initial=0.0)
+    phi = ((low + high) / 2.0)[..., None]
+    s = np.maximum(p * np.cos(phi) + q * np.sin(phi), 0.0)
+    rate = _per_va(weights, s)
+    return s, rate, np.lexsort((ids, -rate), axis=-1)
+
+
 def _projected_bounds(instance: Instance, seeds: np.ndarray, limit_sq: float) -> np.ndarray:
     """Per row S of ``seeds``, a bound on the float valuation of S plus any completion.
 
@@ -296,19 +466,15 @@ def _projected_bounds(instance: Instance, seeds: np.ndarray, limit_sq: float) ->
     """
     cols = instance.columns
     n = len(instance)
-    p, q, u = cols.p, cols.q, cols.valuation
-    phases = np.arctan2(q, p)[(p != 0.0) | (q != 0.0)]
-    phi = float(phases.min() + phases.max()) / 2.0 if phases.size else 0.0
-    s = np.maximum(p * math.cos(phi) + q * math.sin(phi), 0.0)
-    rate = _per_va(u, s)  # inf where s is 0 or u/s overflows
-    order = np.lexsort((cols.id, -rate))
+    u = cols.valuation
+    s, rate, order = _projection(cols.p, cols.q, u, cols.id)
     walk_rate, walk_u = rate[order], u[order]
     # customers of infinite rate ride free, in any order: that only loosens the bound
     walk_s = np.where(walk_rate == np.inf, 0.0, s[order])
     position = np.empty(n, dtype=np.int64)
     position[order] = np.arange(n)
     rows = np.arange(len(seeds))
-    margin = (n + 4) * 2.0**-49  # see Rounding above
+    margin = _rounding_margin(n)  # see Rounding above
     with np.errstate(over="ignore"):  # a sum past the float range is inf
         seed_u = u[seeds]
         pool = walk_u <= seed_u.min(axis=1, initial=np.inf)[:, None]

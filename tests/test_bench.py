@@ -14,12 +14,14 @@ from conftest import (
     plan_doc,
     reference_dynamic_capacity,
 )
+from curtail import bench
 from curtail.bench import VMAX_ALGORITHMS, _mean_ci
 from curtail import (
     DemandExceedsCapacityError,
     FormatError,
     OracleBudget,
     TrialPlan,
+    brute_force_cmin,
     brute_force_vmax,
     emit_csv,
     generate,
@@ -195,6 +197,33 @@ class TestRunBenchmark:
         emit_csv(rows, str(paths[1]))
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert len(built) == len(solved) == 30
+
+    def test_batched_yardsticks_equal_per_trial_oracles(self, monkeypatch):
+        # n = 16 batches 2^20 >> 16 = 16 trials and then the other 14; n = 21,
+        # above the default budget, goes one trial at a time
+        batched, sizes = bench._brute_force_batch, []
+
+        def counted(instances, *args):
+            sizes.append(len(instances))
+            return batched(instances, *args)
+
+        def per_trial(instances, budget, rel_tol, objective):
+            solver = brute_force_cmin if objective == "cmin" else brute_force_vmax
+            return None, [solver(instance, budget, rel_tol).objective for instance in instances]
+
+        for objective in ("vmax", "cmin"):
+            plan = small_plan(
+                scenario=spec_from_acronym("FCR", 0, 25_000.0, seed=5), n_values=(16, 21),
+                algorithms=("gda",), objective=objective, budget=OracleBudget(max_n=21),
+            )
+            monkeypatch.setattr(bench, "_brute_force_batch", counted)
+            rows = run_benchmark(plan)
+            # the reference sends one trial at a time to the one-instance solvers
+            with monkeypatch.context() as m:
+                m.setattr(bench, "_BATCH_SELECTIONS", 0)
+                m.setattr(bench, "_brute_force_batch", per_trial)
+                assert run_benchmark(plan) == rows
+        assert sizes == 2 * ([16, 14] + [1] * 30)
 
     def test_gda_worst_case_floor_per_row(self):
         # worst case at 36 degrees spread is (1/2) cos 18deg, above 0.4755

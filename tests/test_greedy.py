@@ -569,6 +569,63 @@ class TestDistinctOrders:
             assert len(greedy._sorted_orders(inst, greedy.SCAN_ORDERS["gda"])) == streams
             assert len(greedy._sorted_orders(inst, greedy.SHED_ORDERS["cmin_gda"])) == streams
 
+    @staticmethod
+    def sort_and_compare(inst, keys):
+        """Each distinct order of ``keys``, found by sorting every key."""
+        orders = []
+        for key in keys:
+            order = greedy.scan_order(inst, key)
+            if not any(np.array_equal(order, seen) for seen in orders):
+                orders.append(order)
+        return orders
+
+    def assert_neighbour_rule_matches_sorting(self, inst):
+        cols = inst.columns
+        for a in greedy.SortKey:
+            order = greedy.scan_order(inst, a)
+            for b in greedy.SortKey:
+                primary = greedy._PRIMARY_KEYS[b](cols)
+                expected = np.array_equal(order, greedy.scan_order(inst, b))
+                assert greedy._in_key_order(order, primary, cols.id) == expected, (a, b)
+        for keys in (*greedy.SCAN_ORDERS.values(), *greedy.SHED_ORDERS.values()):
+            got = greedy._sorted_orders(inst, keys)
+            expected = self.sort_and_compare(inst, keys)
+            assert [o.tolist() for o in got] == [o.tolist() for o in expected]
+
+    @pytest.mark.parametrize("acronym", [p + c + l for p in "FA" for c in "CUL" for l in "RIM"])
+    def test_neighbour_rule_agrees_with_sort_and_compare(self, acronym):
+        for n, seed in ((12, 0), (2_000, 5)):
+            inst = generate(spec_from_acronym(acronym, n, 2e6, seed))
+            self.assert_neighbour_rule_matches_sorting(inst)
+
+    def test_neighbour_rule_on_ties_and_zero_magnitudes(self):
+        # equal keys fall back to ids; zero demands have per-VA keys of inf
+        rows = [
+            (5, 0.0, 0.0, 3.0, 1.0), (2, 0.0, 0.0, 1.0, 1.0), (9, 1.0, 0.0, 2.0, 2.0),
+            (1, 1.0, 0.0, 2.0, 2.0), (4, 2.0, 0.0, 4.0, 4.0), (7, 0.0, 0.0, 0.0, 0.0),
+        ]
+        for rotation in range(len(rows)):
+            self.assert_neighbour_rule_matches_sorting(
+                build_instance(rows[rotation:] + rows[:rotation], 3.0)
+            )
+        identical = [(k, 1.0, 1.0, 2.0, 2.0) for k in (3, 0, 2, 1)]
+        self.assert_neighbour_rule_matches_sorting(build_instance(identical, 3.0))
+        orders = greedy._sorted_orders(build_instance(identical, 3.0), greedy.SCAN_ORDERS["gda"])
+        assert [order.tolist() for order in orders] == [[1, 3, 2, 0]]
+        zeros = [(k, 0.0, 0.0, float(k % 2), 1.0) for k in (4, 1, 3, 0, 2)]
+        self.assert_neighbour_rule_matches_sorting(build_instance(zeros, 1.0))
+
+    @pytest.mark.parametrize("acronym, sorts", [("FCR", 1), ("FCM", 1), ("FUM", 2)])
+    def test_one_sort_per_distinct_order(self, acronym, sorts, monkeypatch):
+        calls = []
+        scan_order = greedy.scan_order
+        monkeypatch.setattr(greedy, "scan_order", lambda *a: calls.append(a[1]) or scan_order(*a))
+        inst = generate(spec_from_acronym(acronym, 2_000, 2e6, 5))
+        for keys in (greedy.SCAN_ORDERS["gda"], greedy.SHED_ORDERS["cmin_gda"]):
+            calls.clear()
+            assert len(greedy._sorted_orders(inst, keys)) == sorts
+            assert calls == list(keys[:sorts])
+
     def test_orders_one_tie_swap_apart_are_both_scanned(self):
         # ids 1 and 2 tie at 2 per VA, so efficiency takes 1 first by id and
         # valuation takes 2 first; only the valuation scan reaches 34

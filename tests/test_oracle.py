@@ -151,15 +151,17 @@ _HUGE_WEIGHTS = st.sampled_from([0.0, 1e307, 8e307, 1.7976931348623157e308])
 
 
 @st.composite
-def _mask_search_cases(draw, max_n=13):
+def _mask_search_cases(draw, max_n=13, n=None):
     """An instance, its weights, a slack and a full-table size for the mask search.
 
     The value kinds give ties (small integers), zero demands, all-zero
     weights, and sums whose squares or weights overflow.  The capacity is
     either the exact magnitude of a drawn subset's sums or a fraction of the
-    total, and the table size falls on both sides of n.
+    total, and the table size falls on both sides of n.  ``n`` fixes the
+    customer count, which is otherwise drawn up to ``max_n``.
     """
-    n = draw(st.integers(0, max_n))
+    if n is None:
+        n = draw(st.integers(0, max_n))
     kind = draw(st.sampled_from(["floats", "integers", "zero weights", "near overflow"]))
     if kind == "near overflow":
         demand, weight = _HUGE_DEMANDS, _HUGE_WEIGHTS
@@ -228,6 +230,111 @@ class TestMaskSearch:
         assert peak < 100 * 2**20
         assert is_feasible(inst, sol.retained_ids)
         assert sol.objective >= gda(inst).objective
+
+
+@st.composite
+def _mask_search_batches(draw):
+    """One to five ``_mask_search_cases`` of one size, a slack and a table size."""
+    n = draw(st.integers(0, 13))
+    cases = draw(st.lists(_mask_search_cases(n=n), min_size=1, max_size=5))
+    return cases, draw(st.sampled_from([0.0, 1e-9])), draw(st.integers(0, 14))
+
+
+class TestBatchedMaskSearch:
+    @given(batch=_mask_search_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_each_instance_gets_its_full_table_answer(self, batch):
+        cases, rel_tol, table_bits = batch
+        instances = [inst for inst, *_ in cases]
+        weights = np.array([w for _, w, *_ in cases]).reshape(len(cases), -1)
+        with mock.patch.object(oracle_module, "_TABLE_BITS", table_bits):
+            got = oracle_module._best_feasible_masks(instances, weights, rel_tol)
+        assert got.dtype == bool and got.shape == weights.shape
+        for inst, w, row in zip(instances, weights, got):
+            assert np.array_equal(row, reference_best_feasible_mask(inst, w, rel_tol))
+
+    def test_a_greedy_set_that_misfits_in_storage_order_is_no_seed(self):
+        # both greedy scans take 0.3, 0.2 and 0.1 and reach exactly C = 0.6, but
+        # added in storage order the three make 0.6000000000000001, which does
+        # not fit at rel_tol 0: their weight 7.5 is above the optimum {1, 2}, 6.5
+        inst = build_instance([(0, 0.1, 0.0, 1.0), (1, 0.2, 0.0, 2.5), (2, 0.3, 0.0, 4.0)], 0.6)
+        weights = inst.columns.valuation
+        assert gda(inst, 0.0).retained_ids == {0, 1, 2}
+        limit_sq = np.array([inst.capacity_limit_sq(0.0)])
+        seeds = oracle_module._greedy_seeds([inst], weights[None, :], limit_sq)
+        assert seeds.tolist() == [-math.inf]
+        expected = [False, True, True]
+        assert reference_best_feasible_mask(inst, weights, 0.0).tolist() == expected
+        with mock.patch.object(oracle_module, "_TABLE_BITS", 0):
+            assert oracle_module._best_feasible_mask(inst, weights, 0.0).tolist() == expected
+            # seeded with that weight, the search would prune the optimum away
+            with mock.patch.object(oracle_module, "_greedy_seeds", lambda *_: np.array([7.5])):
+                assert oracle_module._best_feasible_mask(inst, weights, 0.0).tolist() != expected
+
+    @pytest.mark.parametrize("acronym", ["FCR", "FUM", "FLM", "ACR"])
+    def test_batch_of_one_is_the_single_instance_oracle(self, acronym):
+        # a batch answers each instance as the one-instance oracle does, cmin too
+        instances = []
+        for seed in range(6):
+            base = generate(spec_from_acronym(acronym, 15, 2e6, seed))
+            mag = base.columns.mag
+            instances.append(restrict_to_capacity(base, max(0.4 * mag.sum(), mag.max())))
+        for objective, solver in (("vmax", brute_force_vmax), ("cmin", brute_force_cmin)):
+            kept, values = oracle_module._brute_force_batch(
+                instances, OracleBudget(), 1e-9, objective
+            )
+            for inst, row, value in zip(instances, kept, values):
+                sol = solver(inst)
+                assert sol.objective == value
+                assert sol.retained_ids == set(inst.columns.id[row].tolist())
+
+
+class TestSuffixBounds:
+    """``_suffix_bounds`` against every fitting extension, by brute force."""
+
+    @given(case=_mask_search_cases(max_n=12))
+    @settings(max_examples=200, deadline=None)
+    def test_bound_covers_every_fitting_extension(self, case):
+        # an entry is a fitting selection S of the positions below k; every
+        # fitting selection whose positions below k are S must weigh at most
+        # S's bound.  Weights, sizes and room are added as the table adds them.
+        inst, weights, rel_tol, _ = case
+        n = len(inst)
+        cols = inst.columns
+        limit_sq = inst.capacity_limit_sq(rel_tol)
+        p, q, w, ids = (a[None, :] for a in (cols.p, cols.q, weights, cols.id))
+        margin = oracle_module._rounding_margin(n)
+        masks = np.arange(1 << n)
+        with np.errstate(over="ignore"):  # sums past the float range are inf
+            s, rate, order = oracle_module._projection(p, q, w, ids)
+            tables = oracle_module._suffix_tables(s, w, rate, order)
+            bits = 2.0 ** np.arange(n)
+            entries = subset_sums(np.stack((cols.p, cols.q, weights, bits, -s[0])))
+            entries[4] += math.sqrt(limit_sq) * (1.0 + margin)
+            fits = entries[0] * entries[0] + entries[1] * entries[1] <= limit_sq
+            for k in range(n + 1):
+                prefix = masks & ((1 << k) - 1)
+                heaviest = np.full(1 << n, -np.inf)
+                np.maximum.at(heaviest, prefix[fits], entries[2, fits])
+                chosen = np.flatnonzero(fits & (masks == prefix))
+                bounds = oracle_module._suffix_bounds(
+                    entries[:, chosen], np.zeros(len(chosen), dtype=np.intp), k, tables, margin
+                )
+                assert np.all(bounds >= heaviest[chosen]), k
+
+    def test_walk_takes_free_customers_then_the_best_rates(self):
+        # from position 1 on: the zero-demand customer 3 rides free (weight 1),
+        # customer 2 (rate 2) goes whole into the room of 3 and customer 1
+        # (rate 3/2) fills the last 1 VA: 0 + 1 + 6 + 1.5
+        rows = [(0, 1.0, 0.0, 9.0), (1, 2.0, 0.0, 3.0), (2, 3.0, 0.0, 6.0), (3, 0.0, 0.0, 1.0)]
+        inst = build_instance(rows, 4.0)
+        cols = inst.columns
+        p, q, w, ids = (a[None, :] for a in (cols.p, cols.q, cols.valuation, cols.id))
+        s, rate, order = oracle_module._projection(p, q, w, ids)
+        tables = oracle_module._suffix_tables(s, w, rate, order)
+        entry = np.array([[0.0], [0.0], [0.0], [0.0], [4.0]])
+        bound = oracle_module._suffix_bounds(entry, np.zeros(1, dtype=np.intp), 1, tables, 0.0)
+        assert bound.tolist() == [8.5]
 
 
 class TestProjectedBounds:
