@@ -30,7 +30,7 @@ import numpy as np
 
 from .cmin import cmin_gda, cmin_gma, cmin_gra, cmin_gva
 from .greedy import SCAN_ORDERS, _best_of_scans, _sorted_orders, gda, gma, gra, gva
-from .gsa import GsaConfig, gsa
+from .gsa import GsaConfig, _search_batch, gsa
 from .model import (
     CAPACITY_REL_TOL,
     FormatError,
@@ -58,9 +58,9 @@ CMIN_ALGORITHMS: Mapping[str, Callable[[Instance], Solution]] = {
     "gda": cmin_gda,
 }
 
-# Most selections, (trials) x 2^n, that one batch of brute-force yardsticks
-# spans: those of one instance at the default ``OracleBudget.max_n`` of 20.
-_BATCH_SELECTIONS = 1 << 20
+# Most customers, trials x n, that one chunk of an n's trials holds at once
+# (at least one trial); the oracle and ``gsa`` each take a chunk as a batch.
+_BATCH_CUSTOMERS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -130,12 +130,22 @@ def instance_for_trial(plan: TrialPlan, n: int, trial: int) -> Instance:
     return generate(spec)
 
 
-def _solve(plan: TrialPlan, tag: str, instance: Instance) -> Solution:
-    if plan.objective == "cmin":
-        return CMIN_ALGORITHMS[tag](instance)
-    if tag == "gsa":
-        return gsa(instance, GsaConfig(plan.gsa_epsilon))
-    return VMAX_ALGORITHMS[tag](instance)
+def _gsa_outcomes(
+    plan: TrialPlan, instances: Sequence[Instance]
+) -> list[tuple[float, float | None] | None]:
+    """Per trial, ``gsa``'s (objective, elapsed), or None if the plan does not run it.
+
+    With ``measure_time`` each trial is its own solve, so that its elapsed
+    time describes one solve; otherwise the trials are one batch (elapsed None).
+    """
+    if "gsa" not in plan.algorithms:
+        return [None] * len(instances)
+    config = GsaConfig(plan.gsa_epsilon)
+    if plan.measure_time:
+        solutions = [gsa(instance, config) for instance in instances]
+        return [(solution.objective, solution.elapsed) for solution in solutions]
+    results = _search_batch(instances, config, CAPACITY_REL_TOL)
+    return [(objective, None) for _, objective in results]
 
 
 def _yardsticks(plan: TrialPlan, instances: Sequence[Instance]) -> list[float | None]:
@@ -159,14 +169,25 @@ def _ratio(plan: TrialPlan, achieved: float, optimal: float) -> float:
 
 
 def _run_trial(
-    plan: TrialPlan, instance: Instance, optimal: float | None
-) -> dict[str, tuple[float, float | None, float]]:
-    """One trial against its yardstick: {algorithm: (objective, ratio, elapsed)}."""
+    plan: TrialPlan,
+    instance: Instance,
+    optimal: float | None,
+    boosted: tuple[float, float | None] | None,
+) -> dict[str, tuple[float, float | None, float | None]]:
+    """One trial against its yardstick: {algorithm: (objective, ratio, elapsed)}.
+
+    ``boosted`` is the trial's ``gsa`` outcome (``_gsa_outcomes``).
+    """
     out = {}
     for tag in sorted(set(plan.algorithms)):
-        solution = _solve(plan, tag, instance)
-        ratio = None if optimal is None else _ratio(plan, solution.objective, optimal)
-        out[tag] = (solution.objective, ratio, solution.elapsed)
+        if tag == "gsa":
+            objective, elapsed = boosted
+        else:
+            table = CMIN_ALGORITHMS if plan.objective == "cmin" else VMAX_ALGORITHMS
+            solution = table[tag](instance)
+            objective, elapsed = solution.objective, solution.elapsed
+        ratio = None if optimal is None else _ratio(plan, objective, optimal)
+        out[tag] = (objective, ratio, elapsed)
     return out
 
 
@@ -183,19 +204,20 @@ def _mean_ci(values: Sequence[float]) -> tuple[float, float]:
 def run_benchmark(plan: TrialPlan) -> tuple[BenchRow, ...]:
     """Execute the plan's trials in order on the calling thread.
 
-    With the brute-force yardstick, each n's trials go to the oracle in
-    batches of ``_BATCH_SELECTIONS >> n`` (at least one), which span no more
-    selections than one instance at the oracle's default budget.
+    Each n's trials are generated in chunks of ``_BATCH_CUSTOMERS // n``
+    trials (at least one).  The brute-force yardstick and ``gsa`` take a
+    chunk as one batch; the oracle slices it further by its own memory rule.
     """
     n_values = sorted(set(plan.n_values))  # a repeated n runs once, like a repeated algorithm
     outcomes = {}
     for n in n_values:
-        size = max(1, _BATCH_SELECTIONS >> n) if plan.oracle == "brute_force" else 1
+        size = max(1, _BATCH_CUSTOMERS // max(n, 1))
         for first in range(0, plan.trials_per_n, size):
             trials = range(first, min(first + size, plan.trials_per_n))
             instances = [instance_for_trial(plan, n, t) for t in trials]
-            for t, instance, optimal in zip(trials, instances, _yardsticks(plan, instances)):
-                outcomes[(n, t)] = _run_trial(plan, instance, optimal)
+            yardsticks, boosted = _yardsticks(plan, instances), _gsa_outcomes(plan, instances)
+            for t, instance, optimal, outcome in zip(trials, instances, yardsticks, boosted):
+                outcomes[(n, t)] = _run_trial(plan, instance, optimal, outcome)
 
     rows = []
     for n in n_values:

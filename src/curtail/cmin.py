@@ -38,9 +38,10 @@ def _shed(instance: Instance, order: np.ndarray, limit_sq: float) -> tuple[np.nd
     """Shed in ``order`` until the rest fit: (retained indices, shed compensation).
 
     The count shed is the first ``k`` whose rest, everyone but ``order[:k]``,
-    fits by the canonical sum, found by one bisection.  That fit is monotone
-    in ``k``: the rests are nested, the demands non-negative and rounding
-    monotone, so dropping a term never raises a left-to-right sum.
+    fits by the canonical sum: 0 when everyone fits, which one probe tells,
+    and otherwise found by one bisection.  That fit is monotone in ``k``: the
+    rests are nested, the demands non-negative and rounding monotone, so
+    dropping a term never raises a left-to-right sum.
     """
     cols = instance.columns
     n = len(order)
@@ -51,7 +52,7 @@ def _shed(instance: Instance, order: np.ndarray, limit_sq: float) -> tuple[np.nd
         p, q = storage_sum(cols.p, rank >= k), storage_sum(cols.q, rank >= k)
         return p * p + q * q <= limit_sq  # Python floats: an overflow is inf, not a warning
 
-    removed = bisect.bisect_left(range(n + 1), True, key=fits)
+    removed = 0 if fits(0) else bisect.bisect_left(range(n + 1), True, 1, key=fits)
     return np.flatnonzero(rank >= removed), storage_sum(cols.compensation, rank < removed)
 
 

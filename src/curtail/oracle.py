@@ -14,7 +14,8 @@ while all-zero weights under a capacity that fits everyone keep every
 selection.  ``_best_feasible_masks`` argues why the pruning keeps the answer
 exact, ties included, and states the memory rule for a batch.  The
 single-instance solvers are batches of one, and ``bench.run_benchmark``
-hands over each n's trials in batches.  The budget is one limit on n,
+hands over each n's trials at once; ``_brute_force_batch`` slices them into
+batches by that rule.  The budget is one limit on n,
 ``OracleBudget.max_n`` (at most ``MAX_ORACLE_N`` = 30); its default keeps
 accidental 2^30-subset runs from happening.
 
@@ -25,7 +26,6 @@ above and the sum of the two greedy branch objectives bounds it in turn.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -44,6 +44,11 @@ from .model import (
 )
 
 MAX_ORACLE_N = 30  # 2^30 subsets; hard ceiling, not a suggestion
+
+# Most selections, instances x 2^n, that one ``_best_feasible_masks`` batch of
+# ``_brute_force_batch`` spans: those of one instance at the default
+# ``OracleBudget.max_n`` of 20.
+_BATCH_SELECTIONS = 1 << 20
 
 # A batch of ``_best_feasible_masks`` tabulates at most 2^_TABLE_BITS
 # selections in full before it starts pruning: its first
@@ -158,11 +163,12 @@ def _best_feasible_masks(
 
     Memory.  The entries of a batch are at most every selection of every
     instance, 48 bytes each with the index, and the table stage holds at
-    most 2^``_TABLE_BITS`` in all.  ``bench.run_benchmark`` batches
-    max(1, 2^20 >> n) trials, so a batch of several instances spans at most
-    2^20 selections, those of one instance at the default budget.  Pruning
-    keeps far fewer on every generated scenario, while all-zero weights
-    under a capacity that fits everyone keep them all.
+    most 2^``_TABLE_BITS`` in all.  ``_brute_force_batch`` slices its
+    instances into batches of max(1, ``_BATCH_SELECTIONS`` >> n), so a batch
+    of several instances spans at most 2^20 selections, those of one
+    instance at the default budget.  Pruning keeps far fewer on every
+    generated scenario, while all-zero weights under a capacity that fits
+    everyone keep them all.
     """
     b, n = weights.shape
     columns = [instance.columns for instance in instances]
@@ -335,13 +341,18 @@ def _brute_force_batch(
     "cmin" (the objective is the compensation of everyone else); either way
     the retained set is the feasible one of largest retained weight.  The
     objective is a ``storage_sum``, as in the solution of each instance.
+    The instances are searched in batches of max(1, ``_BATCH_SELECTIONS`` >> n).
     """
     for instance in instances:
         budget.check(len(instance))
     column = "compensation" if objective == "cmin" else "valuation"
     weights = np.array([getattr(instance.columns, column) for instance in instances])
     weights = weights.reshape(len(instances), -1)
-    kept = _best_feasible_masks(instances, weights, rel_tol)
+    size = max(1, _BATCH_SELECTIONS >> weights.shape[1])
+    kept = np.concatenate([
+        _best_feasible_masks(instances[lo : lo + size], weights[lo : lo + size], rel_tol)
+        for lo in range(0, len(instances), size)
+    ])
     counted = ~kept if objective == "cmin" else kept
     return kept, [storage_sum(w, c) for w, c in zip(weights, counted)]
 
@@ -431,26 +442,38 @@ def _projection(
     return s, rate, np.lexsort((ids, -rate), axis=-1)
 
 
-def _projected_bounds(instance: Instance, seeds: np.ndarray, limit_sq: float) -> np.ndarray:
+def _projected_bounds(
+    p: np.ndarray,
+    q: np.ndarray,
+    u: np.ndarray,
+    ids: np.ndarray,
+    limit_sq: np.ndarray,
+    seeds: np.ndarray,
+    trial: np.ndarray,
+) -> np.ndarray:
     """Per row S of ``seeds``, a bound on the float valuation of S plus any completion.
 
-    ``seeds`` holds rows of distinct storage indices, possibly with no columns.
-    A row's pool is every customer outside S whose valuation is at most S's
-    smallest (everyone, for no columns).  The bound of a row is at least the
-    storage-order float sum of the valuations over S ∪ T, for every T in the
-    pool such that S ∪ T passes the float fit test ``P^2 + Q^2 <= limit_sq``.
+    Row t of the b x n columns ``p``, ``q``, ``u`` (valuations) and ``ids`` is
+    an instance, with squared capacity ``limit_sq[t]``.  ``seeds`` holds rows
+    of distinct storage indices, possibly with no columns, and ``trial`` the
+    instance of each row.  A row's pool is every customer of its instance
+    outside S whose valuation is at most S's smallest (everyone, for no
+    columns).  The bound of a row is at least the storage-order float sum of
+    the valuations over S ∪ T, for every T in the pool such that S ∪ T passes
+    the float fit test ``P^2 + Q^2 <= limit_sq``.
 
     Each demand is projected on w = (cos φ, sin φ), with φ the mid-phase of
-    the nonzero demands: s_k = max(p_k cos φ + q_k sin φ, 0).  w lies in the
-    first quadrant, so s_k >= 0 and, by Cauchy–Schwarz, every set that fits
-    has Σ s_k <= sqrt(limit_sq).  So T is worth at most the fractional
-    knapsack over the pool with sizes s and budget sqrt(limit_sq) − Σ_S s.
-    The walk in projected-efficiency order (rate u/s descending, s = 0 first,
-    ties by id) solves it: whole customers while the budget lasts, then the
-    fitting fraction of the next one.  A customer whose rate is infinite (s
-    is 0, or u/s overflows) takes no budget, which can only loosen the bound.
-    The bound is u(S) plus that value.  φ sets only the tightness, never the
-    validity: at the mid-phase, s_k >= |d_k| cos(θ/2) for phase spread θ.
+    the instance's nonzero demands: s_k = max(p_k cos φ + q_k sin φ, 0).  w
+    lies in the first quadrant, so s_k >= 0 and, by Cauchy–Schwarz, every set
+    that fits has Σ s_k <= sqrt(limit_sq).  So T is worth at most the
+    fractional knapsack over the pool with sizes s and budget
+    sqrt(limit_sq) − Σ_S s.  The walk in projected-efficiency order (rate u/s
+    descending, s = 0 first, ties by id) solves it: whole customers while the
+    budget lasts, then the fitting fraction of the next one.  A customer
+    whose rate is infinite (s is 0, or u/s overflows) takes no budget, which
+    can only loosen the bound.  The bound is u(S) plus that value.  φ sets
+    only the tightness, never the validity: at the mid-phase,
+    s_k >= |d_k| cos(θ/2) for phase spread θ.
 
     Rounding.  The fit test, the rounding of w, of the sizes and of the rates,
     Σ_S s, the budget, the prefix sums, the break fraction and the float sum
@@ -464,27 +487,52 @@ def _projected_bounds(instance: Instance, seeds: np.ndarray, limit_sq: float) ->
     times over; it widens the capacity and then the bound.  A bound past
     the float range is inf.
     """
-    cols = instance.columns
-    n = len(instance)
-    u = cols.valuation
-    s, rate, order = _projection(cols.p, cols.q, u, cols.id)
-    walk_rate, walk_u = rate[order], u[order]
+    b, n = p.shape
+    s, rate, order = _projection(p, q, u, ids)
+    # each instance's walk down its rows: rates (0 past the last customer),
+    # sizes and valuations
+    walk_rate = np.take_along_axis(rate, order, axis=1)
     # customers of infinite rate ride free, in any order: that only loosens the bound
-    walk_s = np.where(walk_rate == np.inf, 0.0, s[order])
-    position = np.empty(n, dtype=np.int64)
-    position[order] = np.arange(n)
+    walk_s = np.where(walk_rate == np.inf, 0.0, np.take_along_axis(s, order, axis=1)).T
+    walk_rate = np.concatenate((walk_rate, np.zeros((b, 1))), axis=1).T
+    walk_u = np.take_along_axis(u, order, axis=1).T
+    position = np.empty_like(order)
+    np.put_along_axis(position, order, np.arange(n), axis=1)
     rows = np.arange(len(seeds))
     margin = _rounding_margin(n)  # see Rounding above
     with np.errstate(over="ignore"):  # a sum past the float range is inf
-        seed_u = u[seeds]
-        pool = walk_u <= seed_u.min(axis=1, initial=np.inf)[:, None]
-        pool[rows[:, None], position[seeds]] = False
-        budget = np.maximum(math.sqrt(limit_sq) * (1.0 + margin) - s[seeds].sum(axis=1), 0.0)
+        # S's smallest valuation, sizes and valuations, column by column: along
+        # a short row numpy pays per row
+        floor = np.full(len(seeds), np.inf)
+        seed_s, bound = np.zeros(len(seeds)), np.zeros(len(seeds))
+        for col in seeds.T:
+            np.minimum(floor, u[trial, col], out=floor)
+            seed_s += s[trial, col]
+            bound += u[trial, col]
+        budget = np.maximum(np.sqrt(limit_sq[trial]) * (1.0 + margin) - seed_s, 0.0)
+        # one buffer, a row per walk position and a column per seed, holds the
+        # seeds' walks in turn: their valuations, then the prefixes of their
+        # pool's sizes (after a leading row of 0), then their pool's valuations
+        taken = np.zeros((n + 1, len(seeds)))
+        # ``trial`` is in range; the default mode would buffer ``out``
+        walk = np.take(walk_u, trial, axis=1, out=taken[1:], mode="clip")
+        pool = walk <= floor
+        for col in seeds.T:
+            pool[position[trial, col], rows] = False
+        # sizes and valuations are finite, so a product with the mask keeps or
+        # zeroes each exactly, and costs less than ``np.where``
+        np.take(walk_s, trial, axis=1, out=walk, mode="clip")
+        walk *= pool
+        for i in range(n):  # left to right; numpy's accumulate down the rows is slower
+            taken[i + 1] += taken[i]
         # a prefix of sizes never shrinks, so the whole customers are those before
         # the first prefix past the budget, which ends at the break customer
-        taken = _running_sums(np.where(pool, walk_s, 0.0))
-        k = np.count_nonzero(taken[:, 1:] <= budget[:, None], axis=1)
-        pool &= np.arange(n) < k[:, None]
+        k = np.count_nonzero(walk <= budget, axis=0)
         # past the last customer the rate is 0: a walk that takes everyone adds nothing
-        part = (budget - taken[rows, k]) * np.append(walk_rate, 0.0)[k]
-        return (seed_u.sum(axis=1) + pool @ walk_u + part) * (1.0 + margin)
+        part = (budget - taken[k, rows]) * walk_rate[k, trial]
+        pool &= np.arange(n)[:, None] < k
+        np.take(walk_u, trial, axis=1, out=walk, mode="clip")
+        walk *= pool
+        bound += walk.sum(axis=0)
+        bound += part
+        return bound * (1.0 + margin)

@@ -292,7 +292,7 @@ def random_instance(
 
 
 def reference_gsa_search(instance: Instance, config: GsaConfig, rel_tol: float = 1e-9):
-    """Per-seed ``gda_forced`` enumeration; the reference for ``gsa._search``.
+    """Per-seed ``gda_forced`` enumeration; the reference for ``gsa._search_batch``.
 
     Every feasible size-m seed is passed to the public ``gda_forced`` as id
     sets, so each seed re-sorts its own pool.  Returns (retained ids,

@@ -1,6 +1,7 @@
 """Benchmark harness: determinism, ratio orientation, CSV, dynamic capacity."""
 
 import hashlib
+import importlib
 import math
 from dataclasses import replace
 
@@ -35,6 +36,10 @@ from curtail import (
     trial_seed,
     write_trace_csv,
 )
+
+# the package's ``gsa`` function shadows the module as an attribute of ``curtail``
+gsa_module = importlib.import_module("curtail.gsa")
+oracle_module = importlib.import_module("curtail.oracle")
 
 
 def small_plan(**overrides) -> TrialPlan:
@@ -199,13 +204,19 @@ class TestRunBenchmark:
         assert len(built) == len(solved) == 30
 
     def test_batched_yardsticks_equal_per_trial_oracles(self, monkeypatch):
-        # n = 16 batches 2^20 >> 16 = 16 trials and then the other 14; n = 21,
-        # above the default budget, goes one trial at a time
-        batched, sizes = bench._brute_force_batch, []
+        # each n's 30 trials are one chunk; the oracle searches n = 16 as
+        # 2^20 >> 16 = 16 trials and then the other 14, and n = 21, above the
+        # default budget, one trial at a time
+        chunked, searched = [], []
+        batched, masks = bench._brute_force_batch, oracle_module._best_feasible_masks
 
         def counted(instances, *args):
-            sizes.append(len(instances))
+            chunked.append(len(instances))
             return batched(instances, *args)
+
+        def counted_masks(instances, *args):
+            searched.append(len(instances))
+            return masks(instances, *args)
 
         def per_trial(instances, budget, rel_tol, objective):
             solver = brute_force_cmin if objective == "cmin" else brute_force_vmax
@@ -216,14 +227,53 @@ class TestRunBenchmark:
                 scenario=spec_from_acronym("FCR", 0, 25_000.0, seed=5), n_values=(16, 21),
                 algorithms=("gda",), objective=objective, budget=OracleBudget(max_n=21),
             )
-            monkeypatch.setattr(bench, "_brute_force_batch", counted)
-            rows = run_benchmark(plan)
+            with monkeypatch.context() as m:
+                m.setattr(bench, "_brute_force_batch", counted)
+                m.setattr(oracle_module, "_best_feasible_masks", counted_masks)
+                rows = run_benchmark(plan)
             # the reference sends one trial at a time to the one-instance solvers
             with monkeypatch.context() as m:
-                m.setattr(bench, "_BATCH_SELECTIONS", 0)
+                m.setattr(bench, "_BATCH_CUSTOMERS", 1)
                 m.setattr(bench, "_brute_force_batch", per_trial)
                 assert run_benchmark(plan) == rows
-        assert sizes == 2 * ([16, 14] + [1] * 30)
+        assert chunked == 2 * [30, 30]
+        assert searched == 2 * ([16, 14] + [1] * 30)
+
+    @pytest.mark.parametrize("oracle", ["brute_force", "none"])
+    def test_csv_bytes_do_not_depend_on_the_chunk_cap(self, tmp_path, monkeypatch, oracle):
+        # at a cap of 1 every trial is its own chunk, so gsa solves batches of one
+        plan = small_plan(
+            scenario=spec_from_acronym("FCR", 0, 25_000.0, seed=9), n_values=(0, 1, 9, 13),
+            algorithms=("gda", "gsa"), oracle=oracle,
+        )
+        paths = [tmp_path / "default.csv", tmp_path / "one.csv"]
+        emit_csv(run_benchmark(plan), str(paths[0]))
+        with monkeypatch.context() as m:
+            m.setattr(bench, "_BATCH_CUSTOMERS", 1)
+            emit_csv(run_benchmark(plan), str(paths[1]))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_gsa_batches_of_one_when_timed(self, monkeypatch):
+        # a timed trial's elapsed describes one solve, so gsa gets one instance a batch
+        search_batch, sizes = gsa_module._search_batch, []
+
+        def counted(instances, *args):
+            sizes.append(len(instances))
+            return search_batch(instances, *args)
+
+        monkeypatch.setattr(gsa_module, "_search_batch", counted)
+        monkeypatch.setattr(bench, "_search_batch", counted)
+        timed = run_benchmark(small_plan(algorithms=("gda", "gsa"), measure_time=True))
+        assert sizes == [1] * 60
+        for row in timed:
+            assert row.mean_elapsed > 0.0 and row.ci95_elapsed >= 0.0
+        sizes.clear()
+        untimed = run_benchmark(small_plan(algorithms=("gda", "gsa")))
+        assert sizes == [30, 30]
+        for a, b in zip(timed, untimed):
+            assert a.mean_objective == b.mean_objective
+            assert a.mean_ratio_vs_oracle == b.mean_ratio_vs_oracle
+            assert b.mean_elapsed is None and b.ci95_elapsed is None
 
     def test_gda_worst_case_floor_per_row(self):
         # worst case at 36 degrees spread is (1/2) cos 18deg, above 0.4755

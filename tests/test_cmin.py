@@ -9,6 +9,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from curtail import (
+    Instance,
     brute_force_cmin,
     cmin_gda,
     cmin_gma,
@@ -256,6 +257,27 @@ class TestShedEdges:
         sol = solver(build_instance(rows, 50.0))
         assert sol.retained_ids == frozenset(range(50))
         assert sol.objective == 0.0
+
+    @pytest.mark.parametrize("acronym, orders", [("FCM", 1), ("FUM", 2)])
+    def test_one_probe_per_order_when_everyone_fits(self, acronym, orders, monkeypatch):
+        # above the sum of the magnitudes the full set fits, so no bisection runs;
+        # a probe sums p and q once each
+        base = generate(spec_from_acronym(acronym, 2_000, 5e6, seed=3))
+        inst = Instance(base.columns, 1.01 * float(base.columns.mag.sum()))
+        probes, storage_sum = [], cmin.storage_sum
+
+        def counted(values, indices):
+            probes.append(values is inst.columns.p)
+            return storage_sum(values, indices)
+
+        monkeypatch.setattr(cmin, "storage_sum", counted)
+        sol = cmin_gda(inst)
+        assert sol.objective == 0.0 and len(sol.retained_ids) == 2_000
+        assert sum(probes) == orders
+        # shedding a real share costs that probe plus one bisection over k >= 1
+        probes.clear()
+        assert cmin_gda(Instance(base.columns, 5e6)).objective > 0.0
+        assert orders < sum(probes) <= orders * (1 + math.ceil(math.log2(2_000)))
 
     @pytest.mark.parametrize("solver", SOLVERS.values())
     def test_everyone_shed(self, solver):

@@ -27,7 +27,7 @@ from curtail import (
 )
 from curtail.bench import instance_for_trial, plan_from_dict
 from curtail.greedy import scan_order
-from curtail.gsa import _search
+from curtail.gsa import _search_batch
 
 # the package's ``gsa`` function shadows the module as an attribute of ``curtail``
 gsa_module = importlib.import_module("curtail.gsa")
@@ -35,8 +35,9 @@ from conftest import build_instance, random_instance, reference_gsa_search
 
 
 def search_ids(inst: Instance, config: GsaConfig, rel_tol: float = 1e-9):
-    """``_search`` with its storage indices mapped to ids, as the reference returns them."""
-    retained, objective = _search(inst, config, rel_tol)
+    """``_search_batch`` over ``inst`` alone, its storage indices mapped to ids as the
+    reference returns them."""
+    ((retained, objective),) = _search_batch([inst], config, rel_tol)
     return frozenset(inst.columns.id[retained].tolist()), objective
 
 
@@ -141,8 +142,8 @@ class TestGsa:
                 assert gsa(inst, GsaConfig(eps)).objective >= bound * opt - 1e-9
 
     def test_phase2_winner_contains_its_seed(self):
-        # _search returns no seed, so this checks the reference, whose ids
-        # TestAgainstPerSeedReference requires _search to match exactly
+        # _search_batch returns no seed, so this checks the reference, whose ids
+        # TestAgainstPerSeedReference requires _search_batch to match exactly
         rng = np.random.default_rng(103)
         seeded = 0
         for _ in range(60):
@@ -196,7 +197,7 @@ class TestGsa:
 
 
 class TestAgainstPerSeedReference:
-    """``_search`` sorts once per instance; the reference re-sorts every seed's
+    """``_search_batch`` sorts once per instance; the reference re-sorts every seed's
     pool through ``gda_forced``.  Both must agree exactly."""
 
     @pytest.mark.parametrize("epsilon", [1 / 3, 1 / 4, 1 / 5])
@@ -243,6 +244,40 @@ class TestSeedBlocks:
                         got = search_ids(inst, GsaConfig(epsilon))
                     assert got == expected[:2]
 
+    @pytest.mark.parametrize("cells, batch_cells", [
+        (1, 1 << 15), (100, 1 << 15), (1 << 19, 100), (1 << 19, 1 << 15),
+    ])
+    def test_blocks_stay_within_their_cells(self, cells, batch_cells, monkeypatch):
+        # a block holds at least one seed; several instances only while all
+        # their seeds of the size fit in the batch cells
+        rng = np.random.default_rng(239)
+        instances = [batch_member(rng, 8, k % 5) for k in range(6)]
+        shapes, sorted_columns = [], gsa_module._sorted_columns
+
+        def recorded(seeds):
+            shapes.append(seeds.shape)
+            return sorted_columns(seeds)
+
+        monkeypatch.setattr(gsa_module, "_sorted_columns", recorded)
+        monkeypatch.setattr(gsa_module, "_SEED_BLOCK_CELLS", cells)
+        monkeypatch.setattr(gsa_module, "_BATCH_CELLS", batch_cells)
+        _search_batch(instances, GsaConfig(1 / 5), 1e-9)
+        for parts, combos, size in shapes:
+            assert parts * combos * 8 <= max(cells, 8)
+            assert parts == 1 or parts * math.comb(8, size) * 8 <= batch_cells
+        seeds = sum(parts * combos for parts, combos, _ in shapes)
+        assert seeds == 6 * sum(math.comb(8, size) for size in (1, 2, 3))
+
+    def test_a_tie_across_blocks_goes_to_the_smaller_rank(self, monkeypatch):
+        # m = 1 and two seeds a block: seeds {1} and {2} complete to {1, 3} and
+        # {2, 3}, both worth 2, in different blocks; the seed of rank 1 wins
+        rows = [(0, 1.0, 0.0, 0.5), (1, 2.0, 0.0, 1.0), (2, 2.0, 0.0, 1.0), (3, 1.0, 0.0, 1.0)]
+        inst = build_instance(rows, 3.0)
+        expected = reference_gsa_search(inst, GsaConfig(1 / 3))
+        assert expected == (frozenset({1, 3}), 2.0, (1,))
+        monkeypatch.setattr(gsa_module, "_SEED_BLOCK_CELLS", 2 * len(inst))
+        assert search_ids(inst, GsaConfig(1 / 3)) == expected[:2]
+
     def test_memory_stays_bounded_at_large_n(self):
         # 2 000 singleton seeds over 2 000 customers: scanned as one block, the
         # seed masks and sums would take over 100 MiB
@@ -256,6 +291,81 @@ class TestSeedBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2**20
+
+
+def sparse_ids(rng: np.random.Generator, n: int) -> list[int]:
+    """n distinct ids in no order, with gaps."""
+    return rng.permutation(3 * n + 2)[:n].tolist()
+
+
+def batch_member(rng: np.random.Generator, n: int, kind: int) -> Instance:
+    """One instance of size n for a mixed batch; each kind draws its own capacity."""
+    ids = sparse_ids(rng, n)
+    if kind == 0:
+        return tied_instance(rng, n)
+    if kind == 1:  # random demands, reordered ids
+        rows = [(ids[k], float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.0, 2.0)),
+                 float(rng.uniform(0.1, 9.0))) for k in range(n)]
+        return build_instance(rows, float(rng.uniform(4.5, 12.0)))
+    if kind == 2:  # all tied: every seed of a size completes to the same objective
+        return build_instance([(i, 1.0, 0.0, 1.0) for i in ids], float(rng.integers(1, n + 2)))
+    if kind == 3:  # zero demands: everyone fits, whatever the capacity
+        rows = [(i, 0.0, 0.0, float(rng.integers(0, 4))) for i in ids]
+        return build_instance(rows, float(rng.uniform(0.5, 2.0)))
+    # demands and valuations whose sums and squares pass the float range
+    rows = [(i, float(rng.choice([0.0, 1e153, 3e153])), float(rng.choice([0.0, 2e153])),
+             float(rng.choice([0.0, 1e307, 8e307, 1.7976931348623157e308]))) for i in ids]
+    return build_instance(rows, float(rng.uniform(1.0e154, 1.3e154)))
+
+
+def mixed_batches():
+    """(label, instances, rel_tol): batches of 1 to 6 instances of one size,
+    each mixing the ``batch_member`` kinds."""
+    rng = np.random.default_rng(233)
+    for n in (0, 1, 2, 5, 8):
+        for size in range(1, 7):
+            rel_tol = 0.0 if size % 3 == 0 else 1e-9
+            instances = [batch_member(rng, n, (size + k) % 5) for k in range(size)]
+            yield f"n={n} batch={size}", instances, rel_tol
+
+
+class TestSearchBatch:
+    """Each instance of a batch gets the answer it gets alone, and the reference's."""
+
+    @pytest.mark.parametrize("cells, batch_cells", [
+        (1, gsa_module._BATCH_CELLS),
+        (2, gsa_module._BATCH_CELLS),
+        (gsa_module._SEED_BLOCK_CELLS, 1),
+        (gsa_module._SEED_BLOCK_CELLS, gsa_module._BATCH_CELLS),
+    ])
+    @pytest.mark.parametrize("epsilon", [0.6, 1 / 4, 1 / 5, 1e-310])
+    def test_each_instance_matches_gsa_and_the_reference(
+        self, epsilon, cells, batch_cells, monkeypatch
+    ):
+        # epsilon 0.6 gives m = 0 and 1e-310 gives m = n; at 1 and 2 cells a
+        # block holds one seed of one instance, so block edges fall inside an
+        # instance's seeds and between instances; at 1 batch cell a block
+        # holds one instance's seeds of a size
+        config = GsaConfig(epsilon)
+        monkeypatch.setattr(gsa_module, "_SEED_BLOCK_CELLS", cells)
+        monkeypatch.setattr(gsa_module, "_BATCH_CELLS", batch_cells)
+        for label, instances, rel_tol in mixed_batches():
+            results = _search_batch(instances, config, rel_tol)
+            assert len(results) == len(instances), label
+            for inst, (retained, objective) in zip(instances, results):
+                assert np.all(np.diff(retained) > 0), label
+                ids = frozenset(inst.columns.id[retained].tolist())
+                alone = gsa(inst, config, rel_tol)
+                assert (ids, objective) == (alone.retained_ids, alone.objective), label
+                if config.max_subset_size(len(inst)) == 0:
+                    plain = gda(inst, rel_tol)
+                    assert (ids, objective) == (plain.retained_ids, plain.objective), label
+                else:
+                    expected = reference_gsa_search(inst, config, rel_tol)
+                    assert (ids, objective) == expected[:2], label
+
+    def test_empty_batch(self):
+        assert _search_batch([], GsaConfig(0.25), 1e-9) == []
 
 
 def all_tied_instance(n: int) -> Instance:
@@ -328,7 +438,7 @@ class TestSeedBound:
 
 
 def count_completions(monkeypatch) -> dict:
-    """Count the seeds that ``_search`` completes, each by one ``_best_of_scans`` call."""
+    """Count the seeds that ``_search_batch`` completes, each by one ``_best_of_scans`` call."""
     counts = {"seeds": 0}
     best_of_scans = gsa_module._best_of_scans
 
@@ -371,6 +481,23 @@ class TestSeedWork:
             gsa(inst, GsaConfig(0.25))
         assert feasible > 3_000
         assert counts["seeds"] < 0.1 * feasible
+
+    def test_a_batch_completes_no_more_seeds_than_its_instances_alone(self, monkeypatch):
+        # the perfbench sweep plan's n = 18 trials as one batch, as ``bench`` runs them
+        plan = plan_from_dict({
+            "scenario": {"acronym": "FCR", "capacity": 25_000.0, "seed": 123},
+            "n_values": [18], "trials_per_n": 30, "algorithms": ["gsa"],
+            "oracle": "none", "gsa_epsilon": 0.25,
+        })
+        instances = [instance_for_trial(plan, 18, trial) for trial in range(30)]
+        counts = count_completions(monkeypatch)
+        batched = _search_batch(instances, GsaConfig(0.25), CAPACITY_REL_TOL)
+        completed = counts["seeds"]
+        alone = [gsa(inst, GsaConfig(0.25)) for inst in instances]
+        assert 0 < completed <= counts["seeds"] - completed
+        for inst, (retained, objective), solution in zip(instances, batched, alone):
+            assert frozenset(inst.columns.id[retained].tolist()) == solution.retained_ids
+            assert objective == solution.objective
 
     def test_all_tied_seeds_are_all_completed(self, monkeypatch):
         # every seed ties the best objective, and a tied seed is never pruned

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curtail import (
+    Instance,
     OracleBudget,
     OracleBudgetError,
     alignment_factor,
@@ -337,33 +338,48 @@ class TestSuffixBounds:
         assert bound.tolist() == [8.5]
 
 
+def projected_bounds(
+    instances: list[Instance], seeds: np.ndarray, trial: np.ndarray, rel_tol: float
+) -> np.ndarray:
+    """``oracle._projected_bounds`` over instances of one size, stacked as it takes them."""
+    columns = (np.array([getattr(inst.columns, name) for inst in instances])
+               for name in ("p", "q", "valuation", "id"))
+    limit_sq = np.array([inst.capacity_limit_sq(rel_tol) for inst in instances])
+    return oracle_module._projected_bounds(*columns, limit_sq, seeds, trial)
+
+
 class TestProjectedBounds:
     """``_projected_bounds`` against every completion, by brute force."""
 
-    @given(case=_mask_search_cases(max_n=12), size=st.integers(0, 3))
+    @given(batch=_mask_search_batches(), size=st.integers(0, 3))
     @settings(max_examples=200, deadline=None)
-    def test_bound_covers_every_fitting_completion(self, case, size):
-        # the instance's valuations are the drawn weights; every size-``size``
-        # seed S is checked against every T in its pool whose S ∪ T fits
-        inst, _, rel_tol, _ = case
-        n = len(inst)
-        cols = inst.columns
-        limit_sq = inst.capacity_limit_sq(rel_tol)
-        seeds = np.array(list(combinations(range(n), min(size, n))), dtype=np.int64)
-        seeds = seeds.reshape(len(seeds), min(size, n))
-        bounds = oracle_module._projected_bounds(inst, seeds, limit_sq)
+    def test_bound_covers_every_fitting_completion(self, batch, size):
+        # the instances' valuations are the drawn weights; every size-``size``
+        # seed S of every instance is bounded in one call, and checked against
+        # every T in its pool whose S ∪ T fits
+        cases, rel_tol, _ = batch
+        instances = [inst for inst, *_ in cases]
+        n = len(instances[0])
+        combos = np.array(list(combinations(range(n), min(size, n))), dtype=np.int64)
+        combos = combos.reshape(len(combos), min(size, n))
+        seeds = np.concatenate([combos] * len(instances))
+        trial = np.repeat(np.arange(len(instances)), len(combos))
+        bounds = projected_bounds(instances, seeds, trial, rel_tol)
         assert bounds.shape == (len(seeds),)
-        with np.errstate(over="ignore"):
-            # storage-order sums of every selection, as the solvers add them
-            p, q, worth = subset_sums(np.stack((cols.p, cols.q, cols.valuation)))
-            fits = p * p + q * q <= limit_sq
         masks = np.arange(1 << n)
-        for seed, bound in zip(seeds.tolist(), bounds.tolist()):
-            seed_mask = sum(1 << k for k in seed)
-            floor = min((cols.valuation[k] for k in seed), default=math.inf)
-            pool_mask = sum(1 << k for k in range(n) if cols.valuation[k] <= floor) & ~seed_mask
-            valid = fits & (masks & seed_mask == seed_mask) & (masks & ~(seed_mask | pool_mask) == 0)
-            assert bound >= worth[valid].max(initial=-math.inf), (seed, bound)
+        for t, inst in enumerate(instances):
+            cols = inst.columns
+            with np.errstate(over="ignore"):
+                # storage-order sums of every selection, as the solvers add them
+                p, q, worth = subset_sums(np.stack((cols.p, cols.q, cols.valuation)))
+                fits = p * p + q * q <= inst.capacity_limit_sq(rel_tol)
+            for seed, bound in zip(combos.tolist(), bounds[trial == t].tolist()):
+                seed_mask = sum(1 << k for k in seed)
+                floor = min((cols.valuation[k] for k in seed), default=math.inf)
+                pool_mask = sum(1 << k for k in range(n) if cols.valuation[k] <= floor) & ~seed_mask
+                inside = masks & ~(seed_mask | pool_mask) == 0
+                valid = fits & (masks & seed_mask == seed_mask) & inside
+                assert bound >= worth[valid].max(initial=-math.inf), (t, seed, bound)
 
     def test_walk_takes_zero_sizes_then_the_best_rates(self):
         # the two zero-demand customers ride free; the walk then takes the
@@ -372,9 +388,8 @@ class TestProjectedBounds:
         # 2 VA leave 1 VA for the rate-2 one: 6 + (5 + 1) + 2.
         rows = [(0, 0.0, 0.0, 5.0), (1, 2.0, 0.0, 6.0), (2, 3.0, 0.0, 6.0), (3, 0.0, 0.0, 1.0)]
         inst = build_instance(rows, 3.0)
-        limit_sq = inst.capacity_limit_sq(0.0)
         for seeds in (np.zeros((1, 0), dtype=np.int64), np.array([[1]])):
-            bound = oracle_module._projected_bounds(inst, seeds, limit_sq)
+            bound = projected_bounds([inst], seeds, np.zeros(1, dtype=np.intp), 0.0)
             assert 14.0 <= bound[0] <= 14.0 * (1 + 1e-12)
 
 
