@@ -130,22 +130,24 @@ def instance_for_trial(plan: TrialPlan, n: int, trial: int) -> Instance:
     return generate(spec)
 
 
-def _gsa_outcomes(
-    plan: TrialPlan, instances: Sequence[Instance]
-) -> list[tuple[float, float | None] | None]:
-    """Per trial, ``gsa``'s (objective, elapsed), or None if the plan does not run it.
+def _outcomes(
+    plan: TrialPlan, tag: str, instances: Sequence[Instance]
+) -> list[tuple[float, float | None]]:
+    """Per trial of one chunk, algorithm ``tag``'s (objective, elapsed).
 
-    With ``measure_time`` each trial is its own solve, so that its elapsed
-    time describes one solve; otherwise the trials are one batch (elapsed None).
+    ``gsa`` solves the chunk in one ``_search_batch`` call (elapsed None), or,
+    with ``measure_time``, each trial on its own, so that its elapsed time
+    describes one solve.  Every other algorithm solves each trial on its own.
     """
-    if "gsa" not in plan.algorithms:
-        return [None] * len(instances)
-    config = GsaConfig(plan.gsa_epsilon)
-    if plan.measure_time:
-        solutions = [gsa(instance, config) for instance in instances]
-        return [(solution.objective, solution.elapsed) for solution in solutions]
-    results = _search_batch(instances, config, CAPACITY_REL_TOL)
-    return [(objective, None) for _, objective in results]
+    if tag == "gsa":
+        config = GsaConfig(plan.gsa_epsilon)
+        if not plan.measure_time:
+            results = _search_batch(instances, config, CAPACITY_REL_TOL)
+            return [(objective, None) for _, objective in results]
+        solve = functools.partial(gsa, config=config)
+    else:
+        solve = (CMIN_ALGORITHMS if plan.objective == "cmin" else VMAX_ALGORITHMS)[tag]
+    return [(solution.objective, solution.elapsed) for solution in map(solve, instances)]
 
 
 def _yardsticks(plan: TrialPlan, instances: Sequence[Instance]) -> list[float | None]:
@@ -158,37 +160,9 @@ def _yardsticks(plan: TrialPlan, instances: Sequence[Instance]) -> list[float | 
 
 
 def _ratio(plan: TrialPlan, achieved: float, optimal: float) -> float:
-    # Oriented so 1.0 is optimal for both objectives.
-    if plan.objective == "cmin":
-        if achieved == 0.0:
-            return 1.0
-        return optimal / achieved
-    if optimal == 0.0:
-        return 1.0
-    return achieved / optimal
-
-
-def _run_trial(
-    plan: TrialPlan,
-    instance: Instance,
-    optimal: float | None,
-    boosted: tuple[float, float | None] | None,
-) -> dict[str, tuple[float, float | None, float | None]]:
-    """One trial against its yardstick: {algorithm: (objective, ratio, elapsed)}.
-
-    ``boosted`` is the trial's ``gsa`` outcome (``_gsa_outcomes``).
-    """
-    out = {}
-    for tag in sorted(set(plan.algorithms)):
-        if tag == "gsa":
-            objective, elapsed = boosted
-        else:
-            table = CMIN_ALGORITHMS if plan.objective == "cmin" else VMAX_ALGORITHMS
-            solution = table[tag](instance)
-            objective, elapsed = solution.objective, solution.elapsed
-        ratio = None if optimal is None else _ratio(plan, objective, optimal)
-        out[tag] = (objective, ratio, elapsed)
-    return out
+    # Oriented so 1.0 is optimal for both objectives; over 0.0 it reads 1.0.
+    top, bottom = (optimal, achieved) if plan.objective == "cmin" else (achieved, optimal)
+    return 1.0 if bottom == 0.0 else top / bottom
 
 
 def _mean_ci(values: Sequence[float]) -> tuple[float, float]:
@@ -205,43 +179,35 @@ def run_benchmark(plan: TrialPlan) -> tuple[BenchRow, ...]:
     """Execute the plan's trials in order on the calling thread.
 
     Each n's trials are generated in chunks of ``_BATCH_CUSTOMERS // n``
-    trials (at least one).  The brute-force yardstick and ``gsa`` take a
-    chunk as one batch; the oracle slices it further by its own memory rule.
+    trials (at least one).  Each algorithm takes a chunk in one ``_outcomes``
+    call, and the brute-force yardstick takes it as one batch, which the
+    oracle slices further by its own memory rule.
     """
-    n_values = sorted(set(plan.n_values))  # a repeated n runs once, like a repeated algorithm
-    outcomes = {}
-    for n in n_values:
+    tags = sorted(set(plan.algorithms))  # a repeated algorithm runs once, like a repeated n
+    rows = []
+    for n in sorted(set(plan.n_values)):
         size = max(1, _BATCH_CUSTOMERS // max(n, 1))
+        yardsticks, outcomes = [], {tag: [] for tag in tags}
         for first in range(0, plan.trials_per_n, size):
             trials = range(first, min(first + size, plan.trials_per_n))
             instances = [instance_for_trial(plan, n, t) for t in trials]
-            yardsticks, boosted = _yardsticks(plan, instances), _gsa_outcomes(plan, instances)
-            for t, instance, optimal, outcome in zip(trials, instances, yardsticks, boosted):
-                outcomes[(n, t)] = _run_trial(plan, instance, optimal, outcome)
-
-    rows = []
-    for n in n_values:
-        for tag in sorted(set(plan.algorithms)):
-            trials = [outcomes[(n, t)][tag] for t in range(plan.trials_per_n)]
-            objectives = [t[0] for t in trials]
-            ratios = [t[1] for t in trials]
-            elapsed = [t[2] for t in trials]
-            mean_obj, _ = _mean_ci(objectives)
-            if ratios[0] is None:
-                mean_ratio = ci_ratio = worst = None
-            else:
-                mean_ratio, ci_ratio = _mean_ci(ratios)
-                worst = min(ratios)
+            yardsticks += _yardsticks(plan, instances)
+            for tag in tags:
+                outcomes[tag] += _outcomes(plan, tag, instances)
+        for tag in tags:
+            objectives, elapsed = zip(*outcomes[tag])
+            mean_ratio = ci_ratio = worst = mean_el = ci_el = None
+            if plan.oracle != "none":
+                ratios = [_ratio(plan, *pair) for pair in zip(objectives, yardsticks)]
+                (mean_ratio, ci_ratio), worst = _mean_ci(ratios), min(ratios)
             if plan.measure_time:
                 mean_el, ci_el = _mean_ci(elapsed)
-            else:
-                mean_el = ci_el = None
             rows.append(
                 BenchRow(
                     scenario=plan.scenario.acronym,
                     n=n,
                     algorithm=tag,
-                    mean_objective=mean_obj,
+                    mean_objective=_mean_ci(objectives)[0],
                     mean_ratio_vs_oracle=mean_ratio,
                     ci95_halfwidth=ci_ratio,
                     worst_ratio=worst,

@@ -253,6 +253,30 @@ def _best_of_scans(
     ties.  Returns the winning retained indices in ascending order and their
     total valuation, a ``storage_sum``.  Raises ValueError when the forced set
     does not fit on its own.
+
+    Storage order.  Every retained set fits with its demands added by
+    ``storage_sum``, as ``is_feasible``, ``solution_from_indices`` and the
+    oracle add them.  A scan adds the forced demands in storage order and
+    then its takes in scan order, and near the capacity the two sums can
+    fall on either side of it.  Both add the same k non-negative terms one
+    at a time from 0.0, k at most K, the forced set plus the kept order.
+    Each sum is within a relative γ = (k − 1)u / (1 − (k − 1)u) of the exact
+    one (u = 2^-53), so per component the storage sum is at most the scan's
+    over 1 − 2(k − 1)u.  The fit test's two squares and their sum each round
+    by a factor of at most 1 ± u, and so does the tightened limit limit_sq
+    (1 − δ), δ = (K + 4) 2^-50 (1 − δ itself is exact).  So if a scan's
+    aggregate passes that tightened limit, its storage sums pass limit_sq
+    whenever (1 − δ)(1 + u)^3 <= (1 − u)^2 (1 − 2(k − 1)u)^2, which holds
+    for δ >= (4k + 2)u; δ is 8 (K + 4) u.
+
+    Only a scan whose aggregate misses the tightened limit has its set's
+    storage sums taken, so away from the capacity no sum is added.  If they
+    miss limit_sq, the order is scanned again against the tightened limit,
+    and that set fits: it is the forced set, which fits, or its aggregate
+    passed that limit.  A square that rounds to a subnormal errs by at most
+    2^-1075, which the slack δ − (4k + 2)u >= 30u covers for limit_sq >=
+    2^-960.  Below that every set's sums are taken, and a set that misses
+    is cut back to the forced customers.
     """
     cols = instance.columns
     forced = np.sort(np.asarray(forced, dtype=np.int64))
@@ -267,8 +291,18 @@ def _best_of_scans(
         if pool is not None:
             order = order[pool[order]]
         stream = (order, cols.p[order], cols.q[order])
-        taken = np.array(_greedy_scan(stream, base_p, base_q, limit_sq)[0], dtype=np.int64)
-        retained = np.sort(np.concatenate((forced, taken)))
+        # tightened by the reordering error (see above); tiny limits have no margin
+        safe_sq = -1.0
+        if limit_sq >= 2.0**-960:
+            safe_sq = limit_sq * (1.0 - (forced.size + len(order) + 4) * 2.0**-50)
+        for limit in (limit_sq, safe_sq):  # the second scan always fits
+            taken, acc_p, acc_q = _greedy_scan(stream, base_p, base_q, limit)
+            retained = np.sort(np.concatenate((forced, np.array(taken, dtype=np.int64))))
+            if acc_p * acc_p + acc_q * acc_q <= safe_sq:
+                break
+            p, q = storage_sum(cols.p, retained), storage_sum(cols.q, retained)
+            if p * p + q * q <= limit_sq:
+                break
         objective = storage_sum(cols.valuation, retained)
         if objective > best_objective:
             best, best_objective = retained, objective

@@ -17,10 +17,11 @@ The search runs over a batch of instances of one size n (``_search_batch``);
 ``gsa`` is its batch of one, and ``bench.run_benchmark`` hands it an n's
 trials at once.  One loop walks the sizes 1 ... m, a block of id-rank
 combinations at a time, mapped through each instance's id order to storage
-indices (see ``_SEED_BLOCK_CELLS`` and ``_BATCH_CELLS`` for a block's
-shape).  Every subset of every instance in the block is tested for fit at
-once, its demands added column by column in storage order from 0.0.  Below
-m each instance keeps its best valuation.  At m every feasible seed is
+indices.  A block holds at most ``_SEED_BLOCK_CELLS`` cells, and several
+instances only while all their seeds of the size fit in it.  Every subset
+of every instance in the block is tested for fit at once, its demands
+added column by column in storage order from 0.0.  Below m each instance
+keeps its best valuation.  At m every feasible seed is
 bounded at once by ``oracle._projected_bounds``: u(S) plus the fractional
 knapsack over S's pool, with each demand projected on the unit vector at
 its instance's mid-phase and the budget the capacity left after S's
@@ -115,15 +116,9 @@ def gsa_subset_count(n: int, epsilon: float) -> int:
 
 # Most (instance, seed) pairs x customers cells in one block of seeds, tested
 # and bounded together; a block's masks and sums take about 11 bytes a cell.
-_SEED_BLOCK_CELLS = 1 << 19
-
 # A block holds several instances only while all their seeds of one size fit
-# in this many cells, and else part of one instance's.  Wider blocks save few
-# numpy calls and hold more memory at once: on the perfbench sweep's trials
-# (n = 14 to 18, 30 instances each, 2-vCPU Xeon VM) the search took 12.0-12.6
-# ms at 2^14, 11.3-11.6 at 2^15 and 10.0-10.6 at 2^17, and at n = 18 it
-# peaked at 460, 750 and 1 540 KiB.
-_BATCH_CELLS = 1 << 14
+# in it, and else part of one instance's.
+_SEED_BLOCK_CELLS = 1 << 19
 
 
 def _rank_blocks(n: int, size: int, rows: int) -> Iterator[np.ndarray]:
@@ -188,9 +183,9 @@ def _search_batch(
     # a block is some rank combinations for a slice of the instances
     pairs = max(1, _SEED_BLOCK_CELLS // n)
     for size in range(1, m + 1):
-        step = min(b, pairs, max(1, _BATCH_CELLS // (math.comb(n, size) * n)))
+        step = min(b, max(1, _SEED_BLOCK_CELLS // (math.comb(n, size) * n)))
         first = 0  # rank of the block's first seed
-        for combos in _rank_blocks(n, size, max(1, pairs // step)):
+        for combos in _rank_blocks(n, size, pairs // step):
             for lo in range(0, b, step):
                 part = slice(lo, lo + step)
                 # per instance of the part, a row of ascending storage indices per

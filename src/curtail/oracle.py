@@ -5,7 +5,7 @@ positions, run over a batch of instances of one size at once: subset-sum
 tables over the first few customers (``_TABLE_BITS``), then each later
 customer extends only the selections that fit and whose bound still reaches
 the best weight known for their instance.  That weight starts at the greedy pair's
-set, when it passes the enumeration's own fit test.  The bound is the
+set, which passes the enumeration's own fit test.  The bound is the
 selection's weight plus a fractional knapsack over the later positions,
 with demands projected on the unit vector at their mid-phase.  Work and
 memory follow the surviving selections, not 2^n: FCR at n = 26 and 40% of
@@ -100,11 +100,6 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _best_feasible_mask(instance: Instance, weights: np.ndarray, rel_tol: float) -> np.ndarray:
-    """``_best_feasible_masks`` over a batch of one."""
-    return _best_feasible_masks([instance], weights[None, :], rel_tol)[0]
-
-
 def _best_feasible_masks(
     instances: Sequence[Instance], weights: np.ndarray, rel_tol: float
 ) -> np.ndarray:
@@ -137,10 +132,11 @@ def _best_feasible_masks(
        squared magnitude.  Every extension of a set that does not fit fails
        to fit as well.
     2. The incumbent never exceeds the maximum.  A seed is the weight of the
-       greedy pair's set added in storage order from 0.0, and it counts only
-       if that set's demand, added the same way, passes this fit test.  So
-       it is the very float that the enumeration holds for a feasible entry.
-       Every later raise is the weight of a fitting entry.
+       greedy pair's set added in storage order from 0.0, and that set's
+       demand, added the same way, passes this fit test (``_best_of_scans``
+       returns no other).  So it is the very float that the enumeration
+       holds for a feasible entry.  Every later raise is the weight of a
+       fitting entry.
     3. The bound never drops a possible winner.  An entry S whose positions
        end before k is bounded by its weight plus the fractional knapsack
        over positions >= k (``_suffix_tables``).  Each size is the demand
@@ -222,21 +218,18 @@ def _best_feasible_masks(
 def _greedy_seeds(
     instances: Sequence[Instance], weights: np.ndarray, limit_sq: np.ndarray
 ) -> np.ndarray:
-    """Per instance, a weight that one of its feasible selections has, or -inf.
+    """Per instance, the weight of one of its feasible selections.
 
-    The selection is the greedy pair's (``SCAN_ORDERS["gda"]``).  Its weight
-    and demand are added in storage order from 0.0, as the enumeration adds
-    them, and the weight counts only if that demand passes the enumeration's
-    fit test.  The scans add in their own orders, so near the capacity the
-    set they keep can fail it.
+    The selection is the greedy pair's (``SCAN_ORDERS["gda"]``), and its
+    weight is added in storage order from 0.0, as the enumeration adds it.
+    ``_best_of_scans`` returns only sets whose demand, added the same way,
+    passes the enumeration's fit test.
     """
-    seeds = np.full(len(instances), -np.inf)
+    seeds = np.empty(len(instances))
     for t, (instance, limit) in enumerate(zip(instances, limit_sq.tolist())):
-        cols = instance.columns
         orders = _sorted_orders(instance, SCAN_ORDERS["gda"])
         retained, _ = _best_of_scans(instance, (), orders, limit)
-        if _fits(storage_sum(cols.p, retained), storage_sum(cols.q, retained), limit):
-            seeds[t] = storage_sum(weights[t], retained)
+        seeds[t] = storage_sum(weights[t], retained)
     return seeds
 
 

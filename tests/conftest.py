@@ -166,7 +166,7 @@ def reference_best_vmax(instance: Instance, rel_tol: float = 1e-9):
 
 
 def reference_best_feasible_mask(instance: Instance, weights: np.ndarray, rel_tol: float):
-    """Full-table search; the reference for ``oracle._best_feasible_mask``.
+    """Full-table search; the reference for each row of ``oracle._best_feasible_masks``.
 
     Tabulates p, q and weight sums over all 2^n storage masks with
     ``subset_sums``, so every entry is the float the search builds for that
@@ -373,7 +373,10 @@ def reference_greedy(instance: Instance, algorithm: str, forced=(), pool=None, r
 
     ``forced`` and ``pool`` are storage indices; the pool defaults to every
     customer.  Each order is sorted over the whole instance and filtered to
-    the pool, then scanned from the forced aggregate; the first order wins
+    the pool, then scanned from the forced aggregate.  A scan whose set does
+    not fit when its demands are added left to right in storage order is
+    redone against the squared limit tightened by (K + 4) 2^-50, K the forced
+    set plus the order (no limit at all below 2^-960).  The first order wins
     ties.  Returns (ascending retained storage indices, objective summed left
     to right in storage order).
     """
@@ -386,10 +389,23 @@ def reference_greedy(instance: Instance, algorithm: str, forced=(), pool=None, r
         base_p += p[i]
         base_q += q[i]
     limit_sq = instance.capacity_limit_sq(rel_tol)
+
+    def fits(retained):
+        sum_p = sum_q = 0.0
+        for i in retained:
+            sum_p += p[i]
+            sum_q += q[i]
+        return sum_p * sum_p + sum_q * sum_q <= limit_sq
+
     best, best_objective = None, -math.inf
     for key in REFERENCE_SCAN_KEYS[algorithm]:
         items = [(i, p[i], q[i]) for i in scan_order(instance, key) if i in pool]
         retained = sorted(forced + reference_greedy_scan(items, base_p, base_q, limit_sq))
+        if not fits(retained):
+            tight = -1.0
+            if limit_sq >= 2.0**-960:
+                tight = limit_sq * (1.0 - (len(forced) + len(items) + 4) * 2.0**-50)
+            retained = sorted(forced + reference_greedy_scan(items, base_p, base_q, tight))
         objective = 0.0
         for i in retained:
             objective += u[i]

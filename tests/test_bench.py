@@ -275,6 +275,38 @@ class TestRunBenchmark:
             assert a.mean_ratio_vs_oracle == b.mean_ratio_vs_oracle
             assert b.mean_elapsed is None and b.ci95_elapsed is None
 
+    @pytest.mark.parametrize("chunk", [1, bench._BATCH_CUSTOMERS])
+    @pytest.mark.parametrize("objective, measure_time", [
+        ("vmax", False), ("vmax", True), ("cmin", False),
+    ])
+    def test_each_solver_is_called_once_per_trial(
+        self, monkeypatch, objective, measure_time, chunk
+    ):
+        # every algorithm but an untimed gsa, which solves each chunk as one
+        # batch, solves each trial once, whatever the chunks
+        table = bench.CMIN_ALGORITHMS if objective == "cmin" else VMAX_ALGORITHMS
+        calls = dict.fromkeys(table, 0)
+
+        def counted(tag, solve):
+            def wrapper(*args, **kwargs):
+                calls[tag] += 1
+                return solve(*args, **kwargs)
+            return wrapper
+
+        for tag, solve in list(table.items()):
+            monkeypatch.setitem(table, tag, counted(tag, solve))
+        algorithms = tuple(table)
+        if objective == "vmax":
+            calls["gsa"], algorithms = 0, algorithms + ("gsa",)
+            monkeypatch.setattr(bench, "gsa", counted("gsa", bench.gsa))
+        monkeypatch.setattr(bench, "_BATCH_CUSTOMERS", chunk)
+        plan = small_plan(algorithms=algorithms, objective=objective, measure_time=measure_time)
+        assert len(run_benchmark(plan)) == 2 * len(algorithms)
+        expected = dict.fromkeys(table, 2 * 30)
+        if objective == "vmax":
+            expected["gsa"] = 2 * 30 if measure_time else 0
+        assert calls == expected
+
     def test_gda_worst_case_floor_per_row(self):
         # worst case at 36 degrees spread is (1/2) cos 18deg, above 0.4755
         plan = small_plan(
@@ -309,7 +341,9 @@ class TestRunBenchmark:
             assert row.ci95_elapsed >= 0.0
 
     def test_lp_bound_yardstick(self):
-        # the relaxation dominates the optimum, so ratios still top out at 1
+        # ACR has theta = 0, where the magnitude-relaxed LP bounds the optimum
+        # from above, so ratios still top out at 1; under complex power
+        # (theta > 0) it need not, and lp_bound ratios can exceed 1
         rows = run_benchmark(small_plan(oracle="lp_bound", n_values=(10,)))
         for row in rows:
             assert 0.0 <= row.worst_ratio <= row.mean_ratio_vs_oracle <= 1.0 + 1e-12

@@ -10,6 +10,7 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from curtail import (
+    CAPACITY_REL_TOL,
     GsaConfig,
     Instance,
     UnknownCustomerError,
@@ -32,9 +33,11 @@ from curtail import (
     max_phase_spread,
     restrict_to_capacity,
     retained_valuation,
+    run_dynamic_capacity,
     spec_from_acronym,
 )
-from curtail import greedy
+from curtail import bench, greedy
+from curtail.model import capacity_limit_sq
 from conftest import (
     build_instance,
     random_instance,
@@ -655,3 +658,110 @@ class TestDistinctOrders:
             ids, objective, _ = reference_gsa_search(inst, GsaConfig(0.25))
             sol = gsa(inst, GsaConfig(0.25))
             assert sol.retained_ids == ids and sol.objective == objective
+
+
+@st.composite
+def boundary_cases(draw):
+    """(rows, capacity, rel_tol): a capacity whose squared limit lies a few ulps
+    from the aggregate of some set added in storage order or in another order,
+    where the two sums can fall on either side of it.  Demands are tenths,
+    whose sums round in the last bit.  Often the set's valuations lead in that
+    other order, so the valuation scan takes the set first, in that order."""
+    n = draw(st.integers(1, 9))
+    p = draw(st.lists(st.integers(1, 40).map(lambda k: k / 10), min_size=n, max_size=n))
+    q = draw(st.lists(st.integers(0, 20).map(lambda k: k / 10), min_size=n, max_size=n))
+    u = draw(st.lists(st.integers(0, 9).map(float), min_size=n, max_size=n))
+    members = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    order = draw(st.permutations(members))
+    if draw(st.booleans()):  # ranked
+        for rank, i in enumerate(order):
+            u[i] = 100.0 - rank
+    rel_tol = draw(st.sampled_from([0.0, 1e-9]))
+    squares = []
+    for added in (order, sorted(members)):
+        sum_p = sum_q = 0.0
+        for i in added:
+            sum_p += p[i]
+            sum_q += q[i]
+        squares.append(sum_p * sum_p + sum_q * sum_q)
+    # step up from just below to the least capacity whose limit reaches the
+    # smaller sum, then maybe past it, so the limit falls between the two sums
+    # when it can
+    low = min(squares)
+    capacity = math.sqrt(low) / (1.0 + rel_tol) * (1.0 - 2.0**-48)
+    while capacity_limit_sq(capacity, rel_tol) < low:
+        capacity = math.nextafter(capacity, math.inf)
+    for _ in range(draw(st.integers(0, 2))):
+        capacity = math.nextafter(capacity, math.inf)
+    rows = [(k, p[k], q[k], u[k], float(k + 1)) for k in range(n)
+            if math.hypot(p[k], q[k]) <= capacity]
+    return rows, capacity, rel_tol
+
+
+class TestEverySelectionFits:
+    """Every selection a solver returns passes ``is_feasible`` at its ``rel_tol``,
+    also where adding its demands in another order than storage order crosses
+    the capacity."""
+
+    def test_crafted_case_misfits_in_scan_order(self):
+        # the valuation scan takes 0.3, 0.2 and 0.1 and reaches C = 0.6 exactly;
+        # in storage order the three make 0.6000000000000001
+        inst = build_instance([(0, 0.1, 0.0, 1.0), (1, 0.2, 0.0, 2.5), (2, 0.3, 0.0, 4.0)], 0.6)
+        assert not is_feasible(inst, {0, 1, 2}, 0.0)
+        for solve in (gva, gda):
+            sol = solve(inst, 0.0)
+            assert sol.retained_ids == {1, 2} and sol.objective == 6.5
+        # at the default rel_tol the limit (C (1 + 1e-9))^2 lies between the sums
+        inst = build_instance([(0, 0.1, 0.0, 1.0), (1, 0.2, 0.0, 2.5), (2, 0.3, 0.0, 4.0)],
+                              0.5999999993999999)
+        assert not is_feasible(inst, {0, 1, 2})
+        assert gda(inst).retained_ids == {1, 2}
+
+    @given(case=boundary_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_every_solver(self, case):
+        rows, capacity, rel_tol = case
+        inst = build_instance(rows, capacity)
+        ids = inst.columns.id.tolist()
+        solutions = [solve(inst, rel_tol) for solve in (
+            gva, gma, gra, gda, cmin_gva, cmin_gma, cmin_gra, cmin_gda,
+        )]
+        solutions += [brute_force_vmax(inst, rel_tol=rel_tol), brute_force_cmin(inst, rel_tol=rel_tol)]
+        solutions += [gsa(inst, GsaConfig(eps), rel_tol) for eps in (1 / 3, 1 / 4)]
+        for k in range(len(ids)):
+            if is_feasible(inst, ids[k:k + 1], rel_tol):
+                solutions.append(gda_forced(inst, ids[k:k + 1], ids[:k] + ids[k + 1:], rel_tol))
+        for sol in solutions:
+            assert is_feasible(inst, sol.retained_ids, rel_tol), sol
+        for algorithm in ("gva", "gma", "gra", "gda"):
+            expected, objective = reference_greedy(inst, algorithm, rel_tol=rel_tol)
+            sol = {"gva": gva, "gma": gma, "gra": gra, "gda": gda}[algorithm](inst, rel_tol)
+            assert sol.retained_ids == {ids[i] for i in expected}
+            assert sol.objective == objective
+
+    @given(case=boundary_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_simulation_points(self, case):
+        # capacity drops from 4 C to the floor C at the first event and stays
+        rows, capacity, _ = case
+        base = build_instance(rows, 4.0 * capacity)
+        seen = []
+
+        def recorded(instance, forced, orders, limit_sq, pool):
+            retained, objective = scans(instance, forced, orders, limit_sq, pool)
+            seen.append((retained, limit_sq))
+            return retained, objective
+
+        scans = bench._best_of_scans
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bench, "generate", lambda spec: base)
+            mp.setattr(bench, "_best_of_scans", recorded)
+            trace = run_dynamic_capacity(
+                spec_from_acronym("FCR", len(rows), 4.0 * capacity, seed=0), horizon=10.0,
+                event_rate=1.0, fail_prob=1.0, drop_range=(0.8, 0.9), floor_capacity=capacity,
+            )
+        capacities = {capacity_limit_sq(point.capacity): point.capacity for point in trace}
+        assert seen and {limit for _, limit in seen} <= set(capacities)
+        for retained, limit_sq in seen:
+            reduced = restrict_to_capacity(base, capacities[limit_sq])
+            assert is_feasible(reduced, base.columns.id[retained].tolist(), CAPACITY_REL_TOL)

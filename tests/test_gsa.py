@@ -244,12 +244,11 @@ class TestSeedBlocks:
                         got = search_ids(inst, GsaConfig(epsilon))
                     assert got == expected[:2]
 
-    @pytest.mark.parametrize("cells, batch_cells", [
-        (1, 1 << 15), (100, 1 << 15), (1 << 19, 100), (1 << 19, 1 << 15),
-    ])
-    def test_blocks_stay_within_their_cells(self, cells, batch_cells, monkeypatch):
+    @pytest.mark.parametrize("cells", [1, 100, 1 << 10, 1 << 19])
+    def test_blocks_stay_within_their_cells(self, cells, monkeypatch):
         # a block holds at least one seed; several instances only while all
-        # their seeds of the size fit in the batch cells
+        # their seeds of the size fit in the cells, so an instance that shares
+        # a block has every seed of the size in it
         rng = np.random.default_rng(239)
         instances = [batch_member(rng, 8, k % 5) for k in range(6)]
         shapes, sorted_columns = [], gsa_module._sorted_columns
@@ -260,13 +259,13 @@ class TestSeedBlocks:
 
         monkeypatch.setattr(gsa_module, "_sorted_columns", recorded)
         monkeypatch.setattr(gsa_module, "_SEED_BLOCK_CELLS", cells)
-        monkeypatch.setattr(gsa_module, "_BATCH_CELLS", batch_cells)
         _search_batch(instances, GsaConfig(1 / 5), 1e-9)
         for parts, combos, size in shapes:
             assert parts * combos * 8 <= max(cells, 8)
-            assert parts == 1 or parts * math.comb(8, size) * 8 <= batch_cells
+            assert parts == 1 or combos == math.comb(8, size)
         seeds = sum(parts * combos for parts, combos, _ in shapes)
         assert seeds == 6 * sum(math.comb(8, size) for size in (1, 2, 3))
+        assert max(parts for parts, _, _ in shapes) == min(6, max(1, cells // 64))
 
     def test_a_tie_across_blocks_goes_to_the_smaller_rank(self, monkeypatch):
         # m = 1 and two seeds a block: seeds {1} and {2} complete to {1, 3} and
@@ -332,23 +331,16 @@ def mixed_batches():
 class TestSearchBatch:
     """Each instance of a batch gets the answer it gets alone, and the reference's."""
 
-    @pytest.mark.parametrize("cells, batch_cells", [
-        (1, gsa_module._BATCH_CELLS),
-        (2, gsa_module._BATCH_CELLS),
-        (gsa_module._SEED_BLOCK_CELLS, 1),
-        (gsa_module._SEED_BLOCK_CELLS, gsa_module._BATCH_CELLS),
-    ])
+    @pytest.mark.parametrize("cells", [1, 2, 100, gsa_module._SEED_BLOCK_CELLS])
     @pytest.mark.parametrize("epsilon", [0.6, 1 / 4, 1 / 5, 1e-310])
-    def test_each_instance_matches_gsa_and_the_reference(
-        self, epsilon, cells, batch_cells, monkeypatch
-    ):
+    def test_each_instance_matches_gsa_and_the_reference(self, epsilon, cells, monkeypatch):
         # epsilon 0.6 gives m = 0 and 1e-310 gives m = n; at 1 and 2 cells a
         # block holds one seed of one instance, so block edges fall inside an
-        # instance's seeds and between instances; at 1 batch cell a block
-        # holds one instance's seeds of a size
+        # instance's seeds and between instances; at 100 cells a block holds
+        # all seeds of a size of several n = 5 instances, or of one n = 8
+        # instance at size 1, or part of one instance's
         config = GsaConfig(epsilon)
         monkeypatch.setattr(gsa_module, "_SEED_BLOCK_CELLS", cells)
-        monkeypatch.setattr(gsa_module, "_BATCH_CELLS", batch_cells)
         for label, instances, rel_tol in mixed_batches():
             results = _search_batch(instances, config, rel_tol)
             assert len(results) == len(instances), label

@@ -200,7 +200,7 @@ class TestMaskSearch:
         inst, weights, rel_tol, table_bits = case
         expected = reference_best_feasible_mask(inst, weights, rel_tol)
         with mock.patch.object(oracle_module, "_TABLE_BITS", table_bits):
-            got = oracle_module._best_feasible_mask(inst, weights, rel_tol)
+            got = oracle_module._best_feasible_masks([inst], weights[None, :], rel_tol)[0]
         assert got.dtype == bool
         assert np.array_equal(got, expected)
 
@@ -215,7 +215,8 @@ class TestMaskSearch:
         expected = [True, False, True, True]
         assert reference_best_feasible_mask(inst, weights, 1e-9).tolist() == expected
         with mock.patch.object(oracle_module, "_TABLE_BITS", 0):
-            assert oracle_module._best_feasible_mask(inst, weights, 1e-9).tolist() == expected
+            got = oracle_module._best_feasible_masks([inst], weights[None, :], 1e-9)
+        assert got[0].tolist() == expected
 
     def test_fcr_26_stays_under_100_mib(self):
         # full p, q and weight tables over 2^26 masks would take about 1.6 GiB
@@ -257,20 +258,25 @@ class TestBatchedMaskSearch:
     def test_a_greedy_set_that_misfits_in_storage_order_is_no_seed(self):
         # both greedy scans take 0.3, 0.2 and 0.1 and reach exactly C = 0.6, but
         # added in storage order the three make 0.6000000000000001, which does
-        # not fit at rel_tol 0: their weight 7.5 is above the optimum {1, 2}, 6.5
+        # not fit at rel_tol 0: their weight 7.5 is above the optimum {1, 2}, 6.5.
+        # The scans redo the order against a tightened limit and keep {1, 2}
         inst = build_instance([(0, 0.1, 0.0, 1.0), (1, 0.2, 0.0, 2.5), (2, 0.3, 0.0, 4.0)], 0.6)
         weights = inst.columns.valuation
-        assert gda(inst, 0.0).retained_ids == {0, 1, 2}
+        assert not is_feasible(inst, {0, 1, 2}, 0.0)
+        assert gda(inst, 0.0).retained_ids == {1, 2}
         limit_sq = np.array([inst.capacity_limit_sq(0.0)])
         seeds = oracle_module._greedy_seeds([inst], weights[None, :], limit_sq)
-        assert seeds.tolist() == [-math.inf]
+        assert seeds.tolist() == [6.5]
         expected = [False, True, True]
         assert reference_best_feasible_mask(inst, weights, 0.0).tolist() == expected
         with mock.patch.object(oracle_module, "_TABLE_BITS", 0):
-            assert oracle_module._best_feasible_mask(inst, weights, 0.0).tolist() == expected
-            # seeded with that weight, the search would prune the optimum away
+            got = oracle_module._best_feasible_masks([inst], weights[None, :], 0.0)
+            assert got[0].tolist() == expected
+            # seeded with the misfitting set's weight, the search would prune
+            # the optimum away
             with mock.patch.object(oracle_module, "_greedy_seeds", lambda *_: np.array([7.5])):
-                assert oracle_module._best_feasible_mask(inst, weights, 0.0).tolist() != expected
+                got = oracle_module._best_feasible_masks([inst], weights[None, :], 0.0)
+            assert got[0].tolist() != expected
 
     @pytest.mark.parametrize("acronym", ["FCR", "FUM", "FLM", "ACR"])
     def test_batch_of_one_is_the_single_instance_oracle(self, acronym):
