@@ -29,7 +29,17 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .cmin import cmin_gda, cmin_gma, cmin_gra, cmin_gva
-from .greedy import SCAN_ORDERS, _best_of_scans, _sorted_orders, gda, gma, gra, gva
+from .greedy import (
+    SCAN_ORDERS,
+    _best_of_scans,
+    _best_of_scans_rows,
+    _sorted_order_rows,
+    _sorted_orders,
+    gda,
+    gma,
+    gra,
+    gva,
+)
 from .gsa import GsaConfig, _search_batch, gsa
 from .model import (
     CAPACITY_REL_TOL,
@@ -135,15 +145,25 @@ def _outcomes(
 ) -> list[tuple[float, float | None]]:
     """Per trial of one chunk, algorithm ``tag``'s (objective, elapsed).
 
-    ``gsa`` solves the chunk in one ``_search_batch`` call (elapsed None), or,
-    with ``measure_time``, each trial on its own, so that its elapsed time
-    describes one solve.  Every other algorithm solves each trial on its own.
+    With ``measure_time`` each trial is solved on its own by the public
+    solver, so that its elapsed time describes one solve, and so is each
+    trial of a cmin plan.  Otherwise a vmax algorithm solves the chunk in one
+    call (elapsed None): ``gsa`` in one ``_search_batch``, a greedy in one
+    ``_best_of_scans_rows`` over its orders, sorted once for the chunk by
+    ``_sorted_order_rows``.
     """
+    config = GsaConfig(plan.gsa_epsilon)
+    if plan.objective == "vmax" and not plan.measure_time:
+        if tag == "gsa":
+            objectives = [objective for _, objective in
+                          _search_batch(instances, config, CAPACITY_REL_TOL)]
+        else:
+            limit_sq = np.array([instance.capacity_limit_sq() for instance in instances])
+            orders = _sorted_order_rows(instances, SCAN_ORDERS[tag])
+            trials = np.arange(len(instances))
+            objectives = _best_of_scans_rows(instances, orders, limit_sq, trials)[1].tolist()
+        return [(objective, None) for objective in objectives]
     if tag == "gsa":
-        config = GsaConfig(plan.gsa_epsilon)
-        if not plan.measure_time:
-            results = _search_batch(instances, config, CAPACITY_REL_TOL)
-            return [(objective, None) for _, objective in results]
         solve = functools.partial(gsa, config=config)
     else:
         solve = (CMIN_ALGORITHMS if plan.objective == "cmin" else VMAX_ALGORITHMS)[tag]
@@ -180,8 +200,9 @@ def run_benchmark(plan: TrialPlan) -> tuple[BenchRow, ...]:
 
     Each n's trials are generated in chunks of ``_BATCH_CUSTOMERS // n``
     trials (at least one).  Each algorithm takes a chunk in one ``_outcomes``
-    call, and the brute-force yardstick takes it as one batch, which the
-    oracle slices further by its own memory rule.
+    call, which solves it as one batch unless the plan is timed or cmin, and
+    the brute-force yardstick takes it as one batch, which the oracle seeds
+    with the greedy pair at once and slices further by its own memory rule.
     """
     tags = sorted(set(plan.algorithms))  # a repeated algorithm runs once, like a repeated n
     rows = []

@@ -23,13 +23,18 @@ all of it and a boolean pool that masks them.
 
 A scan runs in ``_greedy_scan``, an array kernel that keeps exactly what the
 per-item loop ``_scan_items`` keeps, and drops the items that can no longer
-fit after a reject.
+fit after a reject.  Many short solves over instances of one size (``bench``'s
+untimed greedies, the oracle's seeds, ``gsa``'s seed completions) run in
+``_best_of_scans_rows``: each order is sorted once over the batch
+(``_sorted_order_rows``), and all the scans step over their positions
+together.
 """
 
 from __future__ import annotations
 
 import enum
 import time
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,6 +44,7 @@ from .model import (
     Instance,
     Solution,
     _running_sums,
+    _stacked,
     _storage_mask,
     solution_from_indices,
     storage_sum,
@@ -119,6 +125,28 @@ def _sorted_orders(instance: Instance, keys: Sequence[SortKey]) -> list[np.ndarr
                 continue
         orders.append(scan_order(instance, key))
     return orders
+
+
+def _sorted_order_rows(
+    instances: Sequence[Instance], keys: Sequence[SortKey]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_sorted_orders`` of a batch of instances of one size n, one sort per key.
+
+    Returns the ``scan_order`` of every key and instance as an s x b x n
+    array, one ``np.lexsort`` over the stacked columns per key, and an s x b
+    boolean array: whether that order is kept, because no earlier key's order
+    of the instance equals it.
+    """
+    cols = SimpleNamespace(**dict(zip(
+        ("id", "valuation", "mag", "compensation"),
+        _stacked(instances, "id", "valuation", "mag", "compensation"),
+    )))
+    orders = np.array([np.lexsort((cols.id, _PRIMARY_KEYS[key](cols)), axis=-1) for key in keys])
+    kept = np.ones(orders.shape[:2], dtype=bool)
+    for k in range(1, len(keys)):
+        for j in range(k):
+            kept[k] &= ~(orders[k] == orders[j]).all(axis=-1)
+    return orders, kept
 
 
 def _in_key_order(order: np.ndarray, primary: np.ndarray, ids: np.ndarray) -> bool:
@@ -307,6 +335,118 @@ def _best_of_scans(
         if objective > best_objective:
             best, best_objective = retained, objective
     return best, best_objective
+
+
+def _best_of_scans_rows(
+    instances: Sequence[Instance],
+    orders: tuple[np.ndarray, np.ndarray],
+    limit_sq: np.ndarray,
+    trial: np.ndarray,
+    forced: np.ndarray | None = None,
+    pool: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_best_of_scans`` of many rows at once: each row's retained storage mask and objective.
+
+    The instances all have the same size n; ``orders`` are their
+    ``_sorted_order_rows`` and ``limit_sq`` their squared limits.  Row r
+    fills up instance ``trial[r]`` from the storage indices ``forced[r]``
+    (nobody without ``forced``), scanning the customers that ``pool[r]``
+    marks (everyone without ``pool``) in each kept order.  Returns an r x n
+    boolean array and the r objectives; each row is ``_best_of_scans`` on its
+    instance, bit for bit.
+
+    With at least two rows and n below two ``_SCAN_BLOCK``, the scans of all
+    rows and orders step over the scan positions together (``_scan_steps``),
+    each step the same IEEE operations as ``_scan_items``.  A row's forced
+    aggregate, its storage-order test, its retained demands and its
+    objective are added column by column in storage order from 0.0, adding
+    0.0 for a customer it does not hold, which leaves a sum of non-negative
+    terms unchanged; so they are the floats ``storage_sum`` adds.  A scan
+    whose set misfits in storage order is redone against its tightened
+    limit, as ``_best_of_scans`` argues.  Any other input goes row by row to
+    ``_best_of_scans``.
+    """
+    orders, kept = orders
+    n, rows = orders.shape[-1], len(trial)
+    forced = np.empty((rows, 0), dtype=np.int64) if forced is None else forced
+    retained = np.zeros((rows, n), dtype=bool)
+    if rows < 2 or n >= 2 * _SCAN_BLOCK:
+        objectives = np.empty(rows)
+        for r, t in enumerate(trial.tolist()):
+            scans = [order[t] for order, keep in zip(orders, kept) if keep[t]]
+            at, objectives[r] = _best_of_scans(instances[t], forced[r], scans, float(limit_sq[t]),
+                                               None if pool is None else pool[r])
+            retained[r, at] = True
+        return retained, objectives
+    pq, u = np.stack(_stacked(instances, "p", "q")), *_stacked(instances, "valuation")
+    retained[np.arange(rows)[:, None], forced] = True
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range, sums are inf
+        base = _row_sums(retained, pq[:, trial])
+        if np.any(_squared(base) > limit_sq[trial]):
+            raise ValueError("forced set is infeasible on its own")
+        # one scan per kept order of each row's instance, the orders in turn
+        slot, row = np.nonzero(kept[:, trial])
+        t = trial[row]
+        stream = orders[slot, t]
+        # an item outside the pool reads as an infinite demand, which never fits
+        active = np.ones(stream.shape, dtype=bool) if pool is None else pool[row[:, None], stream]
+        items = np.where(active, pq.reshape(2, -1)[:, (t * n)[:, None] + stream], np.inf)
+        items = items.transpose(2, 0, 1).copy()  # items[j]: the j-th p and q of every scan
+        # tightened by the reordering error (see ``_best_of_scans``); tiny limits have no margin
+        limit = limit_sq[t]
+        size = forced.shape[1] + np.count_nonzero(active, axis=1)
+        safe_sq = np.where(limit >= 2.0**-960, limit * (1.0 - (size + 4) * 2.0**-50), -1.0)
+        taken, acc = _scan_steps(items, base[:, row], limit)
+        # a stream holds every storage index once, so the scan's mask fills ``held``
+        held = np.empty(stream.shape, dtype=bool)
+        np.put_along_axis(held, stream, taken.T, axis=1)
+        held |= retained[row]
+        check = np.flatnonzero(~(_squared(acc) <= safe_sq))
+        if check.size:
+            sums = _row_sums(held[check], pq[:, t[check]])
+            redo = check[~(_squared(sums) <= limit[check])]
+            if redo.size:  # the second scan always fits
+                again, _ = _scan_steps(items[:, :, redo], base[:, row[redo]], safe_sq[redo])
+                redone = np.empty((len(redo), n), dtype=bool)
+                np.put_along_axis(redone, stream[redo], again.T, axis=1)
+                held[redo] = redone | retained[row[redo]]
+        objective = _row_sums(held, u[t])
+    # per row, the first order of largest objective
+    table = np.full((len(orders), rows), -np.inf)
+    table[slot, row] = objective
+    index = np.zeros(table.shape, dtype=np.intp)
+    index[slot, row] = np.arange(len(row))
+    best = index[table.argmax(axis=0), np.arange(rows)]
+    return held[best], objective[best]
+
+
+def _row_sums(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Along the last axis, ``values`` where ``mask`` holds, added left to right from 0.0."""
+    return _running_sums(np.where(mask, values, 0.0))[..., -1]
+
+
+def _squared(pq: np.ndarray) -> np.ndarray:
+    """p^2 + q^2 of the (p, q) pairs down the first axis, as a Python float expression adds."""
+    return pq[0] * pq[0] + pq[1] * pq[1]
+
+
+def _scan_steps(
+    items: np.ndarray, acc: np.ndarray, limit_sq: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_scan_items`` over many scans at once, a step per scan position.
+
+    ``items[j]`` holds the j-th item's p and q of every scan, a 2 x S array;
+    the scans start from the aggregates ``acc`` (2 x S) against ``limit_sq``.
+    Returns which items are taken, n x S, and the final aggregates.
+    """
+    taken = np.empty((len(items), acc.shape[1]), dtype=bool)
+    acc, new, square = acc.copy(), np.empty_like(acc), np.empty_like(acc)
+    for j in range(len(items)):
+        np.add(acc, items[j], out=new)
+        np.multiply(new, new, out=square)
+        fits = np.less_equal(np.add(square[0], square[1], out=square[0]), limit_sq, out=taken[j])
+        np.copyto(acc, new, where=fits)
+    return taken, acc
 
 
 def _greedy_solve(instance: Instance, tag: str, rel_tol: float) -> Solution:

@@ -29,17 +29,24 @@ projected sizes.  By Cauchy–Schwarz no completion that fits is worth more,
 and a relative margin of 16 (n + 4) 2^-53 covers the float rounding (the
 helper's docstring counts the roundings).
 
-Only the visit of the seeds runs per instance (``_complete_seeds``): by
-descending bound, stopping at the first bound strictly below the incumbent,
-the best objective so far, so a seed that could tie the winner is always
-completed.  Each one is completed by the greedy pair's own scans
-(``greedy._best_of_scans``, with the seed's pool as its mask), over orders
-sorted once per instance by ``greedy._sorted_orders``.  Bounding a seed
-costs O(n) vector work, so the search stays O(n log n + n^(m+1)) per
-instance at worst (every seed ties, as when all customers are identical),
-with memory bounded by the block.  On the 30 n = 18 trials of perfbench's
-``sweep_small`` plan (FCR, 25 kVA, seed 123, epsilon = 1/4), 118 of the
-4 590 feasible seeds (2.6%) are completed.
+The seeds are completed in rounds (``_complete_seeds``).  Each instance
+visits its seeds by descending bound, and in round i completes its next
+2^i seeds among those whose bound reaches its incumbent, the best objective
+so far.  All the round's seeds, of every instance, are completed by one
+``greedy._best_of_scans_rows`` call: the greedy pair's own scans, forced
+with the seed and masked to its pool, over orders sorted once per batch by
+``greedy._sorted_order_rows``.  After the round each instance keeps its best
+candidate, and a seed whose bound is strictly below the incumbent is
+dropped, so a seed that could tie the winner is always completed.  An
+instance's rounds do not depend on the others, so a batch completes
+exactly the seeds its instances complete alone, at most 2c - 1 where a
+one-at-a-time visit would complete c.  Bounding a seed costs O(n) vector
+work, so the search stays O(n log n + n^(m+1)) per instance at worst
+(every seed ties, as when all customers are identical), with memory
+bounded by the block and the round.  On the 30 n = 18 trials of
+perfbench's ``sweep_small`` plan (FCR, 25 kVA, seed 123, epsilon = 1/4),
+119 of the 4 590 feasible seeds (2.6%) are completed, against 118 one at a
+time.
 
 With epsilon >= 1/2 the derived m is 0 and the enumeration degenerates; the
 solver then falls back to a single unforced greedy-pair run, whose 1/2
@@ -67,11 +74,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .greedy import SCAN_ORDERS, _best_of_scans, _sorted_orders
+from .greedy import SCAN_ORDERS, _best_of_scans_rows, _sorted_order_rows
 from .model import (
     CAPACITY_REL_TOL,
     Instance,
     Solution,
+    _stacked,
     solution_from_indices,
 )
 from .oracle import _projected_bounds
@@ -157,29 +165,30 @@ def _search_batch(
     """Per instance, its best retained set, as ascending storage indices, and its objective.
 
     The instances all have the same size.  Phase 1 and Phase 2 share one
-    walk over the subset sizes and its fit test, and every step but the
-    completion of Phase 2's seeds runs for the whole batch at once.  A
+    walk over the subset sizes and its fit test, and every step runs for
+    the whole batch at once, Phase 2's completions a round at a time.  A
     Phase 2 candidate carries its seed's enumeration position (``rank``), so
     each instance's winner is the one a walk over all its seeds in
     id-lexicographic order would keep, whatever order the survivors are
     completed in.
     """
-    limits = [instance.capacity_limit_sq(rel_tol) for instance in instances]
-    orders = [_sorted_orders(instance, SCAN_ORDERS["gda"]) for instance in instances]
+    b = len(instances)
+    limit_sq = np.array([instance.capacity_limit_sq(rel_tol) for instance in instances])
+    orders = _sorted_order_rows(instances, SCAN_ORDERS["gda"])
     n = len(instances[0]) if instances else 0
     m = config.max_subset_size(n)
     if m == 0:  # no enumeration: the greedy pair alone, as ``gda`` runs it
-        return [_best_of_scans(instance, (), order, limit)
-                for instance, order, limit in zip(instances, orders, limits)]
-    b = len(instances)
-    p, q, u, ids = (np.array([getattr(instance.columns, name) for instance in instances])
-                    for name in ("p", "q", "valuation", "id"))
-    limit_sq = np.array(limits)
+        retained, objectives = _best_of_scans_rows(instances, orders, limit_sq, np.arange(b))
+        return [(np.flatnonzero(row), objective)
+                for row, objective in zip(retained, objectives.tolist())]
+    p, q, u, ids = _stacked(instances, "p", "q", "valuation", "id")
     # storage positions in ascending id order, so the rank combinations are id-lexicographic
     by_id = np.argsort(ids, axis=1)
-    best = [np.empty(0, dtype=np.int64)] * b
+    # each instance's incumbent: retained storage mask, objective and rank;
+    # Phase 1's rank after every seed's, so a tied seed replaces them
+    best = np.zeros((b, n), dtype=bool)
     best_objective = np.zeros(b)
-    rank: list[int | None] = [None] * b
+    rank = np.full(b, np.iinfo(np.int64).max)
     # a block is some rank combinations for a slice of the instances
     pairs = max(1, _SEED_BLOCK_CELLS // n)
     for size in range(1, m + 1):
@@ -200,61 +209,86 @@ def _search_batch(
                     value = np.where(fit, _column_sum(u.ravel(), flat), -np.inf)
                     at = np.arange(len(value)), value.argmax(axis=1)
                     top, top_value = np.stack([col[at] for col in cols], axis=1), value[at]
-                    for t in np.flatnonzero(top_value > best_objective[part]).tolist():
-                        best[lo + t], best_objective[lo + t] = top[t], top_value[t]
+                    t = np.flatnonzero(top_value > best_objective[part])
+                    best[lo + t] = False
+                    best[(lo + t)[:, None], top[t]] = True
+                    best_objective[lo + t] = top_value[t]
                     continue
-                # Phase 2: bound every feasible seed, then visit each instance's
-                # seeds whose bound reaches its incumbent, by descending bound
+                # Phase 2: bound every feasible seed, then complete the seeds
+                # whose bound reaches their instance's incumbent
                 t, row = np.nonzero(fit)
                 seeds = np.stack([col[t, row] for col in cols], axis=1)
                 t += lo
                 bounds = _projected_bounds(p, q, u, ids, limit_sq, seeds, t)
-                alive = np.flatnonzero(~(bounds < best_objective[t]))
-                visit = alive[np.lexsort((-bounds[alive], t[alive]))]
-                runs = np.split(visit, np.flatnonzero(np.diff(t[visit])) + 1) if visit.size else []
-                for at in runs:  # one instance's seeds each
-                    k = int(t[at[0]])
-                    incumbent = (best[k], float(best_objective[k]), rank[k])
-                    best[k], best_objective[k], rank[k] = _complete_seeds(
-                        instances[k], orders[k], limits[k], seeds[at], bounds[at].tolist(),
-                        (first + row[at]).tolist(), incumbent,
-                    )
+                _complete_seeds(instances, orders, limit_sq, u, seeds, t, bounds, first + row,
+                                (best, best_objective, rank))
             first += len(combos)
-    return list(zip(best, best_objective.tolist()))
+    return [(np.flatnonzero(mask), objective)
+            for mask, objective in zip(best, best_objective.tolist())]
 
 
 def _complete_seeds(
-    instance: Instance,
-    orders: list[np.ndarray],
-    limit_sq: float,
+    instances: Sequence[Instance],
+    orders: tuple[np.ndarray, np.ndarray],
+    limit_sq: np.ndarray,
+    u: np.ndarray,
     seeds: np.ndarray,
-    bounds: list[float],
-    ranks: list[int],
-    incumbent: tuple[np.ndarray, float, int | None],
-) -> tuple[np.ndarray, float, int | None]:
-    """Phase 2 on one instance: complete ``seeds`` in order until a bound falls
-    strictly below the incumbent, and return the incumbent (retained, objective,
-    rank) after them.
+    trial: np.ndarray,
+    bounds: np.ndarray,
+    ranks: np.ndarray,
+    incumbents: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> None:
+    """Phase 2 on a block's seeds: complete them in rounds, updating ``incumbents``.
 
-    ``seeds`` are rows of storage indices, by descending ``bounds``.  A seed is
-    forced and filled up with the greedy pair over the customers it dominates
-    by valuation.  The seed's pool masks the instance-wide ``orders``: ids are
-    unique, so the (key, id) order restricted to the pool is its own scan
-    order.  Phase 2 wins ties against Phase 1, and the smaller rank among seeds.
+    ``seeds`` are rows of storage indices, each of instance ``trial``, with
+    their ``bounds`` and enumeration ``ranks``; ``incumbents`` holds each
+    instance's retained storage mask, objective and rank, which change in place.
+    A seed is forced and filled up with the greedy pair over the customers it
+    dominates by valuation.  The seed's pool masks the instance-wide
+    ``orders``: ids are unique, so the (key, id) order restricted to the pool
+    is its own scan order.
+
+    Each instance visits its seeds by descending bound.  Round i completes
+    the next 2^i seeds of every instance whose bound reaches its incumbent,
+    all in one ``_best_of_scans_rows`` call.  After the round each incumbent
+    takes its instance's best candidate if that one wins: a larger
+    objective, or an equal one and a smaller rank (Phase 1's incumbents rank
+    after every seed).  A bound never falls below its seed's objective, and
+    an incumbent only rises, so the seeds still alive are a prefix of what an
+    instance has left, and the rounds end when one finds no seed alive.  An
+    instance's rounds do not depend on the others, so a batch completes the
+    seeds that each of its instances completes alone.  Where a one-at-a-time
+    visit stops after c completions, the rounds stop after at most 2c - 1.
+    The winner is the same: every seed the visit completes is completed, and
+    a seed completed beyond it has a bound, so an objective, strictly below
+    the incumbent.
     """
-    best, best_objective, best_rank = incumbent
-    valuation = instance.columns.valuation
-    for seed, bound, rank in zip(seeds, bounds, ranks):
-        if bound < best_objective:
-            break
-        pool = valuation <= valuation[seed].min()
-        pool[seed] = False
-        retained, objective = _best_of_scans(instance, seed, orders, limit_sq, pool)
-        if objective > best_objective or (
-            objective == best_objective and (best_rank is None or rank < best_rank)
-        ):
-            best, best_objective, best_rank = retained, objective, rank
-    return best, best_objective, best_rank
+    best, best_objective, best_rank = incumbents
+    alive = np.flatnonzero(~(bounds < best_objective[trial]))
+    visit = alive[np.lexsort((-bounds[alive], trial[alive]))]
+    seeds, trial, bounds, ranks = seeds[visit], trial[visit], bounds[visit], ranks[visit]
+    place = np.arange(len(trial)) - np.searchsorted(trial, trial)
+    done, width = 0, 1
+    while True:
+        now = np.flatnonzero((done <= place) & (place < done + width)
+                             & ~(bounds < best_objective[trial]))
+        if not now.size:
+            return
+        t, seed = trial[now], seeds[now]
+        pool = u[t] <= np.take_along_axis(u[t], seed, axis=1).min(axis=1, keepdims=True)
+        pool[np.arange(len(now))[:, None], seed] = False
+        retained, objectives = _best_of_scans_rows(instances, orders, limit_sq, t, seed, pool)
+        # each instance's best candidate: the largest objective, then the smallest rank
+        pick = np.lexsort((ranks[now], -objectives, t))
+        pick = pick[np.r_[True, t[pick][1:] != t[pick][:-1]]]
+        k, objective, rank = t[pick], objectives[pick], ranks[now][pick]
+        wins = (objective > best_objective[k]) | (
+            (objective == best_objective[k]) & (rank < best_rank[k])
+        )
+        best[k[wins]] = retained[pick[wins]]
+        best_objective[k[wins]], best_rank[k[wins]] = objective[wins], rank[wins]
+        done += width
+        width *= 2
 
 
 def gsa(

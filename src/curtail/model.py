@@ -365,6 +365,13 @@ def storage_sum(values: np.ndarray | Sequence[float], indices: np.ndarray | Sequ
         return float(_running_sums(selected)[-1])
 
 
+def _stacked(instances: Sequence[Instance], *names: str) -> list[np.ndarray]:
+    """Each named column of every instance, all of one size n, as a b x n array."""
+    shape = (len(instances), len(instances[0]) if instances else 0)
+    return [np.array([getattr(instance.columns, name) for instance in instances]).reshape(shape)
+            for name in names]
+
+
 def solution_from_indices(
     instance: Instance,
     retained: Sequence[int],

@@ -14,8 +14,9 @@ while all-zero weights under a capacity that fits everyone keep every
 selection.  ``_best_feasible_masks`` argues why the pruning keeps the answer
 exact, ties included, and states the memory rule for a batch.  The
 single-instance solvers are batches of one, and ``bench.run_benchmark``
-hands over each n's trials at once; ``_brute_force_batch`` slices them into
-batches by that rule.  The budget is one limit on n,
+hands over each n's trials at once; ``_brute_force_batch`` finds all their
+greedy seeds in one batched scan and slices them into batches by that
+rule.  The budget is one limit on n,
 ``OracleBudget.max_n`` (at most ``MAX_ORACLE_N`` = 30); its default keeps
 accidental 2^30-subset runs from happening.
 
@@ -32,13 +33,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .greedy import SCAN_ORDERS, SortKey, _best_of_scans, _per_va, _sorted_orders, scan_order
+from .greedy import (
+    SCAN_ORDERS,
+    SortKey,
+    _best_of_scans_rows,
+    _per_va,
+    _row_sums,
+    _sorted_order_rows,
+    scan_order,
+)
 from .model import (
     CAPACITY_REL_TOL,
     CurtailError,
     Instance,
     Solution,
     _running_sums,
+    _stacked,
     solution_from_indices,
     storage_sum,
 )
@@ -101,13 +111,17 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
 
 
 def _best_feasible_masks(
-    instances: Sequence[Instance], weights: np.ndarray, rel_tol: float
+    instances: Sequence[Instance],
+    weights: np.ndarray,
+    rel_tol: float,
+    seeds: np.ndarray,
 ) -> np.ndarray:
     """Per instance, the storage mask of its feasible selection of largest weight.
 
     The instances all have the same size n, and row t of ``weights`` (b x n)
-    weighs instance t.  Ties go to the lexicographically smallest sorted id
-    list.  Returns a b x n boolean array.
+    weighs instance t, and ``seeds`` holds their ``_greedy_seeds`` (-inf
+    seeds nothing).  Ties go to the lexicographically smallest sorted id list.  Returns a b x n
+    boolean array.
 
     The search is prefix doubling over the selections that fit and can still
     win, for every instance at once.  An entry is a column of rows p, q,
@@ -119,10 +133,10 @@ def _best_feasible_masks(
     entry and its extension each survive only if they fit (``p^2 + q^2 <=
     limit_sq``) and their bound (``_suffix_bounds``) reaches their
     instance's incumbent, a weight that some feasible selection of that
-    instance has.  The incumbent starts at the larger of ``_greedy_seeds``
-    and the table's best fitting weight, and rises (``np.maximum.at``) with
-    every fitting extension.  When the table holds every position there is
-    nothing to prune, and neither the seed nor the bound is computed.  This
+    instance has.  The incumbent starts at the larger of its seed and the
+    table's best fitting weight, and rises (``np.maximum.at``) with every
+    fitting extension.  When the table holds every position there is nothing
+    to prune, and neither the seed nor the bound is used.  This
     drops no selection that the full enumeration would have tied at the
     maximum:
 
@@ -133,8 +147,8 @@ def _best_feasible_masks(
        to fit as well.
     2. The incumbent never exceeds the maximum.  A seed is the weight of the
        greedy pair's set added in storage order from 0.0, and that set's
-       demand, added the same way, passes this fit test (``_best_of_scans``
-       returns no other).  So it is the very float that the enumeration
+       demand, added the same way, passes this fit test (the greedy pair
+       returns no other, batched or not).  So it is the very float that the enumeration
        holds for a feasible entry.  Every later raise is the weight of a
        fitting entry.
     3. The bound never drops a possible winner.  An entry S whose positions
@@ -167,15 +181,13 @@ def _best_feasible_masks(
     everyone keep them all.
     """
     b, n = weights.shape
-    columns = [instance.columns for instance in instances]
-    p, q, ids = (np.array([getattr(c, name) for c in columns]).reshape(b, n)
-                 for name in ("p", "q", "id"))
+    p, q, ids = _stacked(instances, "p", "q", "id")
     limit_sq = np.array([instance.capacity_limit_sq(rel_tol) for instance in instances])
     # rows p, q, weight, storage mask and room: what is left of the widened
     # capacity after the projected sizes, filled in only when pruning needs it
     values = np.zeros((b, 5, n))
     values[:, 0], values[:, 1], values[:, 2], values[:, 3] = p, q, weights, 2.0 ** np.arange(n)
-    base = min(n, max(0, _TABLE_BITS - (b - 1).bit_length()))
+    base = _table_positions(b, n)
     # a sum or square that overflows to inf is simply infeasible, and a bound
     # that overflows keeps its entry
     with np.errstate(over="ignore"):
@@ -189,7 +201,7 @@ def _best_feasible_masks(
         trial = np.nonzero(fit)[0]
         entries = table.transpose(1, 0, 2)[:, fit]
         if base < n:
-            incumbent = np.maximum(incumbent, _greedy_seeds(instances, weights, limit_sq))
+            incumbent = np.maximum(incumbent, seeds)
             margin = _rounding_margin(n)
             entries[4] += (np.sqrt(limit_sq) * (1.0 + margin))[trial]
             tables = _suffix_tables(s, weights, rate, order)
@@ -215,22 +227,26 @@ def _best_feasible_masks(
     return (best[:, None] >> np.arange(n)) & 1 == 1
 
 
+def _table_positions(b: int, n: int) -> int:
+    """The storage positions that a batch of b instances of size n tabulates in full."""
+    return min(n, max(0, _TABLE_BITS - (b - 1).bit_length()))
+
+
 def _greedy_seeds(
     instances: Sequence[Instance], weights: np.ndarray, limit_sq: np.ndarray
 ) -> np.ndarray:
     """Per instance, the weight of one of its feasible selections.
 
-    The selection is the greedy pair's (``SCAN_ORDERS["gda"]``), and its
-    weight is added in storage order from 0.0, as the enumeration adds it.
-    ``_best_of_scans`` returns only sets whose demand, added the same way,
-    passes the enumeration's fit test.
+    The selection is the greedy pair's (``SCAN_ORDERS["gda"]``), found for
+    every instance at once by ``_best_of_scans_rows``, and its weight is
+    added in storage order from 0.0, as the enumeration adds it.  The greedy
+    pair returns only sets whose demand, added the same way, passes the
+    enumeration's fit test.
     """
-    seeds = np.empty(len(instances))
-    for t, (instance, limit) in enumerate(zip(instances, limit_sq.tolist())):
-        orders = _sorted_orders(instance, SCAN_ORDERS["gda"])
-        retained, _ = _best_of_scans(instance, (), orders, limit)
-        seeds[t] = storage_sum(weights[t], retained)
-    return seeds
+    orders = _sorted_order_rows(instances, SCAN_ORDERS["gda"])
+    retained, _ = _best_of_scans_rows(instances, orders, limit_sq, np.arange(len(instances)))
+    with np.errstate(over="ignore"):  # a sum past the float range is inf
+        return _row_sums(retained, weights)
 
 
 def _suffix_tables(
@@ -335,16 +351,24 @@ def _brute_force_batch(
     the retained set is the feasible one of largest retained weight.  The
     objective is a ``storage_sum``, as in the solution of each instance.
     The instances are searched in batches of max(1, ``_BATCH_SELECTIONS`` >> n).
+    When the first, largest batch leaves positions to prune, the greedy seeds
+    of all the instances are computed at once (``_greedy_seeds``) and each
+    batch takes its own; otherwise no batch prunes, and none is computed.
     """
     for instance in instances:
         budget.check(len(instance))
-    column = "compensation" if objective == "cmin" else "valuation"
-    weights = np.array([getattr(instance.columns, column) for instance in instances])
-    weights = weights.reshape(len(instances), -1)
-    size = max(1, _BATCH_SELECTIONS >> weights.shape[1])
+    (weights,) = _stacked(instances, "compensation" if objective == "cmin" else "valuation")
+    b, n = weights.shape
+    size = max(1, _BATCH_SELECTIONS >> n)
+    seeds = np.full(b, -np.inf)
+    if _table_positions(min(size, b), n) < n:
+        limit_sq = np.array([instance.capacity_limit_sq(rel_tol) for instance in instances])
+        seeds = _greedy_seeds(instances, weights, limit_sq)
     kept = np.concatenate([
-        _best_feasible_masks(instances[lo : lo + size], weights[lo : lo + size], rel_tol)
-        for lo in range(0, len(instances), size)
+        _best_feasible_masks(
+            instances[lo : lo + size], weights[lo : lo + size], rel_tol, seeds[lo : lo + size]
+        )
+        for lo in range(0, b, size)
     ])
     counted = ~kept if objective == "cmin" else kept
     return kept, [storage_sum(w, c) for w, c in zip(weights, counted)]

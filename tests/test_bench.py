@@ -190,18 +190,22 @@ class TestRunBenchmark:
         assert paths[0] == paths[1]
 
     def test_duplicate_n_values_and_algorithms_run_once(self, tmp_path, monkeypatch):
+        # the 30 trials are one chunk, which gda solves in one batched call
         paths = [tmp_path / "once.csv", tmp_path / "twice.csv"]
         emit_csv(run_benchmark(small_plan(n_values=(8,), algorithms=("gda",))), str(paths[0]))
         built, solved = [], []
-        gda = VMAX_ALGORITHMS["gda"]
+        rows_of = bench._best_of_scans_rows
         monkeypatch.setattr(
             "curtail.bench.instance_for_trial", lambda *a: built.append(a) or instance_for_trial(*a)
         )
-        monkeypatch.setitem(VMAX_ALGORITHMS, "gda", lambda inst: solved.append(inst) or gda(inst))
+        monkeypatch.setattr(
+            bench, "_best_of_scans_rows",
+            lambda instances, *a: solved.append(len(instances)) or rows_of(instances, *a),
+        )
         rows = run_benchmark(small_plan(n_values=(8, 8), algorithms=("gda", "gda")))
         emit_csv(rows, str(paths[1]))
         assert paths[0].read_bytes() == paths[1].read_bytes()
-        assert len(built) == len(solved) == 30
+        assert len(built) == 30 and solved == [30]
 
     def test_batched_yardsticks_equal_per_trial_oracles(self, monkeypatch):
         # each n's 30 trials are one chunk; the oracle searches n = 16 as
@@ -253,6 +257,40 @@ class TestRunBenchmark:
             emit_csv(run_benchmark(plan), str(paths[1]))
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_csv_bytes_do_not_depend_on_batched_scans(self, tmp_path, monkeypatch):
+        # at a chunk cap of 1 every chunk is a batch of one, and with every
+        # batched scan split into rows of one only the single paths run; the
+        # FLM and FUM trials have two distinct gda orders, FCR one
+        def row_by_row(rows_of):
+            def split(instances, orders, limit_sq, trial, forced=None, pool=None):
+                parts = [rows_of(instances, orders, limit_sq, trial[r : r + 1],
+                                 None if forced is None else forced[r : r + 1],
+                                 None if pool is None else pool[r : r + 1])
+                         for r in range(len(trial))]
+                n = orders[0].shape[-1]
+                retained = np.concatenate([part[0] for part in parts]).reshape(len(trial), n)
+                return retained, np.concatenate([part[1] for part in parts])
+            return split
+
+        reports = []
+        for batched in ("default", "chunks of one", "rows of one"):
+            with monkeypatch.context() as m:
+                if batched != "default":
+                    m.setattr(bench, "_BATCH_CUSTOMERS", 1)
+                if batched == "rows of one":
+                    for module in (bench, oracle_module, gsa_module):
+                        m.setattr(module, "_best_of_scans_rows",
+                                  row_by_row(module._best_of_scans_rows))
+                for acronym, capacity in (("FCR", 25_000.0), ("FLM", 5e6), ("FUM", 5e6)):
+                    plan = small_plan(
+                        scenario=spec_from_acronym(acronym, 0, capacity, seed=11),
+                        n_values=(0, 1, 14, 18), algorithms=("gva", "gma", "gra", "gda", "gsa"),
+                    )
+                    path = tmp_path / f"{acronym}-{batched}.csv"
+                    emit_csv(run_benchmark(plan), str(path))
+                    reports.append(path.read_bytes())
+        assert reports[:3] == reports[3:6] == reports[6:]
+
     def test_gsa_batches_of_one_when_timed(self, monkeypatch):
         # a timed trial's elapsed describes one solve, so gsa gets one instance a batch
         search_batch, sizes = gsa_module._search_batch, []
@@ -282,15 +320,23 @@ class TestRunBenchmark:
     def test_each_solver_is_called_once_per_trial(
         self, monkeypatch, objective, measure_time, chunk
     ):
-        # every algorithm but an untimed gsa, which solves each chunk as one
-        # batch, solves each trial once, whatever the chunks
+        # timed, and for cmin, each algorithm solves each trial once, whatever
+        # the chunks; untimed vmax algorithms make one batched call per chunk,
+        # a greedy with a row per trial
         table = bench.CMIN_ALGORITHMS if objective == "cmin" else VMAX_ALGORITHMS
         calls = dict.fromkeys(table, 0)
+        greedy_batches, gsa_batches = [], []
 
         def counted(tag, solve):
             def wrapper(*args, **kwargs):
                 calls[tag] += 1
                 return solve(*args, **kwargs)
+            return wrapper
+
+        def batched(sizes, solve):
+            def wrapper(instances, *args):
+                sizes.append(len(instances))
+                return solve(instances, *args)
             return wrapper
 
         for tag, solve in list(table.items()):
@@ -299,13 +345,21 @@ class TestRunBenchmark:
         if objective == "vmax":
             calls["gsa"], algorithms = 0, algorithms + ("gsa",)
             monkeypatch.setattr(bench, "gsa", counted("gsa", bench.gsa))
+        monkeypatch.setattr(
+            bench, "_best_of_scans_rows", batched(greedy_batches, bench._best_of_scans_rows)
+        )
+        monkeypatch.setattr(bench, "_search_batch", batched(gsa_batches, bench._search_batch))
         monkeypatch.setattr(bench, "_BATCH_CUSTOMERS", chunk)
         plan = small_plan(algorithms=algorithms, objective=objective, measure_time=measure_time)
         assert len(run_benchmark(plan)) == 2 * len(algorithms)
-        expected = dict.fromkeys(table, 2 * 30)
-        if objective == "vmax":
-            expected["gsa"] = 2 * 30 if measure_time else 0
-        assert calls == expected
+        batches = 2 * [30] if chunk > 30 * 12 else 2 * 30 * [1]
+        if objective == "vmax" and not measure_time:
+            assert calls == dict.fromkeys(algorithms, 0)
+            assert greedy_batches == [size for size in batches for _ in table]
+            assert gsa_batches == batches
+        else:
+            assert calls == dict.fromkeys(algorithms, 2 * 30)
+            assert greedy_batches == gsa_batches == []
 
     def test_gda_worst_case_floor_per_row(self):
         # worst case at 36 degrees spread is (1/2) cos 18deg, above 0.4755

@@ -1,6 +1,7 @@
 """Greedy solver family: worked adversarial instances, invariants, guarantees."""
 
 import dataclasses
+import importlib
 import math
 import warnings
 
@@ -36,8 +37,8 @@ from curtail import (
     run_dynamic_capacity,
     spec_from_acronym,
 )
-from curtail import bench, greedy
-from curtail.model import capacity_limit_sq
+from curtail import OracleBudget, bench, greedy
+from curtail.model import capacity_limit_sq, storage_sum
 from conftest import (
     build_instance,
     random_instance,
@@ -46,6 +47,10 @@ from conftest import (
     reference_greedy_scan,
     reference_gsa_search,
 )
+
+# the package's ``gsa`` function shadows the module as an attribute of ``curtail``
+gsa_module = importlib.import_module("curtail.gsa")
+oracle_module = importlib.import_module("curtail.oracle")
 
 
 class TestGva:
@@ -660,6 +665,127 @@ class TestDistinctOrders:
             assert sol.retained_ids == ids and sol.objective == objective
 
 
+# Valuations with ties and zeros; 1e308 makes a set's objective overflow to inf.
+_VALUATIONS = (0.0, 1.0, 2.5, 4.0, 1e308)
+
+
+@st.composite
+def scan_row_batches(draw):
+    """(instances, keys, rel_tol, trial, forced, pool): one ``_best_of_scans_rows`` call.
+
+    b instances of one size n (0 to 10, or 127, the longest batch that steps)
+    with shuffled ids, demands of a few tied sizes (zeros and signed zeros
+    among them) at phase spread 0 (q = 0), pi/2 (each demand all p or all
+    q) or anything between, scaled by 1 or by 1e153 (so that squares
+    overflow), and valuations correlated with |d|^2, drawn from few tied
+    values or from few values and 1e308.  The capacity is a share of the
+    total demand or a prefix's aggregate, at least every lone demand.  The
+    rows force nobody, or each one or two customers with a pool of the
+    customers they dominate by valuation (as ``gsa``'s seeds) or a random
+    one; unforced rows have no pool or a random one.
+    """
+    n = draw(st.one_of(st.integers(0, 10), st.just(127)))
+    b = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phase = draw(st.sampled_from(["zero", "right", "any"]))
+    scale = draw(st.sampled_from([1.0, 1e153]))
+    valuation = draw(st.sampled_from(["correlated", "tied", "huge"]))
+    instances = []
+    for _ in range(b):
+        size = rng.choice([0.0, -0.0, 0.1, 0.2, 0.3, 1.0, 2.0], n) * scale
+        share = rng.choice([0.0, 0.5, 1.0], n) if phase == "any" else rng.integers(0, 2, n)
+        p = size * share if phase != "zero" else size
+        q = size * (1.0 - share) if phase != "zero" else np.zeros(n)
+        u = {"correlated": p * p + q * q, "tied": rng.choice(_VALUATIONS[:4], n),
+             "huge": rng.choice(_VALUATIONS, n)}[valuation]
+        mag = np.hypot(p, q)
+        if rng.random() < 0.5:
+            capacity = float(rng.choice([0.05, 0.3, 0.6, 1.2])) * float(mag.sum())
+        else:
+            k = int(rng.integers(0, n + 1))
+            capacity = math.hypot(*(float(np.add.reduce(a[:k])) for a in (p, q)))
+        capacity = min(max(capacity, float(mag.max(initial=0.0)), 1e-3), 1.3e154)
+        ids = rng.permutation(3 * n)[:n]
+        instances.append(build_instance(list(zip(ids.tolist(), p, q, u)), capacity))
+    keys = draw(st.sampled_from(list(greedy.SCAN_ORDERS.values())))
+    rel_tol = draw(st.sampled_from([0.0, 1e-9]))
+    rows = draw(st.integers(1, 6))
+    trial = rng.integers(0, b, rows)
+    forced = pool = None
+    width = draw(st.integers(0, min(n, 2)))
+    if width:
+        forced = np.array([np.sort(rng.choice(n, width, replace=False)) for _ in range(rows)])
+        u = np.array([inst.columns.valuation for inst in instances])[trial]
+        if draw(st.booleans()):
+            pool = u <= np.take_along_axis(u, forced, axis=1).min(axis=1, keepdims=True)
+        else:
+            pool = rng.random((rows, n)) < 0.7
+        pool[np.arange(rows)[:, None], forced] = False
+    elif draw(st.booleans()):
+        pool = rng.random((rows, n)) < 0.7
+    return instances, keys, rel_tol, trial, forced, pool
+
+
+class TestBestOfScansRows:
+    """``_best_of_scans_rows`` gives each row ``_best_of_scans``'s retained set and
+    objective bit for bit, whether it steps over a batch or goes row by row."""
+
+    @given(batch=scan_row_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_each_row_is_its_best_of_scans(self, batch):
+        instances, keys, rel_tol, trial, forced, pool = batch
+        limit_sq = np.array([inst.capacity_limit_sq(rel_tol) for inst in instances])
+        orders, kept = greedy._sorted_order_rows(instances, keys)
+        for t, inst in enumerate(instances):
+            got = [order[t].tolist() for order, keep in zip(orders, kept) if keep[t]]
+            assert got == [order.tolist() for order in greedy._sorted_orders(inst, keys)]
+        expected = []
+        for r, t in enumerate(trial.tolist()):
+            try:
+                expected.append(greedy._best_of_scans(
+                    instances[t], () if forced is None else forced[r],
+                    greedy._sorted_orders(instances[t], keys), float(limit_sq[t]),
+                    None if pool is None else pool[r],
+                ))
+            except ValueError:  # a forced set that misfits on its own fails the batch
+                with pytest.raises(ValueError, match="forced set"):
+                    greedy._best_of_scans_rows(instances, (orders, kept), limit_sq, trial,
+                                               forced, pool)
+                return
+        retained, objectives = greedy._best_of_scans_rows(
+            instances, (orders, kept), limit_sq, trial, forced, pool
+        )
+        assert retained.shape == (len(trial), len(instances[0])) and retained.dtype == bool
+        for row, objective, (at, value) in zip(retained, objectives.tolist(), expected):
+            assert np.flatnonzero(row).tolist() == at.tolist()
+            assert objective == value
+
+    @pytest.mark.parametrize("capacity, rel_tol", [(0.6, 0.0), (0.5999999993999999, 1e-9)])
+    def test_a_batch_rescans_a_set_that_misfits_in_storage_order(
+        self, capacity, rel_tol, monkeypatch
+    ):
+        # the valuation scan takes 0.3, 0.2 and 0.1 and reaches the limit; in
+        # storage order the three miss it, so that scan is redone against the
+        # tightened limit, alone, and keeps {1, 2}
+        p = (0.1, 0.2, 0.3)
+        inst = build_instance([(k, p[k], 0.0, u) for k, u in enumerate((1.0, 2.5, 4.0))], capacity)
+        other = build_instance([(k, p[k], 0.0, u) for k, u in enumerate((4.0, 2.5, 1.0))], capacity)
+        instances = [inst, other, inst]
+        limit_sq = np.full(3, inst.capacity_limit_sq(rel_tol))
+        scans, steps = [], greedy._scan_steps
+        monkeypatch.setattr(greedy, "_scan_steps",
+                            lambda items, *a: scans.append(items.shape[2]) or steps(items, *a))
+        orders = greedy._sorted_order_rows(instances, greedy.SCAN_ORDERS["gva"])
+        retained, objectives = greedy._best_of_scans_rows(
+            instances, orders, limit_sq, np.arange(3)
+        )
+        assert scans == [3, 2]
+        assert retained.tolist() == [[False, True, True], [True, True, False], [False, True, True]]
+        assert objectives.tolist() == [6.5, 6.5, 6.5]
+        for t, row in enumerate(retained):
+            assert is_feasible(instances[t], np.flatnonzero(row).tolist(), rel_tol)
+
+
 @st.composite
 def boundary_cases(draw):
     """(rows, capacity, rel_tol): a capacity whose squared limit lies a few ulps
@@ -738,6 +864,40 @@ class TestEverySelectionFits:
             sol = {"gva": gva, "gma": gma, "gra": gra, "gda": gda}[algorithm](inst, rel_tol)
             assert sol.retained_ids == {ids[i] for i in expected}
             assert sol.objective == objective
+
+    @given(case=boundary_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_batched_selections(self, case):
+        # every mask that a batch returns: bench's greedies over a chunk, the
+        # oracle's seeds (every position pruned, so they are needed) and gsa's
+        # rounds, each over a batch of two so that the scans step together
+        rows, capacity, rel_tol = case
+        inst = build_instance(rows, capacity)
+        seen = []
+
+        def recording(rows_of):
+            def recorded(instances, orders, limit_sq, trial, *args):
+                retained, objectives = rows_of(instances, orders, limit_sq, trial, *args)
+                seen.extend((instances[t], limit_sq[t], row) for t, row in zip(trial, retained))
+                return retained, objectives
+            return recorded
+
+        plan = bench.TrialPlan(spec_from_acronym("FCR", 0, capacity, seed=0), (len(rows),))
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (bench, oracle_module, gsa_module):
+                mp.setattr(module, "_best_of_scans_rows", recording(module._best_of_scans_rows))
+            mp.setattr(oracle_module, "_TABLE_BITS", 0)
+            for tag in ("gva", "gma", "gra", "gda"):
+                bench._outcomes(plan, tag, [inst, inst])
+            oracle_module._brute_force_batch([inst, inst], OracleBudget(), rel_tol, "vmax")
+            for epsilon in (1 / 3, 1 / 4):
+                gsa_module._search_batch([inst, inst], GsaConfig(epsilon), rel_tol)
+        assert len(seen) >= 2 * 5
+        cols = inst.columns
+        for instance, limit_sq, row in seen:
+            assert instance is inst
+            p, q = storage_sum(cols.p, row), storage_sum(cols.q, row)
+            assert p * p + q * q <= limit_sq
 
     @given(case=boundary_cases())
     @settings(max_examples=100, deadline=None)

@@ -16,6 +16,7 @@ from curtail import (
     alignment_factor,
     brute_force_vmax,
     gda,
+    gda_forced,
     gsa,
     gsa_subset_count,
     is_feasible,
@@ -430,15 +431,17 @@ class TestSeedBound:
 
 
 def count_completions(monkeypatch) -> dict:
-    """Count the seeds that ``_search_batch`` completes, each by one ``_best_of_scans`` call."""
+    """Count the seeds that ``_search_batch`` completes: the rows it hands to
+    ``_best_of_scans_rows``, whether the kernel steps over them together or passes
+    them to ``_best_of_scans`` one by one."""
     counts = {"seeds": 0}
-    best_of_scans = gsa_module._best_of_scans
+    best_of_scans_rows = gsa_module._best_of_scans_rows
 
-    def counting_best_of_scans(*args):
-        counts["seeds"] += 1
-        return best_of_scans(*args)
+    def counting_best_of_scans_rows(instances, orders, limit_sq, trial, *args):
+        counts["seeds"] += len(trial)
+        return best_of_scans_rows(instances, orders, limit_sq, trial, *args)
 
-    monkeypatch.setattr(gsa_module, "_best_of_scans", counting_best_of_scans)
+    monkeypatch.setattr(gsa_module, "_best_of_scans_rows", counting_best_of_scans_rows)
     return counts
 
 
@@ -490,6 +493,40 @@ class TestSeedWork:
         for inst, (retained, objective), solution in zip(instances, batched, alone):
             assert frozenset(inst.columns.id[retained].tolist()) == solution.retained_ids
             assert objective == solution.objective
+
+    def test_rounds_complete_less_than_twice_a_one_at_a_time_visit(self, monkeypatch):
+        # the sweep's n = 18 trials (m = 2): a visit one seed at a time, by
+        # descending bound from Phase 1's best singleton, completes c seeds
+        # before a bound falls below its incumbent; the rounds complete those
+        # c and fewer than c more
+        plan = plan_from_dict({
+            "scenario": {"acronym": "FCR", "capacity": 25_000.0, "seed": 123},
+            "n_values": [18], "trials_per_n": 30, "algorithms": ["gsa"],
+            "oracle": "none", "gsa_epsilon": 0.25,
+        })
+        oracle_module = importlib.import_module("curtail.oracle")
+        counts = count_completions(monkeypatch)
+        for trial in range(30):
+            inst = instance_for_trial(plan, 18, trial)
+            cols, limit_sq = inst.columns, inst.capacity_limit_sq(CAPACITY_REL_TOL)
+            seeds = [seed for seed in combinations(range(18), 2)
+                     if is_feasible(inst, cols.id[list(seed)].tolist())]
+            bounds = oracle_module._projected_bounds(
+                *(a[None, :] for a in (cols.p, cols.q, cols.valuation, cols.id)),
+                np.array([limit_sq]), np.array(seeds), np.zeros(len(seeds), dtype=np.intp),
+            )
+            incumbent, one_at_a_time = float(cols.valuation.max()), 0
+            for k in np.argsort(-bounds, kind="stable").tolist():
+                if bounds[k] < incumbent:
+                    break
+                one_at_a_time += 1
+                ids = cols.id[list(seeds[k])].tolist()
+                pool = [i for i, u in zip(cols.id.tolist(), cols.valuation.tolist())
+                        if u <= cols.valuation[list(seeds[k])].min() and i not in ids]
+                incumbent = max(incumbent, gda_forced(inst, ids, pool).objective)
+            counts["seeds"] = 0
+            gsa(inst, GsaConfig(0.25))
+            assert 0 < one_at_a_time <= counts["seeds"] <= 2 * one_at_a_time - 1
 
     def test_all_tied_seeds_are_all_completed(self, monkeypatch):
         # every seed ties the best objective, and a tied seed is never pruned

@@ -193,6 +193,13 @@ def _mask_search_cases(draw, max_n=13, n=None):
     )
 
 
+def best_feasible_masks(instances, weights: np.ndarray, rel_tol: float) -> np.ndarray:
+    """``oracle._best_feasible_masks`` with the greedy seeds ``_brute_force_batch`` hands it."""
+    limit_sq = np.array([inst.capacity_limit_sq(rel_tol) for inst in instances])
+    seeds = oracle_module._greedy_seeds(instances, weights, limit_sq)
+    return oracle_module._best_feasible_masks(instances, weights, rel_tol, seeds)
+
+
 class TestMaskSearch:
     @given(case=_mask_search_cases())
     @settings(max_examples=300, deadline=None)
@@ -200,7 +207,7 @@ class TestMaskSearch:
         inst, weights, rel_tol, table_bits = case
         expected = reference_best_feasible_mask(inst, weights, rel_tol)
         with mock.patch.object(oracle_module, "_TABLE_BITS", table_bits):
-            got = oracle_module._best_feasible_masks([inst], weights[None, :], rel_tol)[0]
+            got = best_feasible_masks([inst], weights[None, :], rel_tol)[0]
         assert got.dtype == bool
         assert np.array_equal(got, expected)
 
@@ -215,7 +222,7 @@ class TestMaskSearch:
         expected = [True, False, True, True]
         assert reference_best_feasible_mask(inst, weights, 1e-9).tolist() == expected
         with mock.patch.object(oracle_module, "_TABLE_BITS", 0):
-            got = oracle_module._best_feasible_masks([inst], weights[None, :], 1e-9)
+            got = best_feasible_masks([inst], weights[None, :], 1e-9)
         assert got[0].tolist() == expected
 
     def test_fcr_26_stays_under_100_mib(self):
@@ -250,7 +257,7 @@ class TestBatchedMaskSearch:
         instances = [inst for inst, *_ in cases]
         weights = np.array([w for _, w, *_ in cases]).reshape(len(cases), -1)
         with mock.patch.object(oracle_module, "_TABLE_BITS", table_bits):
-            got = oracle_module._best_feasible_masks(instances, weights, rel_tol)
+            got = best_feasible_masks(instances, weights, rel_tol)
         assert got.dtype == bool and got.shape == weights.shape
         for inst, w, row in zip(instances, weights, got):
             assert np.array_equal(row, reference_best_feasible_mask(inst, w, rel_tol))
@@ -270,12 +277,11 @@ class TestBatchedMaskSearch:
         expected = [False, True, True]
         assert reference_best_feasible_mask(inst, weights, 0.0).tolist() == expected
         with mock.patch.object(oracle_module, "_TABLE_BITS", 0):
-            got = oracle_module._best_feasible_masks([inst], weights[None, :], 0.0)
+            got = oracle_module._best_feasible_masks([inst], weights[None, :], 0.0, seeds)
             assert got[0].tolist() == expected
             # seeded with the misfitting set's weight, the search would prune
             # the optimum away
-            with mock.patch.object(oracle_module, "_greedy_seeds", lambda *_: np.array([7.5])):
-                got = oracle_module._best_feasible_masks([inst], weights[None, :], 0.0)
+            got = oracle_module._best_feasible_masks([inst], weights[None, :], 0.0, np.array([7.5]))
             assert got[0].tolist() != expected
 
     @pytest.mark.parametrize("acronym", ["FCR", "FUM", "FLM", "ACR"])
