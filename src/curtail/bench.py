@@ -32,9 +32,9 @@ from .cmin import cmin_gda, cmin_gma, cmin_gra, cmin_gva
 from .greedy import (
     SCAN_ORDERS,
     _best_of_scans,
-    _best_of_scans_rows,
+    _greedy_rows,
+    _kept_orders,
     _sorted_order_rows,
-    _sorted_orders,
     gda,
     gma,
     gra,
@@ -149,8 +149,7 @@ def _outcomes(
     solver, so that its elapsed time describes one solve, and so is each
     trial of a cmin plan.  Otherwise a vmax algorithm solves the chunk in one
     call (elapsed None): ``gsa`` in one ``_search_batch``, a greedy in one
-    ``_best_of_scans_rows`` over its orders, sorted once for the chunk by
-    ``_sorted_order_rows``.
+    ``_greedy_rows``, which sorts each of its orders once for the chunk.
     """
     config = GsaConfig(plan.gsa_epsilon)
     if plan.objective == "vmax" and not plan.measure_time:
@@ -158,10 +157,7 @@ def _outcomes(
             objectives = [objective for _, objective in
                           _search_batch(instances, config, CAPACITY_REL_TOL)]
         else:
-            limit_sq = np.array([instance.capacity_limit_sq() for instance in instances])
-            orders = _sorted_order_rows(instances, SCAN_ORDERS[tag])
-            trials = np.arange(len(instances))
-            objectives = _best_of_scans_rows(instances, orders, limit_sq, trials)[1].tolist()
+            objectives = _greedy_rows(instances, SCAN_ORDERS[tag], CAPACITY_REL_TOL)[1].tolist()
         return [(objective, None) for objective in objectives]
     if tag == "gsa":
         solve = functools.partial(gsa, config=config)
@@ -395,7 +391,7 @@ def run_dynamic_capacity(
             return sol.objective, len(sol.retained_ids)
 
     else:
-        orders = _sorted_orders(base, SCAN_ORDERS[algorithm])
+        orders = _kept_orders(_sorted_order_rows([base], SCAN_ORDERS[algorithm]), 0)
 
         def solve_at(capacity: float) -> tuple[float, int]:
             limit_sq, pool = capacity_limit_sq(capacity), base.columns.mag <= capacity

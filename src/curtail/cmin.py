@@ -8,8 +8,9 @@ both components of the aggregate, so feasibility is monotone in the number
 shed, the empty set always fits, and that first state is found by bisection.
 
 Removal orders mirror the valuation-maximising greedy family.  Their keys
-are ``curtail.greedy.SHED_ORDERS``, sorted by ``greedy._sorted_orders``, the
-builder the greedies use, which keeps each distinct order once:
+are ``curtail.greedy.SHED_ORDERS``, sorted by ``greedy._sorted_order_rows``
+as a batch of one, the builder the greedies use, which keeps each distinct
+order once:
 
 * ``cmin_gva`` - compensation ascending (shed the cheapest-to-pay first)
 * ``cmin_gma`` - demand magnitude descending (shed the largest loads first)
@@ -30,7 +31,7 @@ import time
 
 import numpy as np
 
-from .greedy import SHED_ORDERS, _sorted_orders
+from .greedy import SHED_ORDERS, _kept_orders, _sorted_order_rows
 from .model import CAPACITY_REL_TOL, Instance, Solution, solution_from_indices, storage_sum
 
 
@@ -60,7 +61,7 @@ def _shed_solve(instance: Instance, tag: str, rel_tol: float) -> Solution:
     """Cheapest shedding over the distinct orders of ``SHED_ORDERS[tag]``; the first wins ties."""
     start = time.perf_counter()
     limit_sq = instance.capacity_limit_sq(rel_tol)
-    orders = _sorted_orders(instance, SHED_ORDERS[tag])
+    orders = _kept_orders(_sorted_order_rows([instance], SHED_ORDERS[tag]), 0)
     sheddings = [_shed(instance, order, limit_sq) for order in orders]
     retained, objective = min(sheddings, key=lambda shed: shed[1])  # min keeps the first of ties
     return solution_from_indices(instance, retained, objective, tag, time.perf_counter() - start)

@@ -14,8 +14,9 @@ remaining apparent-power capacity.
 Ties are broken by ascending customer id, so runs are reproducible.
 
 ``scan_order`` orders customers for every heuristic in the package, the
-``curtail.cmin`` shedding ones too (``SHED_ORDERS``), and ``_sorted_orders``
-keeps each distinct order of an algorithm once: under correlated valuations
+``curtail.cmin`` shedding ones too (``SHED_ORDERS``).  The one builder,
+``_sorted_order_rows``, sorts them over a batch of instances of one size and
+keeps each distinct order of an instance once: under correlated valuations
 (u = |d|^2) ``gda``'s two orders are one permutation, and so are
 ``cmin_gda``'s.  A solve over part of an instance (``gda_forced``, ``gsa``
 seeds, simulation events) hands ``_best_of_scans`` orders sorted once over
@@ -23,11 +24,11 @@ all of it and a boolean pool that masks them.
 
 A scan runs in ``_greedy_scan``, an array kernel that keeps exactly what the
 per-item loop ``_scan_items`` keeps, and drops the items that can no longer
-fit after a reject.  Many short solves over instances of one size (``bench``'s
-untimed greedies, the oracle's seeds, ``gsa``'s seed completions) run in
-``_best_of_scans_rows``: each order is sorted once over the batch
-(``_sorted_order_rows``), and all the scans step over their positions
-together.
+fit after a reject.  ``_greedy_rows`` solves a batch of whole instances of
+one size (each greedy is its batch of one; ``bench``'s untimed greedies,
+the oracle's seeds, ``gsa`` at m = 0) by ``_best_of_scans_rows``, which
+also completes ``gsa``'s seeds: many short scans step over their positions
+together, and any other input goes row by row to ``_best_of_scans``.
 """
 
 from __future__ import annotations
@@ -106,58 +107,53 @@ def scan_order(instance: Instance, key: SortKey) -> np.ndarray:
     return np.lexsort((cols.id, _PRIMARY_KEYS[key](cols)))
 
 
-def _sorted_orders(instance: Instance, keys: Sequence[SortKey]) -> list[np.ndarray]:
-    """Each distinct ``scan_order`` of ``keys``, first occurrences in ``keys`` order.
-
-    An order equal to an earlier one is dropped: it would scan or shed to the
-    same set, and the best of the scans keeps the first on ties.  Under
-    correlated valuations (u = |d|^2) efficiency and valuation sort alike, and
-    so do compensation and compensation per VA: ``gda`` scans once and
-    ``cmin_gda`` sheds once.  A key is sorted only when no earlier order is
-    already in its order (``_in_key_order``).
-    """
-    cols = instance.columns
-    orders: list[np.ndarray] = []
-    for key in keys:
-        if orders:
-            primary = _PRIMARY_KEYS[key](cols)
-            if any(_in_key_order(order, primary, cols.id) for order in orders):
-                continue
-        orders.append(scan_order(instance, key))
-    return orders
-
-
 def _sorted_order_rows(
     instances: Sequence[Instance], keys: Sequence[SortKey]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_sorted_orders`` of a batch of instances of one size n, one sort per key.
+    """The ``scan_order`` of every key and instance of one size n, an s x b x n array,
+    and an s x b boolean array: whether the instance keeps that key's order.
 
-    Returns the ``scan_order`` of every key and instance as an s x b x n
-    array, one ``np.lexsort`` over the stacked columns per key, and an s x b
-    boolean array: whether that order is kept, because no earlier key's order
-    of the instance equals it.
+    A key is kept unless an earlier kept order of the instance is already in
+    its order (``_in_key_order``): it would scan or shed to the same set, and
+    the best of the scans keeps the first on ties.  A key is sorted, by one
+    ``np.lexsort`` over the stacked columns, only when some instance keeps
+    it; otherwise each row copies the order that stands in for it.
     """
     cols = SimpleNamespace(**dict(zip(
         ("id", "valuation", "mag", "compensation"),
         _stacked(instances, "id", "valuation", "mag", "compensation"),
     )))
-    orders = np.array([np.lexsort((cols.id, _PRIMARY_KEYS[key](cols)), axis=-1) for key in keys])
-    kept = np.ones(orders.shape[:2], dtype=bool)
-    for k in range(1, len(keys)):
+    rows = np.arange(len(instances))
+    orders = np.empty((len(keys), *cols.id.shape), dtype=np.intp)
+    kept = np.zeros((len(keys), len(rows)), dtype=bool)
+    for k, key in enumerate(keys):
+        primary = _PRIMARY_KEYS[key](cols)
+        stand_in = np.full(len(rows), -1)
         for j in range(k):
-            kept[k] &= ~(orders[k] == orders[j]).all(axis=-1)
+            stand_in[kept[j] & _in_key_order(orders[j], primary, cols.id)] = j
+        kept[k] = stand_in < 0
+        sort = kept[k].any()
+        orders[k] = np.lexsort((cols.id, primary), axis=-1) if sort else orders[stand_in, rows]
     return orders, kept
 
 
-def _in_key_order(order: np.ndarray, primary: np.ndarray, ids: np.ndarray) -> bool:
-    """Whether ``order`` is the ``(primary, id)`` order, by one pass over its neighbours.
+def _kept_orders(orders: tuple[np.ndarray, np.ndarray], t: int) -> list[np.ndarray]:
+    """Instance ``t``'s kept orders of a ``_sorted_order_rows`` result, in key order."""
+    orders, kept = orders
+    return [order[t] for order, keep in zip(orders, kept) if keep[t]]
+
+
+def _in_key_order(order: np.ndarray, primary: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Per row, whether ``order`` is the ``(primary, id)`` order, by one pass over its neighbours.
 
     Ids are unique and the keys hold no NaN (``_per_va`` maps 0/0 to inf), so
     exactly one permutation has every consecutive pair non-decreasing in
     (key, id), and it is the one ``scan_order`` sorts to.
     """
-    key, tie = primary[order], ids[order]
-    return bool(np.all((key[:-1] < key[1:]) | ((key[:-1] == key[1:]) & (tie[:-1] < tie[1:]))))
+    at = order + primary.shape[1] * np.arange(len(order))[:, None]  # flat: a 1-D gather is faster
+    key, tie = primary.take(at), ids.take(at)
+    a, z = key[:, :-1], key[:, 1:]
+    return np.all((a < z) | ((a == z) & (tie[:, :-1] < tie[:, 1:])), axis=1)
 
 
 def _scan_items(
@@ -366,18 +362,18 @@ def _best_of_scans_rows(
     limit, as ``_best_of_scans`` argues.  Any other input goes row by row to
     ``_best_of_scans``.
     """
-    orders, kept = orders
-    n, rows = orders.shape[-1], len(trial)
+    n, rows = orders[0].shape[-1], len(trial)
     forced = np.empty((rows, 0), dtype=np.int64) if forced is None else forced
     retained = np.zeros((rows, n), dtype=bool)
     if rows < 2 or n >= 2 * _SCAN_BLOCK:
         objectives = np.empty(rows)
         for r, t in enumerate(trial.tolist()):
-            scans = [order[t] for order, keep in zip(orders, kept) if keep[t]]
+            scans = _kept_orders(orders, t)
             at, objectives[r] = _best_of_scans(instances[t], forced[r], scans, float(limit_sq[t]),
                                                None if pool is None else pool[r])
             retained[r, at] = True
         return retained, objectives
+    orders, kept = orders
     pq, u = np.stack(_stacked(instances, "p", "q")), *_stacked(instances, "valuation")
     retained[np.arange(rows)[:, None], forced] = True
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range, sums are inf
@@ -449,13 +445,22 @@ def _scan_steps(
     return taken, acc
 
 
+def _greedy_rows(
+    instances: Sequence[Instance], keys: Sequence[SortKey], rel_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per instance of one size n, ``_best_of_scans`` of its kept orders of ``keys`` over
+    all of it: a b x n boolean array of retained storage masks and the b objectives."""
+    limit_sq = np.array([instance.capacity_limit_sq(rel_tol) for instance in instances])
+    orders = _sorted_order_rows(instances, keys)
+    return _best_of_scans_rows(instances, orders, limit_sq, np.arange(len(instances)))
+
+
 def _greedy_solve(instance: Instance, tag: str, rel_tol: float) -> Solution:
-    """Best of the scans in ``SCAN_ORDERS[tag]`` over the whole instance."""
+    """Best of the scans in ``SCAN_ORDERS[tag]`` over the whole instance: a batch of one."""
     start = time.perf_counter()
-    limit_sq = instance.capacity_limit_sq(rel_tol)
-    orders = _sorted_orders(instance, SCAN_ORDERS[tag])
-    retained, objective = _best_of_scans(instance, (), orders, limit_sq)
-    return solution_from_indices(instance, retained, objective, tag, time.perf_counter() - start)
+    (retained,), (objective,) = _greedy_rows([instance], SCAN_ORDERS[tag], rel_tol)
+    return solution_from_indices(instance, np.flatnonzero(retained), objective.item(), tag,
+                                 time.perf_counter() - start)
 
 
 def gva(instance: Instance, rel_tol: float = CAPACITY_REL_TOL) -> Solution:
@@ -509,7 +514,7 @@ def gda_forced(
     if forced & pool:
         raise ValueError(f"forced and pool overlap: {sorted(forced & pool)}")
     limit_sq = instance.capacity_limit_sq(rel_tol)
-    orders = _sorted_orders(instance, SCAN_ORDERS["gda"])
+    orders = _kept_orders(_sorted_order_rows([instance], SCAN_ORDERS["gda"]), 0)
     forced_at = np.flatnonzero(in_forced)
     retained, objective = _best_of_scans(instance, forced_at, orders, limit_sq, in_pool)
     return solution_from_indices(instance, retained, objective, "gda", time.perf_counter() - start)

@@ -49,8 +49,8 @@ perfbench's ``sweep_small`` plan (FCR, 25 kVA, seed 123, epsilon = 1/4),
 time.
 
 With epsilon >= 1/2 the derived m is 0 and the enumeration degenerates; the
-solver then falls back to a single unforced greedy-pair run, whose 1/2
-guarantee already dominates 1 - epsilon.
+batch then falls back to the unforced greedy pair (``greedy._greedy_rows``),
+whose 1/2 guarantee already dominates 1 - epsilon.
 
 Determinism: subsets are enumerated lexicographically by customer id, and
 each Phase 2 seed is ranked by its place in that enumeration.  A Phase 2
@@ -74,7 +74,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .greedy import SCAN_ORDERS, _best_of_scans_rows, _sorted_order_rows
+from .greedy import SCAN_ORDERS, _best_of_scans_rows, _greedy_rows, _sorted_order_rows
 from .model import (
     CAPACITY_REL_TOL,
     Instance,
@@ -172,15 +172,15 @@ def _search_batch(
     id-lexicographic order would keep, whatever order the survivors are
     completed in.
     """
-    b = len(instances)
-    limit_sq = np.array([instance.capacity_limit_sq(rel_tol) for instance in instances])
-    orders = _sorted_order_rows(instances, SCAN_ORDERS["gda"])
     n = len(instances[0]) if instances else 0
     m = config.max_subset_size(n)
     if m == 0:  # no enumeration: the greedy pair alone, as ``gda`` runs it
-        retained, objectives = _best_of_scans_rows(instances, orders, limit_sq, np.arange(b))
+        retained, objectives = _greedy_rows(instances, SCAN_ORDERS["gda"], rel_tol)
         return [(np.flatnonzero(row), objective)
                 for row, objective in zip(retained, objectives.tolist())]
+    b = len(instances)
+    limit_sq = np.array([instance.capacity_limit_sq(rel_tol) for instance in instances])
+    orders = _sorted_order_rows(instances, SCAN_ORDERS["gda"])
     p, q, u, ids = _stacked(instances, "p", "q", "valuation", "id")
     # storage positions in ascending id order, so the rank combinations are id-lexicographic
     by_id = np.argsort(ids, axis=1)

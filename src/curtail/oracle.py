@@ -15,8 +15,8 @@ selection.  ``_best_feasible_masks`` argues why the pruning keeps the answer
 exact, ties included, and states the memory rule for a batch.  The
 single-instance solvers are batches of one, and ``bench.run_benchmark``
 hands over each n's trials at once; ``_brute_force_batch`` finds all their
-greedy seeds in one batched scan and slices them into batches by that
-rule.  The budget is one limit on n,
+greedy seeds in one ``greedy._greedy_rows`` call and slices them into
+batches by that rule.  The budget is one limit on n,
 ``OracleBudget.max_n`` (at most ``MAX_ORACLE_N`` = 30); its default keeps
 accidental 2^30-subset runs from happening.
 
@@ -36,10 +36,9 @@ import numpy as np
 from .greedy import (
     SCAN_ORDERS,
     SortKey,
-    _best_of_scans_rows,
+    _greedy_rows,
     _per_va,
     _row_sums,
-    _sorted_order_rows,
     scan_order,
 )
 from .model import (
@@ -233,18 +232,17 @@ def _table_positions(b: int, n: int) -> int:
 
 
 def _greedy_seeds(
-    instances: Sequence[Instance], weights: np.ndarray, limit_sq: np.ndarray
+    instances: Sequence[Instance], weights: np.ndarray, rel_tol: float
 ) -> np.ndarray:
-    """Per instance, the weight of one of its feasible selections.
+    """Per instance, the weight of one of its feasible selections at ``rel_tol``.
 
     The selection is the greedy pair's (``SCAN_ORDERS["gda"]``), found for
-    every instance at once by ``_best_of_scans_rows``, and its weight is
-    added in storage order from 0.0, as the enumeration adds it.  The greedy
-    pair returns only sets whose demand, added the same way, passes the
+    every instance at once by ``_greedy_rows``, and its weight is added in
+    storage order from 0.0, as the enumeration adds it.  The greedy pair
+    returns only sets whose demand, added the same way, passes the
     enumeration's fit test.
     """
-    orders = _sorted_order_rows(instances, SCAN_ORDERS["gda"])
-    retained, _ = _best_of_scans_rows(instances, orders, limit_sq, np.arange(len(instances)))
+    retained, _ = _greedy_rows(instances, SCAN_ORDERS["gda"], rel_tol)
     with np.errstate(over="ignore"):  # a sum past the float range is inf
         return _row_sums(retained, weights)
 
@@ -362,8 +360,7 @@ def _brute_force_batch(
     size = max(1, _BATCH_SELECTIONS >> n)
     seeds = np.full(b, -np.inf)
     if _table_positions(min(size, b), n) < n:
-        limit_sq = np.array([instance.capacity_limit_sq(rel_tol) for instance in instances])
-        seeds = _greedy_seeds(instances, weights, limit_sq)
+        seeds = _greedy_seeds(instances, weights, rel_tol)
     kept = np.concatenate([
         _best_feasible_masks(
             instances[lo : lo + size], weights[lo : lo + size], rel_tol, seeds[lo : lo + size]

@@ -194,13 +194,13 @@ class TestRunBenchmark:
         paths = [tmp_path / "once.csv", tmp_path / "twice.csv"]
         emit_csv(run_benchmark(small_plan(n_values=(8,), algorithms=("gda",))), str(paths[0]))
         built, solved = [], []
-        rows_of = bench._best_of_scans_rows
+        greedy_rows = bench._greedy_rows
         monkeypatch.setattr(
             "curtail.bench.instance_for_trial", lambda *a: built.append(a) or instance_for_trial(*a)
         )
         monkeypatch.setattr(
-            bench, "_best_of_scans_rows",
-            lambda instances, *a: solved.append(len(instances)) or rows_of(instances, *a),
+            bench, "_greedy_rows",
+            lambda instances, *a: solved.append(len(instances)) or greedy_rows(instances, *a),
         )
         rows = run_benchmark(small_plan(n_values=(8, 8), algorithms=("gda", "gda")))
         emit_csv(rows, str(paths[1]))
@@ -272,6 +272,14 @@ class TestRunBenchmark:
                 return retained, np.concatenate([part[1] for part in parts])
             return split
 
+        def instance_by_instance(greedy_rows):
+            def split(instances, keys, rel_tol):
+                parts = [greedy_rows([instance], keys, rel_tol) for instance in instances]
+                n = len(instances[0]) if instances else 0
+                retained = np.concatenate([part[0] for part in parts]).reshape(len(instances), n)
+                return retained, np.concatenate([part[1] for part in parts])
+            return split
+
         reports = []
         for batched in ("default", "chunks of one", "rows of one"):
             with monkeypatch.context() as m:
@@ -279,8 +287,9 @@ class TestRunBenchmark:
                     m.setattr(bench, "_BATCH_CUSTOMERS", 1)
                 if batched == "rows of one":
                     for module in (bench, oracle_module, gsa_module):
-                        m.setattr(module, "_best_of_scans_rows",
-                                  row_by_row(module._best_of_scans_rows))
+                        m.setattr(module, "_greedy_rows", instance_by_instance(module._greedy_rows))
+                    m.setattr(gsa_module, "_best_of_scans_rows",
+                              row_by_row(gsa_module._best_of_scans_rows))
                 for acronym, capacity in (("FCR", 25_000.0), ("FLM", 5e6), ("FUM", 5e6)):
                     plan = small_plan(
                         scenario=spec_from_acronym(acronym, 0, capacity, seed=11),
@@ -345,9 +354,7 @@ class TestRunBenchmark:
         if objective == "vmax":
             calls["gsa"], algorithms = 0, algorithms + ("gsa",)
             monkeypatch.setattr(bench, "gsa", counted("gsa", bench.gsa))
-        monkeypatch.setattr(
-            bench, "_best_of_scans_rows", batched(greedy_batches, bench._best_of_scans_rows)
-        )
+        monkeypatch.setattr(bench, "_greedy_rows", batched(greedy_batches, bench._greedy_rows))
         monkeypatch.setattr(bench, "_search_batch", batched(gsa_batches, bench._search_batch))
         monkeypatch.setattr(bench, "_BATCH_CUSTOMERS", chunk)
         plan = small_plan(algorithms=algorithms, objective=objective, measure_time=measure_time)

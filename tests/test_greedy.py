@@ -563,48 +563,78 @@ class TestScanKernel:
             assert sol.objective == objective
 
 
+def distinct_scan_orders(inst, keys):
+    """Each distinct ``scan_order`` of ``keys``, first occurrences in ``keys`` order,
+    found by sorting every key."""
+    orders = []
+    for key in keys:
+        order = greedy.scan_order(inst, key)
+        if not any(np.array_equal(order, seen) for seen in orders):
+            orders.append(order)
+    return orders
+
+
 class TestDistinctOrders:
-    """``_sorted_orders`` drops an order equal to an earlier one.  Under correlated
-    valuations (u = |d|^2) efficiency and valuation sort alike, so ``gda`` scans once,
-    and so do compensation and compensation per VA, so ``cmin_gda`` sheds once."""
+    """``_sorted_order_rows`` keeps an instance's order unless an earlier kept one
+    equals it.  Under correlated valuations (u = |d|^2) efficiency and valuation
+    sort alike, so ``gda`` scans once, and so do compensation and compensation per
+    VA, so ``cmin_gda`` sheds once."""
 
     @pytest.mark.parametrize("acronym, streams", [
         ("FCR", 1), ("FCM", 1), ("FCI", 1), ("ACR", 1), ("FUM", 2), ("FLM", 2),
     ])
     def test_gda_streams_per_scenario(self, acronym, streams):
         for n, seed in ((12, 0), (2_000, 5)):
-            inst = generate(spec_from_acronym(acronym, n, 2e6, seed))
-            assert len(greedy._sorted_orders(inst, greedy.SCAN_ORDERS["gda"])) == streams
-            assert len(greedy._sorted_orders(inst, greedy.SHED_ORDERS["cmin_gda"])) == streams
+            batch = [generate(spec_from_acronym(acronym, n, 2e6, seed + k)) for k in range(3)]
+            for keys in (greedy.SCAN_ORDERS["gda"], greedy.SHED_ORDERS["cmin_gda"]):
+                _, kept = greedy._sorted_order_rows(batch, keys)
+                assert kept.sum(axis=0).tolist() == [streams] * 3
 
     @staticmethod
     def sort_and_compare(inst, keys):
-        """Each distinct order of ``keys``, found by sorting every key."""
-        orders = []
-        for key in keys:
-            order = greedy.scan_order(inst, key)
-            if not any(np.array_equal(order, seen) for seen in orders):
-                orders.append(order)
-        return orders
+        """Every key's ``scan_order`` and whether it differs from every earlier one."""
+        orders = [greedy.scan_order(inst, key) for key in keys]
+        kept = [not any(np.array_equal(order, seen) for seen in orders[:k])
+                for k, order in enumerate(orders)]
+        return orders, kept
 
-    def assert_neighbour_rule_matches_sorting(self, inst):
-        cols = inst.columns
-        for a in greedy.SortKey:
-            order = greedy.scan_order(inst, a)
-            for b in greedy.SortKey:
-                primary = greedy._PRIMARY_KEYS[b](cols)
-                expected = np.array_equal(order, greedy.scan_order(inst, b))
-                assert greedy._in_key_order(order, primary, cols.id) == expected, (a, b)
+    def assert_rows_match_sorting(self, instances, keys):
+        orders, kept = greedy._sorted_order_rows(instances, keys)
+        assert orders.shape == (len(keys), len(instances), len(instances[0]))
+        for t, inst in enumerate(instances):
+            expected, expected_kept = self.sort_and_compare(inst, keys)
+            assert [order.tolist() for order in orders[:, t]] == [o.tolist() for o in expected]
+            assert kept[:, t].tolist() == expected_kept
+            got = greedy._kept_orders((orders, kept), t)
+            assert [o.tolist() for o in got] == [o.tolist() for o in distinct_scan_orders(inst, keys)]
+
+    def assert_neighbour_rule_matches_sorting(self, instances):
+        for inst in instances:
+            cols = inst.columns
+            for a in greedy.SortKey:
+                order = greedy.scan_order(inst, a)
+                for b in greedy.SortKey:
+                    primary = greedy._PRIMARY_KEYS[b](cols)
+                    expected = np.array_equal(order, greedy.scan_order(inst, b))
+                    got = greedy._in_key_order(order[None], primary[None], cols.id[None])
+                    assert got.tolist() == [expected], (a, b)
         for keys in (*greedy.SCAN_ORDERS.values(), *greedy.SHED_ORDERS.values()):
-            got = greedy._sorted_orders(inst, keys)
-            expected = self.sort_and_compare(inst, keys)
-            assert [o.tolist() for o in got] == [o.tolist() for o in expected]
+            self.assert_rows_match_sorting(instances, keys)
 
     @pytest.mark.parametrize("acronym", [p + c + l for p in "FA" for c in "CUL" for l in "RIM"])
     def test_neighbour_rule_agrees_with_sort_and_compare(self, acronym):
         for n, seed in ((12, 0), (2_000, 5)):
-            inst = generate(spec_from_acronym(acronym, n, 2e6, seed))
-            self.assert_neighbour_rule_matches_sorting(inst)
+            batch = [generate(spec_from_acronym(acronym, n, 2e6, seed + k)) for k in range(2)]
+            self.assert_neighbour_rule_matches_sorting(batch)
+
+    def test_a_batch_mixing_one_and_two_distinct_orders(self):
+        # FCR's gda orders are one permutation and FLM's two, so FLM rows keep two
+        for n, seed in ((12, 0), (2_000, 5)):
+            batch = [generate(spec_from_acronym(acronym, n, 2e6, seed + k))
+                     for k, acronym in enumerate(("FCR", "FLM", "FCR", "FLM"))]
+            self.assert_neighbour_rule_matches_sorting(batch)
+            _, kept = greedy._sorted_order_rows(batch, greedy.SCAN_ORDERS["gda"])
+            assert kept.sum(axis=0).tolist() == [1, 2, 1, 2]
 
     def test_neighbour_rule_on_ties_and_zero_magnitudes(self):
         # equal keys fall back to ids; zero demands have per-VA keys of inf
@@ -612,34 +642,57 @@ class TestDistinctOrders:
             (5, 0.0, 0.0, 3.0, 1.0), (2, 0.0, 0.0, 1.0, 1.0), (9, 1.0, 0.0, 2.0, 2.0),
             (1, 1.0, 0.0, 2.0, 2.0), (4, 2.0, 0.0, 4.0, 4.0), (7, 0.0, 0.0, 0.0, 0.0),
         ]
-        for rotation in range(len(rows)):
-            self.assert_neighbour_rule_matches_sorting(
-                build_instance(rows[rotation:] + rows[:rotation], 3.0)
-            )
+        self.assert_neighbour_rule_matches_sorting(
+            [build_instance(rows[rotation:] + rows[:rotation], 3.0) for rotation in range(len(rows))]
+        )
         identical = [(k, 1.0, 1.0, 2.0, 2.0) for k in (3, 0, 2, 1)]
-        self.assert_neighbour_rule_matches_sorting(build_instance(identical, 3.0))
-        orders = greedy._sorted_orders(build_instance(identical, 3.0), greedy.SCAN_ORDERS["gda"])
-        assert [order.tolist() for order in orders] == [[1, 3, 2, 0]]
+        self.assert_neighbour_rule_matches_sorting([build_instance(identical, 3.0)])
+        orders = greedy._sorted_order_rows([build_instance(identical, 3.0)], greedy.SCAN_ORDERS["gda"])
+        assert [order.tolist() for order in greedy._kept_orders(orders, 0)] == [[1, 3, 2, 0]]
         zeros = [(k, 0.0, 0.0, float(k % 2), 1.0) for k in (4, 1, 3, 0, 2)]
-        self.assert_neighbour_rule_matches_sorting(build_instance(zeros, 1.0))
+        self.assert_neighbour_rule_matches_sorting(
+            [build_instance(zeros, 1.0), build_instance(zeros[::-1], 1.0)]
+        )
+
+    @staticmethod
+    def counting_lexsorts(monkeypatch):
+        """The primary keys of every ``np.lexsort`` from now on."""
+        calls, lexsort = [], np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda a, **k: calls.append(a[-1]) or lexsort(a, **k))
+        return calls
 
     @pytest.mark.parametrize("acronym, sorts", [("FCR", 1), ("FCM", 1), ("FUM", 2)])
     def test_one_sort_per_distinct_order(self, acronym, sorts, monkeypatch):
-        calls = []
-        scan_order = greedy.scan_order
-        monkeypatch.setattr(greedy, "scan_order", lambda *a: calls.append(a[1]) or scan_order(*a))
+        calls = self.counting_lexsorts(monkeypatch)
         inst = generate(spec_from_acronym(acronym, 2_000, 2e6, 5))
         for keys in (greedy.SCAN_ORDERS["gda"], greedy.SHED_ORDERS["cmin_gda"]):
             calls.clear()
-            assert len(greedy._sorted_orders(inst, keys)) == sorts
-            assert calls == list(keys[:sorts])
+            _, kept = greedy._sorted_order_rows([inst], keys)
+            assert kept.sum() == sorts
+            assert len(calls) == sorts
+            for primary, key in zip(calls, keys):
+                assert np.array_equal(primary, greedy._PRIMARY_KEYS[key](inst.columns)[None])
+
+    @pytest.mark.parametrize("acronyms, sorts", [
+        (("FCR", "FCR", "FCR"), 1), (("FCR", "FLM", "FCR"), 2),
+    ])
+    def test_one_lexsort_per_key_some_instance_keeps(self, acronyms, sorts, monkeypatch):
+        # the parent sorted every key; an FLM row is the only one keeping gda's second
+        for n, seed in ((12, 0), (2_000, 5)):
+            batch = [generate(spec_from_acronym(acronym, n, 2e6, seed + k))
+                     for k, acronym in enumerate(acronyms)]
+            with monkeypatch.context() as m:
+                calls = self.counting_lexsorts(m)
+                greedy._sorted_order_rows(batch, greedy.SCAN_ORDERS["gda"])
+            assert len(calls) == sorts
+            self.assert_rows_match_sorting(batch, greedy.SCAN_ORDERS["gda"])
 
     def test_orders_one_tie_swap_apart_are_both_scanned(self):
         # ids 1 and 2 tie at 2 per VA, so efficiency takes 1 first by id and
         # valuation takes 2 first; only the valuation scan reaches 34
         inst = build_instance([(0, 3.0, 4.0, 30.0), (1, 1.0, 0.0, 2.0), (2, 2.0, 0.0, 4.0)], 7.0)
-        orders = greedy._sorted_orders(inst, greedy.SCAN_ORDERS["gda"])
-        assert [order.tolist() for order in orders] == [[0, 1, 2], [0, 2, 1]]
+        orders = greedy._sorted_order_rows([inst], greedy.SCAN_ORDERS["gda"])
+        assert [order.tolist() for order in greedy._kept_orders(orders, 0)] == [[0, 1, 2], [0, 2, 1]]
         sol = gda(inst)
         assert sol.retained_ids == {0, 2} and sol.objective == 34.0
         assert gra(inst).retained_ids == {0, 1}
@@ -663,6 +716,26 @@ class TestDistinctOrders:
             ids, objective, _ = reference_gsa_search(inst, GsaConfig(0.25))
             sol = gsa(inst, GsaConfig(0.25))
             assert sol.retained_ids == ids and sol.objective == objective
+
+
+class TestObjectiveIsAPythonFloat:
+    """Single solves run as batches of one, whose objectives come in numpy arrays;
+    an ``np.float64`` objective would change ``repr(Solution)``."""
+
+    @pytest.mark.parametrize("n", [0, 1, 12])
+    def test_every_public_solver(self, n):
+        base = generate(spec_from_acronym("FLM", n, 2e6, 3))
+        mag = base.columns.mag
+        inst = restrict_to_capacity(base, max(0.4 * float(mag.sum()), float(mag.max(initial=1.0))))
+        ids = inst.columns.id.tolist()
+        solutions = [solve(inst) for solve in (
+            gva, gma, gra, gda, cmin_gva, cmin_gma, cmin_gra, cmin_gda,
+            brute_force_vmax, brute_force_cmin,
+        )]
+        solutions += [gda_forced(inst, ids[:1], ids[1:]), gda_forced(inst, [], ids)]
+        solutions += [gsa(inst, GsaConfig(epsilon)) for epsilon in (1 / 2, 1 / 4)]  # m = 0, 2
+        for sol in solutions:
+            assert type(sol.objective) is float, sol
 
 
 # Valuations with ties and zeros; 1e308 makes a set's objective overflow to inf.
@@ -738,13 +811,13 @@ class TestBestOfScansRows:
         orders, kept = greedy._sorted_order_rows(instances, keys)
         for t, inst in enumerate(instances):
             got = [order[t].tolist() for order, keep in zip(orders, kept) if keep[t]]
-            assert got == [order.tolist() for order in greedy._sorted_orders(inst, keys)]
+            assert got == [order.tolist() for order in distinct_scan_orders(inst, keys)]
         expected = []
         for r, t in enumerate(trial.tolist()):
             try:
                 expected.append(greedy._best_of_scans(
                     instances[t], () if forced is None else forced[r],
-                    greedy._sorted_orders(instances[t], keys), float(limit_sq[t]),
+                    distinct_scan_orders(instances[t], keys), float(limit_sq[t]),
                     None if pool is None else pool[r],
                 ))
             except ValueError:  # a forced set that misfits on its own fails the batch
@@ -884,7 +957,8 @@ class TestEverySelectionFits:
 
         plan = bench.TrialPlan(spec_from_acronym("FCR", 0, capacity, seed=0), (len(rows),))
         with pytest.MonkeyPatch.context() as mp:
-            for module in (bench, oracle_module, gsa_module):
+            # whole-instance scans reach it through ``greedy._greedy_rows``
+            for module in (greedy, gsa_module):
                 mp.setattr(module, "_best_of_scans_rows", recording(module._best_of_scans_rows))
             mp.setattr(oracle_module, "_TABLE_BITS", 0)
             for tag in ("gva", "gma", "gra", "gda"):

@@ -195,8 +195,7 @@ def _mask_search_cases(draw, max_n=13, n=None):
 
 def best_feasible_masks(instances, weights: np.ndarray, rel_tol: float) -> np.ndarray:
     """``oracle._best_feasible_masks`` with the greedy seeds ``_brute_force_batch`` hands it."""
-    limit_sq = np.array([inst.capacity_limit_sq(rel_tol) for inst in instances])
-    seeds = oracle_module._greedy_seeds(instances, weights, limit_sq)
+    seeds = oracle_module._greedy_seeds(instances, weights, rel_tol)
     return oracle_module._best_feasible_masks(instances, weights, rel_tol, seeds)
 
 
@@ -271,8 +270,7 @@ class TestBatchedMaskSearch:
         weights = inst.columns.valuation
         assert not is_feasible(inst, {0, 1, 2}, 0.0)
         assert gda(inst, 0.0).retained_ids == {1, 2}
-        limit_sq = np.array([inst.capacity_limit_sq(0.0)])
-        seeds = oracle_module._greedy_seeds([inst], weights[None, :], limit_sq)
+        seeds = oracle_module._greedy_seeds([inst], weights[None, :], 0.0)
         assert seeds.tolist() == [6.5]
         expected = [False, True, True]
         assert reference_best_feasible_mask(inst, weights, 0.0).tolist() == expected
