@@ -28,9 +28,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cmin import cmin_gda, cmin_gma, cmin_gra, cmin_gva
+from .cmin import _shed_rows, cmin_gda, cmin_gma, cmin_gra, cmin_gva
 from .greedy import (
     SCAN_ORDERS,
+    SHED_ORDERS,
     _best_of_scans,
     _greedy_rows,
     _kept_orders,
@@ -69,7 +70,7 @@ CMIN_ALGORITHMS: Mapping[str, Callable[[Instance], Solution]] = {
 }
 
 # Most customers, trials x n, that one chunk of an n's trials holds at once
-# (at least one trial); the oracle and ``gsa`` each take a chunk as a batch.
+# (at least one trial); the oracle and each untimed algorithm take a chunk as a batch.
 _BATCH_CUSTOMERS = 1 << 16
 
 
@@ -88,6 +89,9 @@ class TrialPlan:
     budget: OracleBudget = OracleBudget()
 
     def __post_init__(self):
+        for name in ("n_values", "algorithms"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         negative = [n for n in self.n_values if n < 0]
         if negative:
             raise ValueError(f"n_values must be >= 0, got {negative}")
@@ -146,24 +150,23 @@ def _outcomes(
     """Per trial of one chunk, algorithm ``tag``'s (objective, elapsed).
 
     With ``measure_time`` each trial is solved on its own by the public
-    solver, so that its elapsed time describes one solve, and so is each
-    trial of a cmin plan.  Otherwise a vmax algorithm solves the chunk in one
-    call (elapsed None): ``gsa`` in one ``_search_batch``, a greedy in one
-    ``_greedy_rows``, which sorts each of its orders once for the chunk.
+    solver, so that its elapsed time describes one solve.  Otherwise the
+    algorithm's batched entry solves the chunk in one call (elapsed None):
+    ``gsa`` in one ``_search_batch``, a vmax greedy in one ``_greedy_rows``
+    and a cmin greedy in one ``_shed_rows``, each of which sorts an order
+    once for the chunk.
     """
-    config = GsaConfig(plan.gsa_epsilon)
-    if plan.objective == "vmax" and not plan.measure_time:
-        if tag == "gsa":
-            objectives = [objective for _, objective in
-                          _search_batch(instances, config, CAPACITY_REL_TOL)]
-        else:
-            objectives = _greedy_rows(instances, SCAN_ORDERS[tag], CAPACITY_REL_TOL)[1].tolist()
-        return [(objective, None) for objective in objectives]
     if tag == "gsa":
-        solve = functools.partial(gsa, config=config)
+        config = GsaConfig(plan.gsa_epsilon)
+        batch, args, solve = _search_batch, (config,), functools.partial(gsa, config=config)
+    elif plan.objective == "cmin":
+        batch, args, solve = _shed_rows, (SHED_ORDERS[f"cmin_{tag}"],), CMIN_ALGORITHMS[tag]
     else:
-        solve = (CMIN_ALGORITHMS if plan.objective == "cmin" else VMAX_ALGORITHMS)[tag]
-    return [(solution.objective, solution.elapsed) for solution in map(solve, instances)]
+        batch, args, solve = _greedy_rows, (SCAN_ORDERS[tag],), VMAX_ALGORITHMS[tag]
+    if plan.measure_time:
+        return [(solution.objective, solution.elapsed) for solution in map(solve, instances)]
+    _, objectives = batch(instances, *args, CAPACITY_REL_TOL)
+    return [(objective, None) for objective in objectives.tolist()]
 
 
 def _yardsticks(plan: TrialPlan, instances: Sequence[Instance]) -> list[float | None]:
@@ -172,7 +175,7 @@ def _yardsticks(plan: TrialPlan, instances: Sequence[Instance]) -> list[float | 
         return [None] * len(instances)
     if plan.oracle == "lp_bound":
         return [lp_upper_bound(instance) for instance in instances]
-    return _brute_force_batch(instances, plan.budget, CAPACITY_REL_TOL, plan.objective)[1]
+    return _brute_force_batch(instances, plan.budget, CAPACITY_REL_TOL, plan.objective)[1].tolist()
 
 
 def _ratio(plan: TrialPlan, achieved: float, optimal: float) -> float:
@@ -196,7 +199,7 @@ def run_benchmark(plan: TrialPlan) -> tuple[BenchRow, ...]:
 
     Each n's trials are generated in chunks of ``_BATCH_CUSTOMERS // n``
     trials (at least one).  Each algorithm takes a chunk in one ``_outcomes``
-    call, which solves it as one batch unless the plan is timed or cmin, and
+    call, which solves it as one batch unless the plan is timed, and
     the brute-force yardstick takes it as one batch, which the oracle seeds
     with the greedy pair at once and slices further by its own memory rule.
     """

@@ -8,9 +8,10 @@ both components of the aggregate, so feasibility is monotone in the number
 shed, the empty set always fits, and that first state is found by bisection.
 
 Removal orders mirror the valuation-maximising greedy family.  Their keys
-are ``curtail.greedy.SHED_ORDERS``, sorted by ``greedy._sorted_order_rows``
-as a batch of one, the builder the greedies use, which keeps each distinct
-order once:
+are ``curtail.greedy.SHED_ORDERS``.  ``_shed_rows`` sheds a batch of
+instances of one size in them, sorted once for the batch by the greedies'
+builder, ``greedy._sorted_order_rows``, which keeps each distinct order of
+an instance once; each solver is its batch of one:
 
 * ``cmin_gva`` - compensation ascending (shed the cheapest-to-pay first)
 * ``cmin_gma`` - demand magnitude descending (shed the largest loads first)
@@ -27,12 +28,12 @@ their gap to the exhaustive optimum instead.
 from __future__ import annotations
 
 import bisect
-import time
+from typing import Sequence
 
 import numpy as np
 
-from .greedy import SHED_ORDERS, _kept_orders, _sorted_order_rows
-from .model import CAPACITY_REL_TOL, Instance, Solution, solution_from_indices, storage_sum
+from .greedy import SHED_ORDERS, SortKey, _kept_orders, _sorted_order_rows
+from .model import CAPACITY_REL_TOL, Instance, Solution, _batch_of_one, storage_sum
 
 
 def _shed(instance: Instance, order: np.ndarray, limit_sq: float) -> tuple[np.ndarray, float]:
@@ -57,29 +58,36 @@ def _shed(instance: Instance, order: np.ndarray, limit_sq: float) -> tuple[np.nd
     return np.flatnonzero(rank >= removed), storage_sum(cols.compensation, rank < removed)
 
 
-def _shed_solve(instance: Instance, tag: str, rel_tol: float) -> Solution:
-    """Cheapest shedding over the distinct orders of ``SHED_ORDERS[tag]``; the first wins ties."""
-    start = time.perf_counter()
-    limit_sq = instance.capacity_limit_sq(rel_tol)
-    orders = _kept_orders(_sorted_order_rows([instance], SHED_ORDERS[tag]), 0)
-    sheddings = [_shed(instance, order, limit_sq) for order in orders]
-    retained, objective = min(sheddings, key=lambda shed: shed[1])  # min keeps the first of ties
-    return solution_from_indices(instance, retained, objective, tag, time.perf_counter() - start)
+def _shed_rows(
+    instances: Sequence[Instance], keys: Sequence[SortKey], rel_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per instance of one size n, the cheapest shedding over its kept orders of ``keys``,
+    the first on ties: a b x n boolean array of retained storage masks and the b shed
+    compensations."""
+    orders = _sorted_order_rows(instances, keys)
+    retained = np.zeros((len(instances), orders[0].shape[-1]), dtype=bool)
+    objectives = np.empty(len(instances))
+    for t, instance in enumerate(instances):
+        limit_sq = instance.capacity_limit_sq(rel_tol)
+        sheddings = [_shed(instance, order, limit_sq) for order in _kept_orders(orders, t)]
+        at, objectives[t] = min(sheddings, key=lambda shed: shed[1])  # min keeps the first of ties
+        retained[t, at] = True
+    return retained, objectives
 
 
 def cmin_gva(instance: Instance, rel_tol: float = CAPACITY_REL_TOL) -> Solution:
     """Shed customers in ascending order of compensation."""
-    return _shed_solve(instance, "cmin_gva", rel_tol)
+    return _batch_of_one(_shed_rows, instance, "cmin_gva", SHED_ORDERS["cmin_gva"], rel_tol)
 
 
 def cmin_gma(instance: Instance, rel_tol: float = CAPACITY_REL_TOL) -> Solution:
     """Shed customers in descending order of demand magnitude."""
-    return _shed_solve(instance, "cmin_gma", rel_tol)
+    return _batch_of_one(_shed_rows, instance, "cmin_gma", SHED_ORDERS["cmin_gma"], rel_tol)
 
 
 def cmin_gra(instance: Instance, rel_tol: float = CAPACITY_REL_TOL) -> Solution:
     """Shed customers in ascending order of compensation per VA of demand."""
-    return _shed_solve(instance, "cmin_gra", rel_tol)
+    return _batch_of_one(_shed_rows, instance, "cmin_gra", SHED_ORDERS["cmin_gra"], rel_tol)
 
 
 def cmin_gda(instance: Instance, rel_tol: float = CAPACITY_REL_TOL) -> Solution:
@@ -87,4 +95,4 @@ def cmin_gda(instance: Instance, rel_tol: float = CAPACITY_REL_TOL) -> Solution:
 
     On equal objectives the efficiency variant's retained set is returned.
     """
-    return _shed_solve(instance, "cmin_gda", rel_tol)
+    return _batch_of_one(_shed_rows, instance, "cmin_gda", SHED_ORDERS["cmin_gda"], rel_tol)

@@ -25,10 +25,11 @@ all of it and a boolean pool that masks them.
 A scan runs in ``_greedy_scan``, an array kernel that keeps exactly what the
 per-item loop ``_scan_items`` keeps, and drops the items that can no longer
 fit after a reject.  ``_greedy_rows`` solves a batch of whole instances of
-one size (each greedy is its batch of one; ``bench``'s untimed greedies,
-the oracle's seeds, ``gsa`` at m = 0) by ``_best_of_scans_rows``, which
-also completes ``gsa``'s seeds: many short scans step over their positions
-together, and any other input goes row by row to ``_best_of_scans``.
+one size, returning their retained storage masks and objectives (each
+greedy is its batch of one; also ``bench``'s untimed greedies, the oracle's
+seeds, ``gsa`` at m = 0), by ``_best_of_scans_rows``, which also completes
+``gsa``'s seeds: many short scans step over their positions together, and
+any other input goes row by row to ``_best_of_scans``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .model import (
     CAPACITY_REL_TOL,
     Instance,
     Solution,
+    _batch_of_one,
     _running_sums,
     _stacked,
     _storage_mask,
@@ -455,27 +457,19 @@ def _greedy_rows(
     return _best_of_scans_rows(instances, orders, limit_sq, np.arange(len(instances)))
 
 
-def _greedy_solve(instance: Instance, tag: str, rel_tol: float) -> Solution:
-    """Best of the scans in ``SCAN_ORDERS[tag]`` over the whole instance: a batch of one."""
-    start = time.perf_counter()
-    (retained,), (objective,) = _greedy_rows([instance], SCAN_ORDERS[tag], rel_tol)
-    return solution_from_indices(instance, np.flatnonzero(retained), objective.item(), tag,
-                                 time.perf_counter() - start)
-
-
 def gva(instance: Instance, rel_tol: float = CAPACITY_REL_TOL) -> Solution:
     """Greedy by descending valuation."""
-    return _greedy_solve(instance, "gva", rel_tol)
+    return _batch_of_one(_greedy_rows, instance, "gva", SCAN_ORDERS["gva"], rel_tol)
 
 
 def gma(instance: Instance, rel_tol: float = CAPACITY_REL_TOL) -> Solution:
     """Greedy by ascending demand magnitude."""
-    return _greedy_solve(instance, "gma", rel_tol)
+    return _batch_of_one(_greedy_rows, instance, "gma", SCAN_ORDERS["gma"], rel_tol)
 
 
 def gra(instance: Instance, rel_tol: float = CAPACITY_REL_TOL) -> Solution:
     """Greedy by descending efficiency (valuation per VA of demand)."""
-    return _greedy_solve(instance, "gra", rel_tol)
+    return _batch_of_one(_greedy_rows, instance, "gra", SCAN_ORDERS["gra"], rel_tol)
 
 
 def gda(instance: Instance, rel_tol: float = CAPACITY_REL_TOL) -> Solution:
@@ -486,7 +480,7 @@ def gda(instance: Instance, rel_tol: float = CAPACITY_REL_TOL) -> Solution:
     never below the largest single valuation.  On equal objectives the
     efficiency branch's set is returned.
     """
-    return _greedy_solve(instance, "gda", rel_tol)
+    return _batch_of_one(_greedy_rows, instance, "gda", SCAN_ORDERS["gda"], rel_tol)
 
 
 def gda_forced(

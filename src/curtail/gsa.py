@@ -13,21 +13,21 @@ The best candidate across both phases is returned.  The objective is at
 least ``(1 - epsilon) * alignment_factor(theta)`` times the optimum, at the
 cost of enumerating O(n^m) subsets; small epsilon buys accuracy with runtime.
 
-The search runs over a batch of instances of one size n (``_search_batch``);
-``gsa`` is its batch of one, and ``bench.run_benchmark`` hands it an n's
-trials at once.  One loop walks the sizes 1 ... m, a block of id-rank
-combinations at a time, mapped through each instance's id order to storage
-indices.  A block holds at most ``_SEED_BLOCK_CELLS`` cells, and several
-instances only while all their seeds of the size fit in it.  Every subset
-of every instance in the block is tested for fit at once, its demands
-added column by column in storage order from 0.0.  Below m each instance
-keeps its best valuation.  At m every feasible seed is
-bounded at once by ``oracle._projected_bounds``: u(S) plus the fractional
-knapsack over S's pool, with each demand projected on the unit vector at
-its instance's mid-phase and the budget the capacity left after S's
-projected sizes.  By Cauchy–Schwarz no completion that fits is worth more,
-and a relative margin of 16 (n + 4) 2^-53 covers the float rounding (the
-helper's docstring counts the roundings).
+``_search_batch`` searches a batch of instances of one size n and returns
+their retained storage masks and objectives; ``gsa`` is its batch of one,
+and ``bench.run_benchmark`` hands it an n's untimed trials at once.  One
+loop walks the sizes 1 ... m, a block of id-rank combinations at a time,
+mapped through each instance's id order to storage indices.  A block holds
+at most ``_SEED_BLOCK_CELLS`` cells, and several instances only while all
+their seeds of the size fit in it.  Every subset of every instance in the
+block is tested for fit at once, its demands added column by column in
+storage order from 0.0.  Below m each instance keeps its best valuation.
+At m every feasible seed is bounded at once by ``oracle._projected_bounds``:
+u(S) plus the fractional knapsack over S's pool, with each demand projected
+on the unit vector at its instance's mid-phase and the budget the capacity
+left after S's projected sizes.  By Cauchy–Schwarz no completion that fits
+is worth more, and a relative margin of 16 (n + 4) 2^-53 covers the float
+rounding (the helper's docstring counts the roundings).
 
 The seeds are completed in rounds (``_complete_seeds``).  Each instance
 visits its seeds by descending bound, and in round i completes its next
@@ -49,8 +49,8 @@ perfbench's ``sweep_small`` plan (FCR, 25 kVA, seed 123, epsilon = 1/4),
 time.
 
 With epsilon >= 1/2 the derived m is 0 and the enumeration degenerates; the
-batch then falls back to the unforced greedy pair (``greedy._greedy_rows``),
-whose 1/2 guarantee already dominates 1 - epsilon.
+batch then returns the unforced greedy pair's result (``greedy._greedy_rows``)
+as it is, whose 1/2 guarantee already dominates 1 - epsilon.
 
 Determinism: subsets are enumerated lexicographically by customer id, and
 each Phase 2 seed is ranked by its place in that enumeration.  A Phase 2
@@ -67,7 +67,6 @@ The package re-exports the function ``gsa`` over this submodule, so
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from typing import Iterator, Sequence
@@ -75,13 +74,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .greedy import SCAN_ORDERS, _best_of_scans_rows, _greedy_rows, _sorted_order_rows
-from .model import (
-    CAPACITY_REL_TOL,
-    Instance,
-    Solution,
-    _stacked,
-    solution_from_indices,
-)
+from .model import CAPACITY_REL_TOL, Instance, Solution, _batch_of_one, _stacked
 from .oracle import _projected_bounds
 
 
@@ -161,8 +154,9 @@ def _column_sum(values: np.ndarray, cols: list[np.ndarray]) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")  # past the float range, sums and squares are inf
 def _search_batch(
     instances: Sequence[Instance], config: GsaConfig, rel_tol: float
-) -> list[tuple[np.ndarray, float]]:
-    """Per instance, its best retained set, as ascending storage indices, and its objective.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per instance, its best retained set and its objective: a b x n boolean array of
+    retained storage masks and the b objectives.
 
     The instances all have the same size.  Phase 1 and Phase 2 share one
     walk over the subset sizes and its fit test, and every step runs for
@@ -175,9 +169,7 @@ def _search_batch(
     n = len(instances[0]) if instances else 0
     m = config.max_subset_size(n)
     if m == 0:  # no enumeration: the greedy pair alone, as ``gda`` runs it
-        retained, objectives = _greedy_rows(instances, SCAN_ORDERS["gda"], rel_tol)
-        return [(np.flatnonzero(row), objective)
-                for row, objective in zip(retained, objectives.tolist())]
+        return _greedy_rows(instances, SCAN_ORDERS["gda"], rel_tol)
     b = len(instances)
     limit_sq = np.array([instance.capacity_limit_sq(rel_tol) for instance in instances])
     orders = _sorted_order_rows(instances, SCAN_ORDERS["gda"])
@@ -223,8 +215,7 @@ def _search_batch(
                 _complete_seeds(instances, orders, limit_sq, u, seeds, t, bounds, first + row,
                                 (best, best_objective, rank))
             first += len(combos)
-    return [(np.flatnonzero(mask), objective)
-            for mask, objective in zip(best, best_objective.tolist())]
+    return best, best_objective
 
 
 def _complete_seeds(
@@ -297,6 +288,4 @@ def gsa(
     rel_tol: float = CAPACITY_REL_TOL,
 ) -> Solution:
     """Enumeration-boosted valuation maximiser; see the module docstring."""
-    start = time.perf_counter()
-    ((retained, objective),) = _search_batch([instance], config, rel_tol)
-    return solution_from_indices(instance, retained, objective, "gsa", time.perf_counter() - start)
+    return _batch_of_one(_search_batch, instance, "gsa", config, rel_tol)

@@ -26,8 +26,9 @@ so everything in this module is safe to share across threads.
 Float discipline: every objective and aggregate demand is a ``storage_sum``,
 left-to-right addition from 0.0 over ascending storage indices, by a plain
 loop for a few values and otherwise by the one running sum of the package,
-``_running_sums``.  The solvers and the oracle keep selections as storage
-indices or masks and build their answers with ``solution_from_indices``;
+``_running_sums``.  Each solver family has one batched entry that returns
+its instances' retained storage masks and objectives, and every public
+solver is its batch of one (``_batch_of_one``, by ``solution_from_indices``);
 ``retained_valuation`` and friends map id sets onto the same sum.  So equal
 selections produce bit-identical objectives and aggregates no matter which
 code path built them, on every supported Python version.
@@ -37,9 +38,10 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -366,7 +368,10 @@ def storage_sum(values: np.ndarray | Sequence[float], indices: np.ndarray | Sequ
 
 
 def _stacked(instances: Sequence[Instance], *names: str) -> list[np.ndarray]:
-    """Each named column of every instance, all of one size n, as a b x n array."""
+    """Each named column of every instance, all of one size n, as a b x n array;
+    a single instance's are read-only 1 x n views of its stored columns."""
+    if len(instances) == 1:
+        return [getattr(instances[0].columns, name)[None, :] for name in names]
     shape = (len(instances), len(instances[0]) if instances else 0)
     return [np.array([getattr(instance.columns, name) for instance in instances]).reshape(shape)
             for name in names]
@@ -395,6 +400,17 @@ def solution_from_indices(
         algorithm=algorithm,
         elapsed=elapsed,
     )
+
+
+def _batch_of_one(solve: Callable, instance: Instance, algorithm: str, *args) -> Solution:
+    """``solve([instance], *args)`` as a timed ``Solution``: ``solve`` is a batched entry,
+    which returns a b x n boolean array of retained storage masks and the b objectives,
+    each a ``storage_sum`` over its instance."""
+    start = time.perf_counter()
+    (retained,), (objective,) = solve([instance], *args)
+    elapsed = time.perf_counter() - start
+    retained = np.flatnonzero(retained)
+    return solution_from_indices(instance, retained, objective.item(), algorithm, elapsed)
 
 
 def _storage_mask(instance: Instance, ids: Iterable[int]) -> np.ndarray:

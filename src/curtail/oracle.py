@@ -12,13 +12,14 @@ memory follow the surviving selections, not 2^n: FCR at n = 26 and 40% of
 the aggregate demand bounds about 10^3 selections in about a millisecond,
 while all-zero weights under a capacity that fits everyone keep every
 selection.  ``_best_feasible_masks`` argues why the pruning keeps the answer
-exact, ties included, and states the memory rule for a batch.  The
-single-instance solvers are batches of one, and ``bench.run_benchmark``
-hands over each n's trials at once; ``_brute_force_batch`` finds all their
-greedy seeds in one ``greedy._greedy_rows`` call and slices them into
-batches by that rule.  The budget is one limit on n,
-``OracleBudget.max_n`` (at most ``MAX_ORACLE_N`` = 30); its default keeps
-accidental 2^30-subset runs from happening.
+exact, ties included, and states the memory rule for a batch.
+``_brute_force_batch`` returns a batch's optimal retained storage masks and
+objectives; both solvers are its batches of one, and ``bench.run_benchmark``
+hands it each n's trials at once.  It finds all their greedy seeds in one
+``greedy._greedy_rows`` call and slices them into batches by that rule.
+The budget is one limit on n, ``OracleBudget.max_n`` (at most
+``MAX_ORACLE_N`` = 30); its default keeps accidental 2^30-subset runs from
+happening.
 
 ``lp_upper_bound`` solves the magnitude-relaxed fractional problem exactly by
 the efficiency-greedy rule: it upper-bounds the alignment-scaled optimum from
@@ -27,7 +28,6 @@ above and the sum of the two greedy branch objectives bounds it in turn.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,10 +46,9 @@ from .model import (
     CurtailError,
     Instance,
     Solution,
+    _batch_of_one,
     _running_sums,
     _stacked,
-    solution_from_indices,
-    storage_sum,
 )
 
 MAX_ORACLE_N = 30  # 2^30 subsets; hard ceiling, not a suggestion
@@ -341,13 +340,15 @@ def _lexicographic_first(ids: np.ndarray, masks: np.ndarray) -> int:
 
 def _brute_force_batch(
     instances: Sequence[Instance], budget: OracleBudget, rel_tol: float, objective: str
-) -> tuple[np.ndarray, list[float]]:
-    """Per instance (all of one size), its optimal retained mask and objective.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per instance (all of one size), its optimal retained mask and objective, as a
+    b x n boolean array and the b objectives.
 
     ``objective`` is "vmax" (the objective is the retained valuation) or
     "cmin" (the objective is the compensation of everyone else); either way
     the retained set is the feasible one of largest retained weight.  The
-    objective is a ``storage_sum``, as in the solution of each instance.
+    objectives are added in storage order from 0.0 (``greedy._row_sums``),
+    the floats ``storage_sum`` gives.
     The instances are searched in batches of max(1, ``_BATCH_SELECTIONS`` >> n).
     When the first, largest batch leaves positions to prune, the greedy seeds
     of all the instances are computed at once (``_greedy_seeds``) and each
@@ -367,20 +368,8 @@ def _brute_force_batch(
         )
         for lo in range(0, b, size)
     ])
-    counted = ~kept if objective == "cmin" else kept
-    return kept, [storage_sum(w, c) for w, c in zip(weights, counted)]
-
-
-def _brute_force(
-    instance: Instance, budget: OracleBudget, rel_tol: float, objective: str
-) -> Solution:
-    """``_brute_force_batch`` over one instance, as a ``Solution``."""
-    start = time.perf_counter()
-    kept, (value,) = _brute_force_batch([instance], budget, rel_tol, objective)
-    algorithm = "cmin_oracle" if objective == "cmin" else "oracle"
-    return solution_from_indices(
-        instance, np.flatnonzero(kept[0]), value, algorithm, time.perf_counter() - start
-    )
+    with np.errstate(over="ignore"):  # a sum past the float range is inf
+        return kept, _row_sums(~kept if objective == "cmin" else kept, weights)
 
 
 def brute_force_vmax(
@@ -389,7 +378,7 @@ def brute_force_vmax(
     rel_tol: float = CAPACITY_REL_TOL,
 ) -> Solution:
     """Exact valuation-maximising selection via exhaustive enumeration."""
-    return _brute_force(instance, budget, rel_tol, "vmax")
+    return _batch_of_one(_brute_force_batch, instance, "oracle", budget, rel_tol, "vmax")
 
 
 def brute_force_cmin(
@@ -403,7 +392,7 @@ def brute_force_cmin(
     maximising the compensation kept in the retained set; the empty retained
     set is always feasible, so an optimum always exists.
     """
-    return _brute_force(instance, budget, rel_tol, "cmin")
+    return _batch_of_one(_brute_force_batch, instance, "cmin_oracle", budget, rel_tol, "cmin")
 
 
 def lp_upper_bound(instance: Instance) -> float:

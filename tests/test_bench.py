@@ -76,6 +76,13 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="unknown algorithms"):
             small_plan(algorithms=("gda", "newton"))
 
+    @pytest.mark.parametrize("field", ["n_values", "algorithms"])
+    def test_empty_list_rejected(self, field):
+        with pytest.raises(FormatError, match=f"{field} must not be empty"):
+            plan_from_dict(plan_doc(field, []))
+        with pytest.raises(ValueError, match=f"{field} must not be empty"):
+            small_plan(**{field: ()})
+
     def test_lp_bound_only_for_vmax(self):
         with pytest.raises(ValueError, match="lp_bound"):
             small_plan(objective="cmin", oracle="lp_bound")
@@ -224,7 +231,10 @@ class TestRunBenchmark:
 
         def per_trial(instances, budget, rel_tol, objective):
             solver = brute_force_cmin if objective == "cmin" else brute_force_vmax
-            return None, [solver(instance, budget, rel_tol).objective for instance in instances]
+            solutions = [solver(instance, budget, rel_tol) for instance in instances]
+            kept = [np.isin(instance.columns.id, sorted(solution.retained_ids))
+                    for instance, solution in zip(instances, solutions)]
+            return np.array(kept), np.array([solution.objective for solution in solutions])
 
         for objective in ("vmax", "cmin"):
             plan = small_plan(
@@ -324,17 +334,17 @@ class TestRunBenchmark:
 
     @pytest.mark.parametrize("chunk", [1, bench._BATCH_CUSTOMERS])
     @pytest.mark.parametrize("objective, measure_time", [
-        ("vmax", False), ("vmax", True), ("cmin", False),
+        ("vmax", False), ("vmax", True), ("cmin", False), ("cmin", True),
     ])
     def test_each_solver_is_called_once_per_trial(
         self, monkeypatch, objective, measure_time, chunk
     ):
-        # timed, and for cmin, each algorithm solves each trial once, whatever
-        # the chunks; untimed vmax algorithms make one batched call per chunk,
-        # a greedy with a row per trial
+        # timed, each algorithm solves each trial once, whatever the chunks;
+        # untimed, each algorithm makes one batched call per chunk, with a row
+        # per trial: a vmax greedy to _greedy_rows, a cmin greedy to _shed_rows
         table = bench.CMIN_ALGORITHMS if objective == "cmin" else VMAX_ALGORITHMS
         calls = dict.fromkeys(table, 0)
-        greedy_batches, gsa_batches = [], []
+        greedy_batches, shed_batches, gsa_batches = [], [], []
 
         def counted(tag, solve):
             def wrapper(*args, **kwargs):
@@ -355,18 +365,23 @@ class TestRunBenchmark:
             calls["gsa"], algorithms = 0, algorithms + ("gsa",)
             monkeypatch.setattr(bench, "gsa", counted("gsa", bench.gsa))
         monkeypatch.setattr(bench, "_greedy_rows", batched(greedy_batches, bench._greedy_rows))
+        monkeypatch.setattr(bench, "_shed_rows", batched(shed_batches, bench._shed_rows))
         monkeypatch.setattr(bench, "_search_batch", batched(gsa_batches, bench._search_batch))
         monkeypatch.setattr(bench, "_BATCH_CUSTOMERS", chunk)
         plan = small_plan(algorithms=algorithms, objective=objective, measure_time=measure_time)
         assert len(run_benchmark(plan)) == 2 * len(algorithms)
         batches = 2 * [30] if chunk > 30 * 12 else 2 * 30 * [1]
-        if objective == "vmax" and not measure_time:
+        per_greedy = [size for size in batches for _ in table]
+        if measure_time:
+            assert calls == dict.fromkeys(algorithms, 2 * 30)
+            assert greedy_batches == shed_batches == gsa_batches == []
+        elif objective == "vmax":
             assert calls == dict.fromkeys(algorithms, 0)
-            assert greedy_batches == [size for size in batches for _ in table]
+            assert greedy_batches == per_greedy and shed_batches == []
             assert gsa_batches == batches
         else:
-            assert calls == dict.fromkeys(algorithms, 2 * 30)
-            assert greedy_batches == gsa_batches == []
+            assert calls == dict.fromkeys(algorithms, 0)
+            assert shed_batches == per_greedy and greedy_batches == gsa_batches == []
 
     def test_gda_worst_case_floor_per_row(self):
         # worst case at 36 degrees spread is (1/2) cos 18deg, above 0.4755

@@ -397,6 +397,16 @@ class TestBenchCommand:
         assert "squares to inf" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["n_values", "algorithms"])
+    def test_empty_list_exits_2_without_csv(self, tmp_path, capsys, field):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan_doc(field, [])))
+        out = tmp_path / "r.csv"
+        assert dispatch(["bench", "--plan", str(plan_path), "-o", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: {plan_path}: malformed benchmark plan: {field} must not be empty\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, value", COERCIBLE_PLAN_FIELDS + [("gsa_epsilon", 1.0)])
     def test_wrong_plan_field_exits_2_without_csv(self, tmp_path, capsys, field, value):
         plan_path = tmp_path / "plan.json"

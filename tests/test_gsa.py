@@ -36,10 +36,10 @@ from conftest import build_instance, random_instance, reference_gsa_search
 
 
 def search_ids(inst: Instance, config: GsaConfig, rel_tol: float = 1e-9):
-    """``_search_batch`` over ``inst`` alone, its storage indices mapped to ids as the
-    reference returns them."""
-    ((retained, objective),) = _search_batch([inst], config, rel_tol)
-    return frozenset(inst.columns.id[retained].tolist()), objective
+    """``_search_batch`` over ``inst`` alone, its storage mask mapped to ids and its
+    objective to a Python float, as the reference returns them."""
+    (retained,), (objective,) = _search_batch([inst], config, rel_tol)
+    return frozenset(inst.columns.id[retained].tolist()), objective.item()
 
 
 def tied_instance(rng: np.random.Generator, n: int) -> Instance:
@@ -343,11 +343,12 @@ class TestSearchBatch:
         config = GsaConfig(epsilon)
         monkeypatch.setattr(gsa_module, "_SEED_BLOCK_CELLS", cells)
         for label, instances, rel_tol in mixed_batches():
-            results = _search_batch(instances, config, rel_tol)
-            assert len(results) == len(instances), label
-            for inst, (retained, objective) in zip(instances, results):
-                assert np.all(np.diff(retained) > 0), label
-                ids = frozenset(inst.columns.id[retained].tolist())
+            retained, objectives = _search_batch(instances, config, rel_tol)
+            assert retained.shape == (len(instances), len(instances[0])), label
+            assert objectives.shape == (len(instances),), label
+            assert retained.dtype == bool and objectives.dtype == np.float64, label
+            for inst, mask, objective in zip(instances, retained, objectives.tolist()):
+                ids = frozenset(inst.columns.id[mask].tolist())
                 alone = gsa(inst, config, rel_tol)
                 assert (ids, objective) == (alone.retained_ids, alone.objective), label
                 if config.max_subset_size(len(inst)) == 0:
@@ -358,7 +359,8 @@ class TestSearchBatch:
                     assert (ids, objective) == expected[:2], label
 
     def test_empty_batch(self):
-        assert _search_batch([], GsaConfig(0.25), 1e-9) == []
+        retained, objectives = _search_batch([], GsaConfig(0.25), 1e-9)
+        assert retained.shape == (0, 0) and objectives.shape == (0,)
 
 
 def all_tied_instance(n: int) -> Instance:
@@ -486,12 +488,12 @@ class TestSeedWork:
         })
         instances = [instance_for_trial(plan, 18, trial) for trial in range(30)]
         counts = count_completions(monkeypatch)
-        batched = _search_batch(instances, GsaConfig(0.25), CAPACITY_REL_TOL)
+        retained, objectives = _search_batch(instances, GsaConfig(0.25), CAPACITY_REL_TOL)
         completed = counts["seeds"]
         alone = [gsa(inst, GsaConfig(0.25)) for inst in instances]
         assert 0 < completed <= counts["seeds"] - completed
-        for inst, (retained, objective), solution in zip(instances, batched, alone):
-            assert frozenset(inst.columns.id[retained].tolist()) == solution.retained_ids
+        for inst, mask, objective, solution in zip(instances, retained, objectives, alone):
+            assert frozenset(inst.columns.id[mask].tolist()) == solution.retained_ids
             assert objective == solution.objective
 
     def test_rounds_complete_less_than_twice_a_one_at_a_time_visit(self, monkeypatch):

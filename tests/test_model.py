@@ -753,3 +753,73 @@ class TestOneMagnitude:
         path = str(tmp_path / "instance.json")
         dump_instance(generate(spec_from_acronym("FUM", 2000, 2e6, seed=4)), path)
         _assert_column_is_demand_magnitude(load_instance(path))
+
+
+class TestStacked:
+    NAMES = ("id", "p", "q", "valuation", "compensation", "mag")
+
+    def test_a_single_instance_stacks_read_only_views(self):
+        # a batch of one reads its stored columns, so a single solve copies none
+        inst = generate(spec_from_acronym("FLM", 12, 5e6, seed=1))
+        for name, stacked in zip(self.NAMES, model_module._stacked([inst], *self.NAMES)):
+            column = getattr(inst.columns, name)
+            assert stacked.shape == (1, len(inst)) and stacked.dtype == column.dtype
+            assert np.shares_memory(stacked, column) and not stacked.flags.writeable
+            assert np.array_equal(stacked[0], column)
+
+
+def contract_batch(n: int) -> list[Instance]:
+    """FCR, FLM and FUM instances of size n, with tied valuations and
+    compensations and some zero demands, under a binding capacity."""
+    batch = []
+    for seed, acronym in enumerate(("FCR", "FLM", "FUM")):
+        cols = generate(spec_from_acronym(acronym, n, 5e6, seed=seed)).columns
+        p, q, u, comp = (np.array(a) for a in (cols.p, cols.q, cols.valuation, cols.compensation))
+        u[1::3], comp[2::4] = u[:1], comp[:1]
+        p[::5] = q[::5] = 0.0
+        columns = InstanceColumns.build(cols.id, p, q, u, comp)
+        capacity = max(0.4 * float(columns.mag.sum()), float(columns.mag.max(initial=1.0)))
+        batch.append(Instance(columns, capacity))
+    return batch
+
+
+def _batched_entries():
+    """Per case, the batched entry, its arguments after the batch and the public solver."""
+    greedy, cmin, oracle = (importlib.import_module(f"curtail.{name}")
+                            for name in ("greedy", "cmin", "oracle"))
+    gsa_module, tol = importlib.import_module("curtail.gsa"), model_module.CAPACITY_REL_TOL
+    for tag, keys in greedy.SCAN_ORDERS.items():
+        yield pytest.param(greedy._greedy_rows, (keys, tol), getattr(greedy, tag), id=tag)
+    for tag, keys in greedy.SHED_ORDERS.items():
+        yield pytest.param(cmin._shed_rows, (keys, tol), getattr(cmin, tag), id=tag)
+    for epsilon in (0.6, 1 / 4, 1 / 5):  # m = 0 at every n, then up to 2 and 3
+        config = GsaConfig(epsilon)
+        yield pytest.param(gsa_module._search_batch, (config, tol),
+                           lambda inst, config=config: gsa(inst, config), id=f"gsa {epsilon:g}")
+    for objective, solver in (("vmax", oracle.brute_force_vmax), ("cmin", oracle.brute_force_cmin)):
+        yield pytest.param(oracle._brute_force_batch, (oracle.OracleBudget(), tol, objective),
+                           solver, id=f"oracle {objective}")
+
+
+class TestBatchedEntries:
+    """Every solver family's batched entry returns retained storage masks and
+    float64 objectives, and each row is what the public solver returns."""
+
+    @pytest.mark.parametrize("n", [0, 1, 14])
+    @pytest.mark.parametrize("entry, args, solver", list(_batched_entries()))
+    def test_each_row_is_the_public_solver(self, n, entry, args, solver):
+        batch = contract_batch(n)
+        retained, objectives = entry(batch, *args)
+        assert retained.shape == (3, n) and retained.dtype == bool
+        assert objectives.shape == (3,) and objectives.dtype == np.float64
+        for inst, mask, objective in zip(batch, retained, objectives.tolist()):
+            solution = solver(inst)
+            assert frozenset(inst.columns.id[mask].tolist()) == solution.retained_ids
+            assert type(solution.objective) is float
+            assert objective.hex() == solution.objective.hex()
+
+    def test_flm_sheds_in_two_orders(self):
+        # so the FLM row of the cmin_gda case above takes the cheaper of two sheddings
+        greedy = importlib.import_module("curtail.greedy")
+        _, kept = greedy._sorted_order_rows(contract_batch(14), greedy.SHED_ORDERS["cmin_gda"])
+        assert kept[:, 1].all()
